@@ -160,17 +160,16 @@ def cmd_map(args):
     gmap = global_map.replay_log_file(args.event_log)
     out_ply = Path(args.out_ply) if args.out_ply else out_dir / "fused_map.ply"
     count = gmap.export_fused_cloud(out_ply)
-    n_obs = sum(len(v) for v in gmap.landmarks.values())
     report = {
         "keyframes": len(gmap.keyframes),
         "landmarks": len(gmap.landmarks),
-        "observations": n_obs,
+        "observations": gmap.n_observations,
         "fused_points": count,
         "ply": out_ply.name,
     }
     _write_report(out_dir, "map_report.json", report)
     print(f"keyframes: {report['keyframes']}  landmarks: {report['landmarks']}  "
-          f"observations: {n_obs}")
+          f"observations: {report['observations']}")
     print(f"wrote {count} fused points to {out_ply}")
     return 0
 
@@ -260,7 +259,7 @@ def cmd_register(args):
         "voxel": voxel,
         "fitness": res.fitness,
         "inlier_rmse": res.inlier_rmse,
-        "n_correspondences": res.n_correspondences,
+        "n_inliers": res.n_inliers,
         "n_putative": out.n_putative,
         "transform_row_major": matrix.reshape(-1),
         "aligned_ply": aligned_ply.name,
@@ -271,7 +270,7 @@ def cmd_register(args):
         print("  " + " ".join(f"{v: .6f}" for v in row))
     print(f"fitness: {res.fitness:.4f}")
     print(f"inlier_rmse: {res.inlier_rmse:.4f} m")
-    print(f"correspondences: {res.n_correspondences}")
+    print(f"inliers: {res.n_inliers}")
     print(f"wrote {aligned_ply}")
     return 0
 

@@ -6,9 +6,14 @@ attached landmark while keeping the point-to-keyframe relative pose
 unchanged. Fusion is the quality-weighted mean over all observations of a
 landmark.
 
-Observations are stored per landmark in a dict keyed by keyframe id, so
-(landmark, keyframe) lookup is O(1) and fusion of the whole map is linear
-in the total number of observations.
+Observations live in one table of column arrays with a row per
+(landmark, keyframe) pair: keyframe slot, landmark slot, keyframe-local
+position ``p_f``, quality, colour and pixel. ``landmarks`` maps each
+landmark id to ``{keyframe id: row}``, so a repeated observation overwrites
+its row. Keyframe poses sit in slot-indexed rotation and translation
+arrays. One kernel fuses any set of landmarks: it moves the rows into the
+world frame chunk by chunk, sums them per landmark with ``np.bincount``, and
+costs time linear in the number of observations.
 """
 
 from dataclasses import dataclass
@@ -20,14 +25,8 @@ from .errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
                      UnknownKeyframe, UnknownLandmark, UwvioError)
 from .geometry import RigidTransform
 
-
-@dataclass(frozen=True)
-class Observation:
-    p_f: np.ndarray       # landmark position in keyframe-local coordinates
-    keyframe_id: int
-    quality: float        # in [0, 1]
-    color: np.ndarray     # RGB in [0, 255]
-    pixel: tuple          # (u, v) keypoint position
+# rows transformed per step, so the gathered (rows, 3, 3) rotations stay in cache
+_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,40 @@ class FusedPoint:
     n_obs: int
 
 
+def _grow(a):
+    """Copy of ``a`` with twice the rows (at least 16), the old ones kept."""
+    out = np.empty((max(2 * len(a), 16),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 class GlobalMap:
     """Single-writer map state; fuse/export are read-only."""
 
     def __init__(self):
         self.keyframes = {}      # id -> RigidTransform (T_wf)
-        self.landmarks = {}      # landmark id -> {keyframe id: Observation}
-        self._inverses = {}      # cached T_wf^-1 per keyframe
+        self.landmarks = {}      # landmark id -> {keyframe id: table row}
+        self._kf_slot = {}       # keyframe id -> index into _R, _t
+        self._lm_slot = {}       # landmark id -> index into _lm_ids
+        self._R = np.empty((0, 3, 3))
+        self._t = np.empty((0, 3))
+        self._lm_ids = np.empty(0, dtype=np.int64)
+        self.n_observations = 0  # rows in use
+        self._kf = np.empty(0, dtype=np.intp)
+        self._lm = np.empty(0, dtype=np.intp)
+        self._p_f = np.empty((0, 3))
+        self._quality = np.empty(0)
+        self._color = np.empty((0, 3))
+        self._pixel = np.empty((0, 2), dtype=np.int64)
 
     def add_keyframe(self, kf_id, pose):
         if kf_id in self.keyframes:
             raise DuplicateKeyframe(f"keyframe {kf_id} already present")
+        slot = len(self._kf_slot)
+        if slot == len(self._R):
+            self._R, self._t = _grow(self._R), _grow(self._t)
+        self._R[slot], self._t[slot] = pose.R, pose.t
+        self._kf_slot[kf_id] = slot
         self.keyframes[kf_id] = pose
 
     def add_observation(self, landmark_id, kf_id, p_w_obs, quality,
@@ -56,20 +78,37 @@ class GlobalMap:
         """Cache a world-frame observation in keyframe-local coordinates.
 
         A repeated observation from the same keyframe replaces the old one.
+        Landmark ids must fit in a signed 64-bit integer.
         """
         pose = self.keyframes.get(kf_id)
         if pose is None:
             raise UnknownKeyframe(f"keyframe {kf_id} not in map")
         if not 0.0 <= quality <= 1.0:
             raise InvalidQuality(f"quality {quality} outside [0, 1]")
-        inv = self._inverses.get(kf_id)
-        if inv is None:
-            inv = self._inverses[kf_id] = pose.inverse()
-        p_f = inv.apply(np.asarray(p_w_obs, dtype=float))
-        obs = Observation(p_f=p_f, keyframe_id=kf_id, quality=float(quality),
-                          color=np.asarray(color, dtype=float),
-                          pixel=(int(pixel[0]), int(pixel[1])))
-        self.landmarks.setdefault(landmark_id, {})[kf_id] = obs
+        p_f = pose.R.T @ (np.asarray(p_w_obs, dtype=float) - pose.t)
+        rows = self.landmarks.get(landmark_id)
+        if rows is None:
+            slot = len(self._lm_slot)
+            if slot == len(self._lm_ids):
+                self._lm_ids = _grow(self._lm_ids)
+            self._lm_ids[slot] = landmark_id
+            self._lm_slot[landmark_id] = slot
+            rows = self.landmarks[landmark_id] = {}
+        row = rows.get(kf_id)
+        if row is None:
+            row = rows[kf_id] = self.n_observations
+            self.n_observations += 1
+            if row == len(self._kf):
+                (self._kf, self._lm, self._p_f, self._quality, self._color,
+                 self._pixel) = map(_grow, (self._kf, self._lm, self._p_f,
+                                            self._quality, self._color,
+                                            self._pixel))
+            self._kf[row] = self._kf_slot[kf_id]
+            self._lm[row] = self._lm_slot[landmark_id]
+        self._p_f[row] = p_f
+        self._quality[row] = quality
+        self._color[row] = color
+        self._pixel[row] = pixel
 
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
@@ -81,51 +120,69 @@ class GlobalMap:
             if kf_id not in self.keyframes:
                 raise UnknownKeyframe(f"keyframe {kf_id} not in map")
         self.keyframes.update(updates)
-        for kf_id in updates:
-            self._inverses.pop(kf_id, None)
+        for kf_id, pose in updates.items():
+            slot = self._kf_slot[kf_id]
+            self._R[slot], self._t[slot] = pose.R, pose.t
+
+    def _fuse(self, landmark_id=None):
+        """Fuse one landmark, or every landmark when ``landmark_id`` is None.
+
+        Returns landmark ids in ascending order with, per landmark, the
+        world position, colour, mean quality and observation count.
+        """
+        if landmark_id is None:
+            n_lm = len(self._lm_slot)
+            rows = slice(0, self.n_observations)
+            order = np.argsort(self._lm_ids[:n_lm])
+            ids = self._lm_ids[order]
+            rank = np.empty(n_lm, dtype=np.intp)
+            rank[order] = np.arange(n_lm)
+            groups = rank[self._lm[rows]]    # output index of each row
+        else:
+            obs = self.landmarks.get(landmark_id)
+            if not obs:
+                raise UnknownLandmark(f"landmark {landmark_id} has no observations")
+            n_lm = 1
+            rows = np.fromiter(obs.values(), dtype=np.intp, count=len(obs))
+            ids = self._lm_ids[[self._lm_slot[landmark_id]]]
+            groups = np.zeros(len(obs), dtype=np.intp)
+        kf, p_f = self._kf[rows], self._p_f[rows]
+        quality, color = self._quality[rows], self._color[rows]
+        count = np.bincount(groups, minlength=n_lm)
+        q_sum = np.bincount(groups, weights=quality, minlength=n_lm)
+        # all-zero weights make the weighted mean 0/0; such a landmark gets
+        # the unweighted mean instead of being dropped
+        unweighted = q_sum == 0.0
+        w = np.where(unweighted[groups], 1.0, quality)
+        weighted = np.empty((6, len(groups)))    # w times x, y, z, r, g, b
+        weighted[3:] = color.T * w
+        for s in range(0, len(groups), _CHUNK):
+            e = s + _CHUNK
+            k = kf[s:e]
+            weighted[:3, s:e] = (np.einsum("nij,nj->in", self._R[k], p_f[s:e])
+                                 + self._t[k].T) * w[s:e]
+        mean = np.stack([np.bincount(groups, weights=c, minlength=n_lm)
+                         for c in weighted])
+        mean /= np.where(unweighted, count, q_sum)
+        return (ids, mean[:3].T, np.clip(np.rint(mean[3:].T), 0, 255),
+                q_sum / count, count)
 
     def fuse_landmark(self, landmark_id):
-        obs_map = self.landmarks.get(landmark_id)
-        if not obs_map:
-            raise UnknownLandmark(f"landmark {landmark_id} has no observations")
-        pos_sum = np.zeros(3)
-        color_sum = np.zeros(3)
-        q_sum = 0.0
-        for obs in obs_map.values():
-            pose = self.keyframes[obs.keyframe_id]
-            world = pose.apply(obs.p_f)
-            pos_sum += world * obs.quality
-            color_sum += obs.color * obs.quality
-            q_sum += obs.quality
-        n = len(obs_map)
-        if q_sum == 0.0:
-            # all-zero weights make the weighted mean 0/0; fall back to the
-            # unweighted mean instead of dropping the landmark
-            pos = np.mean([self.keyframes[o.keyframe_id].apply(o.p_f)
-                           for o in obs_map.values()], axis=0)
-            color = np.mean([o.color for o in obs_map.values()], axis=0)
-            quality = 0.0
-        else:
-            pos = pos_sum / q_sum
-            color = color_sum / q_sum
-            quality = q_sum / n
-        color = np.clip(np.rint(color), 0, 255)
-        return FusedPoint(p_w=pos, color=color, quality=quality, n_obs=n)
+        _, p_w, color, quality, count = self._fuse(landmark_id)
+        return FusedPoint(p_w=p_w[0], color=color[0], quality=float(quality[0]),
+                          n_obs=int(count[0]))
 
     def fuse_all(self):
         """Fused points for every landmark, in landmark-id order."""
-        return {lm: self.fuse_landmark(lm) for lm in sorted(self.landmarks)}
+        ids, p_w, color, quality, count = self._fuse()
+        return {lm: FusedPoint(p_w=p, color=c, quality=q, n_obs=n)
+                for lm, p, c, q, n in zip(ids.tolist(), p_w, color,
+                                          quality.tolist(), count.tolist())}
 
     def export_fused_cloud(self, path):
         """Write every fused landmark to a binary PLY; returns the count."""
-        fused = self.fuse_all()
-        if not fused:
-            return ply.write_ply(path, np.empty((0, 3)),
-                                 colors=np.empty((0, 3)), quality=np.empty(0))
-        pts = np.array([f.p_w for f in fused.values()])
-        colors = np.array([f.color for f in fused.values()])
-        quality = np.array([f.quality for f in fused.values()])
-        return ply.write_ply(path, pts, colors=colors, quality=quality)
+        _, p_w, color, quality, _ = self._fuse()
+        return ply.write_ply(path, p_w, colors=color, quality=quality)
 
 
 def _parse_pose(fields):
@@ -180,7 +237,7 @@ def replay_log(lines):
                 raise EventLogError(line_no, f"unknown event {tag!r}")
         except EventLogError:
             raise
-        except (UwvioError, ValueError) as exc:
+        except (UwvioError, ValueError, OverflowError) as exc:
             raise EventLogError(line_no, str(exc)) from exc
     flush_updates()
     return gmap

@@ -286,15 +286,3 @@ def stream_counts(root):
             counts[child.key] = counts.get(child.key, 0) + child.header.repeat
     return counts
 
-
-def dump_tree(root, indent=0):
-    """Human-readable indented dump of a KLV tree (debug surface)."""
-    lines = []
-    for node in root.children:
-        h = node.header
-        type_repr = "cont" if h.type_code == 0 else chr(h.type_code)
-        lines.append("  " * indent +
-                     f"{h.key} type={type_repr} size={h.item_size} repeat={h.repeat}")
-        if node.is_container:
-            lines.extend(dump_tree(node, indent + 1))
-    return lines

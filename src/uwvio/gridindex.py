@@ -1,8 +1,7 @@
 """Uniform-grid spatial hash for neighbor queries on point clouds.
 
 Points are bucketed by voxel cell; radius queries scan the covering cell
-block, kNN queries expand in shells until enough candidates are found.
-Expected O(1) per query at the densities this toolkit works with.
+block. Expected O(1) per query at the densities this toolkit works with.
 """
 
 import numpy as np
@@ -38,25 +37,6 @@ class GridIndex:
             return np.empty(0, dtype=int)
         return np.concatenate(chunks)
 
-    def _shell(self, center, reach):
-        """Indices of points in cells at Chebyshev distance exactly reach."""
-        if reach == 0:
-            members = self.cells.get(center)
-            return members if members is not None else np.empty(0, dtype=int)
-        cx, cy, cz = center
-        chunks = []
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                for dz in range(-reach, reach + 1):
-                    if max(abs(dx), abs(dy), abs(dz)) != reach:
-                        continue
-                    members = self.cells.get((cx + dx, cy + dy, cz + dz))
-                    if members is not None:
-                        chunks.append(members)
-        if not chunks:
-            return np.empty(0, dtype=int)
-        return np.concatenate(chunks)
-
     def radius_neighbors(self, q, radius):
         """Indices of points within ``radius`` of q, unordered."""
         q = np.asarray(q, dtype=float)
@@ -76,40 +56,3 @@ class GridIndex:
         d = np.linalg.norm(self.points[cand] - q, axis=1)
         best = int(np.argmin(d))
         return int(cand[best]), float(d[best])
-
-    def knn(self, q, k, exclude=None):
-        """Indices of the k nearest points to q, sorted by distance.
-
-        Expands shells until the k-th best distance is certainly inside the
-        scanned block. ``exclude`` removes one index (the query point
-        itself) from consideration.
-        """
-        q = np.asarray(q, dtype=float)
-        center = self._cell_of(q)
-        max_reach = 1 + int(np.ceil(
-            max(np.ptp(self.points, axis=0).max(), self.cell_size) / self.cell_size))
-        found = []
-        reach = 0
-        while reach <= max_reach:
-            shell = self._shell(center, reach)
-            if exclude is not None and shell.size:
-                shell = shell[shell != exclude]
-            if shell.size:
-                d = np.linalg.norm(self.points[shell] - q, axis=1)
-                found.append((shell, d))
-            n_found = sum(s.size for s, _ in found)
-            if n_found >= k:
-                # safe once the k-th distance fits inside the scanned block
-                all_idx = np.concatenate([s for s, _ in found])
-                all_d = np.concatenate([d for _, d in found])
-                order = np.argsort(all_d, kind="stable")
-                kth = all_d[order[min(k, all_d.size) - 1]]
-                if kth <= reach * self.cell_size or reach == max_reach:
-                    return all_idx[order[:k]]
-            reach += 1
-        if not found:
-            return np.empty(0, dtype=int)
-        all_idx = np.concatenate([s for s, _ in found])
-        all_d = np.concatenate([d for _, d in found])
-        order = np.argsort(all_d, kind="stable")
-        return all_idx[order[:k]]

@@ -48,7 +48,6 @@ class RegistrationResult:
     transform: RigidTransform
     fitness: float
     inlier_rmse: float
-    n_correspondences: int
     n_inliers: int
 
 
@@ -356,9 +355,7 @@ def score_registration(source, target, transform, threshold):
     fitness = n_inliers / len(src)
     inlier_rmse = float(np.sqrt(np.mean(dists ** 2))) if n_inliers else 0.0
     return RegistrationResult(transform=transform, fitness=fitness,
-                              inlier_rmse=inlier_rmse,
-                              n_correspondences=n_inliers,
-                              n_inliers=n_inliers)
+                              inlier_rmse=inlier_rmse, n_inliers=n_inliers)
 
 
 @dataclass

@@ -23,20 +23,6 @@ FRAMES_CSV_HEADER = "index,t,exposure"
 COUNT_TOLERANCE = 2
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameStamp:
-    index: int
-    t: float
-    exposure: float
-
-
 @dataclass
 class PayloadStreams:
     """Parsed sensor content of one GPMF payload."""
@@ -55,16 +41,6 @@ class SyncedDataset:
     frame_t: np.ndarray    # (M,)
     exposure: np.ndarray   # (M,)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def imu_samples(self):
-        return [ImuSample(t=float(t), accel=a, gyro=g)
-                for t, a, g in zip(self.imu_t, self.accel, self.gyro)]
-
-    @property
-    def frames(self):
-        return [FrameStamp(index=i, t=float(t), exposure=float(e))
-                for i, (t, e) in enumerate(zip(self.frame_t, self.exposure))]
 
 
 def payload_streams_from_klv(raw_payloads, axis_order="xyz"):

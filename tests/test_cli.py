@@ -85,6 +85,7 @@ def test_map_subcommand(tmp_path, capsys):
     report = read_json(out / "map_report.json")
     assert report["keyframes"] == 10
     assert report["landmarks"] == 20
+    assert report["observations"] == 80
     assert report["fused_points"] == 20
     cloud = ply.read_ply(out / "fused_map.ply")
     assert len(cloud["points"]) == 20

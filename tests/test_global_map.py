@@ -222,3 +222,76 @@ def test_fusion_linear_in_observations():
     t_small = run(5_000)
     t_large = run(50_000)
     assert t_large < 30 * max(t_small, 1e-3)
+
+
+def test_observations_after_pose_update_use_new_pose():
+    """A new pair and a replaced pair added after an update follow the new pose."""
+    m = GlobalMap()
+    m.add_keyframe(0, pose(rotation_about_z(0.3), [1.0, 0.0, 0.0]))
+    m.add_observation(0, 0, [2.0, 1.0, 0.5], 1.0)
+    m.update_keyframe_poses({0: pose(rotation_about_z(-1.1), [0.0, 3.0, -2.0])})
+    p_new = np.array([-1.0, 4.0, 2.0])
+    p_replaced = np.array([5.0, -2.0, 1.0])
+    m.add_observation(1, 0, p_new, 0.5)
+    m.add_observation(0, 0, p_replaced, 0.5)
+    assert np.allclose(m.fuse_landmark(1).p_w, p_new, atol=1e-12)
+    assert np.allclose(m.fuse_landmark(0).p_w, p_replaced, atol=1e-12)
+    fused = m.fuse_all()
+    assert np.allclose(fused[0].p_w, p_replaced, atol=1e-12)
+    assert np.allclose(fused[1].p_w, p_new, atol=1e-12)
+    assert m.n_observations == 2
+
+
+def test_fuse_all_and_export_match_fuse_landmark(tmp_path):
+    rng = np.random.default_rng(3)
+    m = GlobalMap()
+    for k in range(6):
+        m.add_keyframe(k, pose(random_rotation(rng), rng.normal(size=3)))
+    ids = rng.choice(np.arange(-500, 500), size=40, replace=False).tolist()
+    pairs = set()
+    for lm in ids:
+        for k in rng.choice(6, size=int(rng.integers(1, 5)), replace=False).tolist():
+            m.add_observation(lm, k, rng.normal(size=3) * 4,
+                              float(rng.uniform(0.05, 1.0)),
+                              color=rng.integers(0, 256, 3))
+            pairs.add((lm, k))
+    replaced = min(pairs)
+    # an all-zero-quality landmark falls back to the unweighted mean
+    zero_pts = rng.normal(size=(3, 3))
+    for i, k in enumerate((1, 3, 5)):
+        m.add_observation(1000, k, zero_pts[i], 0.0, color=(10 * i, 0, 255))
+        pairs.add((1000, k))
+    # a repeated pair replaces the stored observation
+    m.add_observation(*replaced, [9.0, 9.0, 9.0], 0.7, color=(1, 2, 3))
+    # keyframes 1, 3 and 5, which hold the zero-quality landmark, keep their poses
+    m.update_keyframe_poses({k: pose(random_rotation(rng), rng.normal(size=3))
+                             for k in (0, 2, 4)})
+    assert m.n_observations == len(pairs)
+
+    fused = m.fuse_all()
+    assert list(fused) == sorted(ids + [1000])
+    for lm, f in fused.items():
+        g = m.fuse_landmark(lm)
+        assert np.allclose(f.p_w, g.p_w, rtol=0, atol=1e-12)
+        assert f.color.tolist() == g.color.tolist()
+        assert f.quality == pytest.approx(g.quality, abs=1e-15)
+        assert f.n_obs == g.n_obs
+    zero = fused[1000]
+    assert np.allclose(zero.p_w, zero_pts.mean(axis=0), atol=1e-12)
+    assert zero.quality == 0.0
+    assert zero.color.tolist() == [10, 0, 255]
+
+    out = tmp_path / "cloud.ply"
+    assert m.export_fused_cloud(out) == len(fused)
+    back = ply.read_ply(out)
+    points = list(fused.values())
+    assert np.allclose(back["points"], [f.p_w for f in points], rtol=1e-6, atol=1e-6)
+    assert back["colors"].tolist() == [f.color.tolist() for f in points]
+    assert np.allclose(back["quality"], [f.quality for f in points], atol=1e-7)
+
+
+def test_replay_log_rejects_landmark_id_beyond_int64():
+    with pytest.raises(EventLogError) as exc:
+        replay_log(["KF 0 0 0 0 0 0 0 1",
+                    f"OBS {2 ** 64} 0 1 2 3 0.5 0 0 0 0 0"])
+    assert exc.value.line_no == 2

@@ -29,18 +29,6 @@ def test_grid_index_matches_brute_force():
         assert hit[1] == pytest.approx(d.min())
 
 
-def test_grid_index_knn_exact():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(300, 3))
-    index = GridIndex(pts, 0.4)
-    for qi in range(0, 300, 37):
-        got = index.knn(pts[qi], 8, exclude=qi)
-        d = np.linalg.norm(pts - pts[qi], axis=1)
-        d[qi] = np.inf
-        want = np.sort(np.argsort(d)[:8])
-        assert np.array_equal(np.sort(got), want)
-
-
 # --- voxel downsample ---------------------------------------------------------
 
 def test_downsample_centroids():
