@@ -261,6 +261,9 @@ def cmd_register(args):
         "inlier_rmse": res.inlier_rmse,
         "n_inliers": res.n_inliers,
         "n_putative": out.n_putative,
+        "n_source_down": out.n_source_down,
+        "n_target_down": out.n_target_down,
+        "isolated_points": list(out.isolated_points),
         "transform_row_major": matrix.reshape(-1),
         "aligned_ply": aligned_ply.name,
     }

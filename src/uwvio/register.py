@@ -7,7 +7,7 @@ The global-registration step is a correspondence RANSAC with a closed-form
 it is deterministic under a fixed seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,10 @@ DEFAULT_MIN_INLIER_RATIO = 0.05
 
 # deterministic fallback normal for rank-deficient neighborhoods
 DEGENERATE_NORMAL = np.array([0.0, 0.0, 1.0])
+
+# pairs, or point x candidate entries, per pass of the batched kernels;
+# bounds their temporaries
+_CHUNK = 1 << 15
 
 
 @dataclass
@@ -86,23 +90,24 @@ def estimate_normals(cloud, k_neighbors=DEFAULT_NORMAL_K, viewpoint=(0.0, 0.0, 0
     index = GridIndex(pts, _density_cell(pts, k_neighbors))
     viewpoint = np.asarray(viewpoint, dtype=float)
 
-    # points sharing a cell share their candidate block; cache it per cell
-    # and batch the eigendecompositions
+    # points sharing a cell share its candidate block: the smallest cube of
+    # cells around it (reach 1 to 64) holding k + 2 points
+    bounds, members = index.cells()
+    first = members[bounds[:-1]]        # one point per cell
     covs = np.empty((n, 3, 3))
-    for cell, members in index.cells.items():
-        reach = 1
-        cand = index._block(cell, reach)
-        while cand.size < k_neighbors + 2 and reach < 64:
-            reach += 1
-            cand = index._block(cell, reach)
-        block = pts[cand]
-        for i in members:
-            d2 = np.sum((block - pts[i]) ** 2, axis=1)
-            take = min(k_neighbors + 1, d2.size)
-            sel = np.argpartition(d2, take - 1)[:take]
-            nb = block[sel]
-            centered = nb - nb.mean(axis=0)
-            covs[i] = centered.T @ centered / len(nb)
+    need = np.arange(len(first))
+    for reach in range(1, 65):
+        offsets, cand = index.cube(pts[first[need]], reach)
+        done = (np.diff(offsets) >= k_neighbors + 2) | (reach == 64)
+        for j, c in zip(np.flatnonzero(done), need[done]):
+            block = pts[cand[offsets[j]:offsets[j + 1]]]
+            cell_members = members[bounds[c]:bounds[c + 1]]
+            n_chunks = -(-len(cell_members) * len(block) // _CHUNK)
+            for mine in np.array_split(cell_members, n_chunks):
+                covs[mine] = _knn_covariances(pts[mine], block, k_neighbors + 1)
+        need = need[~done]
+        if need.size == 0:
+            break
 
     w, v = np.linalg.eigh(covs)
     normals = v[:, :, 0].copy()
@@ -111,6 +116,16 @@ def estimate_normals(cloud, k_neighbors=DEFAULT_NORMAL_K, viewpoint=(0.0, 0.0, 0
     flip = np.einsum("ij,ij->i", normals, viewpoint - pts) < 0
     normals[flip] = -normals[flip]
     return PointCloud(points=pts, colors=cloud.colors, normals=normals)
+
+
+def _knn_covariances(points, block, k):
+    """Covariance of the k nearest block points of each point (all of the
+    block if it is smaller), ranked with one argpartition per row."""
+    take = min(k, len(block))
+    d2 = sum((block[:, a] - points[:, a, None]) ** 2 for a in range(3))
+    nb = block[np.argpartition(d2, take - 1, axis=1)[:, :take]]
+    centered = nb - nb.mean(axis=1, keepdims=True)
+    return np.matmul(centered.transpose(0, 2, 1), centered) / take
 
 
 def _density_cell(pts, k):
@@ -131,37 +146,35 @@ class FpfhDescriptors:
         return len(self.values)
 
 
-def _pair_features(p, n_p, q_pts, q_normals):
-    """Angular features (alpha, phi, theta) of point p against neighbors q."""
-    d = q_pts - p
+def _pair_features(d, u, nq):
+    """Angular features (alpha, phi, theta) of pairs (p, q) with offset
+    d = q - p, normal u at p and normal nq at q."""
     dist = np.linalg.norm(d, axis=1)
-    dist = np.where(dist > 0, dist, 1.0)
-    dn = d / dist[:, None]
-    u = n_p
+    dn = d / np.where(dist > 0, dist, 1.0)[:, None]
     v = np.cross(dn, u)
     v_norm = np.linalg.norm(v, axis=1)
     # connecting line parallel to the normal: pick any perpendicular frame
     deg = v_norm < 1e-12
     if np.any(deg):
-        alt = np.cross(np.tile([1.0, 0.0, 0.0], (int(deg.sum()), 1)), u)
+        alt = np.cross([1.0, 0.0, 0.0], u[deg])
         alt_bad = np.linalg.norm(alt, axis=1) < 1e-12
-        alt[alt_bad] = np.cross([0.0, 1.0, 0.0], u)
+        alt[alt_bad] = np.cross([0.0, 1.0, 0.0], u[deg][alt_bad])
         v[deg] = alt
         v_norm = np.linalg.norm(v, axis=1)
     v = v / v_norm[:, None]
     w = np.cross(u, v)
-    alpha = np.einsum("ij,ij->i", v, q_normals)
-    phi = dn @ u
-    theta = np.arctan2(np.einsum("ij,ij->i", w, q_normals), q_normals @ u)
+    alpha = np.einsum("ij,ij->i", v, nq)
+    phi = np.einsum("ij,ij->i", dn, u)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, nq), np.einsum("ij,ij->i", nq, u))
     return alpha, phi, theta
 
 
-def _spfh_histogram(alpha, phi, theta):
-    h = np.empty(33)
-    h[0:11] = np.histogram(alpha, bins=11, range=(-1.0, 1.0))[0]
-    h[11:22] = np.histogram(phi, bins=11, range=(-1.0, 1.0))[0]
-    h[22:33] = np.histogram(theta, bins=11, range=(-np.pi, np.pi))[0]
-    return h
+def _histogram_bins(x, lo, hi):
+    """Bin of each value in ``np.histogram(x, bins=11, range=(lo, hi))``,
+    -1 outside the range: bins are closed on the left, the last on both sides."""
+    b = np.searchsorted(np.linspace(lo, hi, 12), x, "right") - 1
+    b[x == hi] = 10
+    return np.where(b < 11, b, -1)
 
 
 def compute_fpfh(cloud, radius):
@@ -181,33 +194,35 @@ def compute_fpfh(cloud, radius):
     n = len(pts)
     if n == 0:
         raise EmptyCloud("cannot describe an empty cloud")
-    index = GridIndex(pts, radius)
-    neighbor_lists = []
-    spfh = np.zeros((n, 33))
-    isolated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        nbrs = index.radius_neighbors(pts[i], radius)
-        nbrs = nbrs[nbrs != i]
-        neighbor_lists.append(nbrs)
-        if nbrs.size == 0:
-            isolated[i] = True
-            continue
-        alpha, phi, theta = _pair_features(pts[i], normals[i], pts[nbrs], normals[nbrs])
-        spfh[i] = _spfh_histogram(alpha, phi, theta)
+    offsets, nbrs = GridIndex(pts, radius).radius_neighbors(pts, radius)
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    keep = nbrs != rows
+    rows, nbrs = rows[keep], nbrs[keep]
+    n_nbrs = np.bincount(rows, minlength=n)
+    isolated = n_nbrs == 0
 
-    fpfh = np.zeros((n, 33))
-    for i in range(n):
-        nbrs = neighbor_lists[i]
-        if nbrs.size == 0:
-            continue
-        dist = np.linalg.norm(pts[nbrs] - pts[i], axis=1)
-        weights = 1.0 / np.maximum(dist, 1e-12)
-        fpfh[i] = spfh[i] + (weights[:, None] * spfh[nbrs]).sum(axis=0) / nbrs.size
-        # percentage-normalize each 11-bin sub-histogram
-        for lo in (0, 11, 22):
-            total = fpfh[i, lo:lo + 11].sum()
-            if total > 0:
-                fpfh[i, lo:lo + 11] *= 100.0 / total
+    # pair features binned into SPFH histograms, one chunk of pairs at a time
+    spfh = np.zeros(n * 33)
+    for s in range(0, len(rows), _CHUNK):
+        i, j = rows[s:s + _CHUNK], nbrs[s:s + _CHUNK]
+        features = _pair_features(pts[j] - pts[i], normals[i], normals[j])
+        for lo, x, span in zip((0, 11, 22), features, (1.0, 1.0, np.pi)):
+            b = _histogram_bins(x, -span, span)
+            spfh += np.bincount(i[b >= 0] * 33 + lo + b[b >= 0], minlength=n * 33)
+    spfh = spfh.reshape(n, 33)
+
+    # 1/distance-weighted sum of the neighbors' SPFH; pairs are grouped by row
+    weighted = np.zeros((n, 33))
+    for s in range(0, len(rows), _CHUNK):
+        i, j = rows[s:s + _CHUNK], nbrs[s:s + _CHUNK]
+        weights = 1.0 / np.maximum(np.linalg.norm(pts[j] - pts[i], axis=1), 1e-12)
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        weighted[i[first]] += np.add.reduceat(weights[:, None] * spfh[j], first)
+    fpfh = spfh + weighted / np.maximum(n_nbrs, 1)[:, None]
+    # percentage-normalize each 11-bin sub-histogram
+    sub = fpfh.reshape(n, 3, 11)
+    total = sub.sum(axis=2, keepdims=True)
+    sub *= np.where(total > 0, 100.0 / np.where(total > 0, total, 1.0), 1.0)
     return FpfhDescriptors(values=fpfh, isolated=isolated)
 
 
@@ -308,13 +323,14 @@ def icp_refine(source, target, init, threshold, max_iter=50, tol=1e-8):
     prev_rmse = np.inf
     for _ in range(max_iter):
         moved = transform.apply(src)
-        src_idx, tgt_idx, dists = _associate_points(index, moved, threshold)
-        if src_idx.size == 0:
+        nearest, dists = index.nearest_within(moved, threshold)
+        hit = nearest >= 0
+        if not hit.any():
             raise NoOverlap("no point associations within threshold")
-        rmse = float(np.sqrt(np.mean(dists ** 2)))
+        rmse = float(np.sqrt(np.mean(dists[hit] ** 2)))
         if rmse > prev_rmse:
             break
-        R, t = rigid_fit(src[src_idx], tgt[tgt_idx])
+        R, t = rigid_fit(src[hit], tgt[nearest[hit]])
         new_transform = RigidTransform.from_matrix(R, t)
         delta = np.abs(new_transform.matrix() - transform.matrix()).max()
         transform = new_transform
@@ -322,17 +338,6 @@ def icp_refine(source, target, init, threshold, max_iter=50, tol=1e-8):
         if delta < tol:
             break
     return transform
-
-
-def _associate_points(index, points, threshold):
-    src_idx, tgt_idx, dists = [], [], []
-    for i, p in enumerate(points):
-        hit = index.nearest_within(p, threshold)
-        if hit is not None:
-            src_idx.append(i)
-            tgt_idx.append(hit[0])
-            dists.append(hit[1])
-    return np.array(src_idx, dtype=int), np.array(tgt_idx, dtype=int), np.array(dists)
 
 
 def score_registration(source, target, transform, threshold):
@@ -350,7 +355,8 @@ def score_registration(source, target, transform, threshold):
         raise EmptyCloud("empty cloud in scoring")
     index = GridIndex(tgt, threshold)
     moved = transform.apply(src)
-    _, _, dists = _associate_points(index, moved, threshold)
+    nearest, dists = index.nearest_within(moved, threshold)
+    dists = dists[nearest >= 0]
     n_inliers = len(dists)
     fitness = n_inliers / len(src)
     inlier_rmse = float(np.sqrt(np.mean(dists ** 2))) if n_inliers else 0.0
@@ -365,6 +371,7 @@ class PipelineResult:
     n_putative: int
     n_source_down: int = 0
     n_target_down: int = 0
+    isolated_points: tuple = (0, 0)     # FPFH points with no neighbor: source, target
 
 
 def register_pipeline(source, target,
@@ -395,4 +402,6 @@ def register_pipeline(source, target,
     result = score_registration(source, target, refined, threshold=voxel)
     return PipelineResult(result=result, coarse_transform=coarse,
                           n_putative=len(corr),
-                          n_source_down=len(src_d), n_target_down=len(tgt_d))
+                          n_source_down=len(src_d), n_target_down=len(tgt_d),
+                          isolated_points=(int(desc_s.isolated.sum()),
+                                           int(desc_t.isolated.sum())))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uwvio import fixtures, ply, sync, traj_eval
+from uwvio import fixtures, ply, register, sync, traj_eval
 from uwvio.cli import load_config, main
 from uwvio.geometry import rotation_about_z, RigidTransform
 
@@ -144,7 +144,8 @@ def test_register_subcommand(tmp_path):
     base = fixtures.structured_scene(n_points=8000, extent=10.0, seed=0)
     T = RigidTransform.from_matrix(rotation_about_z(0.3), np.array([1.0, 0.5, 0.1]))
     src_path, tgt_path = tmp_path / "src.ply", tmp_path / "tgt.ply"
-    ply.write_ply(src_path, T.inverse().apply(base))
+    # one source point with no neighbor within the FPFH radius
+    ply.write_ply(src_path, np.vstack([T.inverse().apply(base), [[0.0, 0.0, 12.0]]]))
     ply.write_ply(tgt_path, base)
     out = tmp_path / "out"
     assert run(["--out-dir", out, "register", src_path, tgt_path,
@@ -155,6 +156,10 @@ def test_register_subcommand(tmp_path):
     M = np.array(report["transform_row_major"]).reshape(4, 4)
     assert np.allclose(M[:3, :3], T.R, atol=1e-2)
     assert np.allclose(M[:3, 3], T.t, atol=0.05)
+    for key, path in (("n_source_down", src_path), ("n_target_down", tgt_path)):
+        cloud = register.PointCloud(points=ply.read_ply(path)["points"])
+        assert report[key] == len(register.voxel_downsample(cloud, 0.3))
+    assert report["isolated_points"] == [1, 0]
     assert (out / "aligned_source.ply").exists()
 
 

@@ -6,27 +6,82 @@ from uwvio.fixtures import structured_scene
 from uwvio.geometry import (RigidTransform, random_rotation, rotation_about_z,
                             rotation_angle)
 from uwvio.gridindex import GridIndex
-from uwvio.register import (PointCloud, compute_fpfh, estimate_normals,
-                            icp_refine, match_descriptors, register_pipeline,
+from uwvio.register import (PointCloud, _density_cell, _histogram_bins,
+                            compute_fpfh, estimate_normals, icp_refine,
+                            match_descriptors, register_pipeline,
                             robust_global_registration, score_registration,
                             voxel_downsample)
 
 
 # --- grid index --------------------------------------------------------------
 
+def _assert_grid_matches_brute_force(pts, cell, queries, radius):
+    index = GridIndex(pts, cell)
+    offsets, indices = index.radius_neighbors(queries, radius)
+    nearest, dist = index.nearest_within(queries, radius)
+    assert len(offsets) == len(queries) + 1
+    for i, q in enumerate(queries):
+        d = np.linalg.norm(pts - q, axis=1)
+        want = np.nonzero(d <= radius)[0]
+        assert np.array_equal(indices[offsets[i]:offsets[i + 1]], want)
+        if want.size:
+            assert nearest[i] == np.argmin(d)
+            assert dist[i] == pytest.approx(d.min())
+        else:
+            assert nearest[i] == -1
+
+
 def test_grid_index_matches_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 5, size=(400, 3))
     index = GridIndex(pts, 0.5)
-    for q in rng.uniform(0, 5, size=(20, 3)):
-        got = np.sort(index.radius_neighbors(q, 0.7))
+    queries = rng.uniform(0, 5, size=(20, 3))
+    offsets, indices = index.radius_neighbors(queries, 0.7)
+    nearest, dist = index.nearest_within(queries, 1.0)
+    for i, q in enumerate(queries):
         want = np.nonzero(np.linalg.norm(pts - q, axis=1) <= 0.7)[0]
-        assert np.array_equal(got, want)
-        hit = index.nearest_within(q, 1.0)
+        assert np.array_equal(indices[offsets[i]:offsets[i + 1]], want)
         d = np.linalg.norm(pts - q, axis=1)
-        assert hit is not None
-        assert hit[0] == np.argmin(d)
-        assert hit[1] == pytest.approx(d.min())
+        assert nearest[i] >= 0
+        assert nearest[i] == np.argmin(d)
+        assert dist[i] == pytest.approx(d.min())
+
+
+def test_grid_index_radius_beyond_one_cell():
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(0, 5, size=(400, 3))
+    _assert_grid_matches_brute_force(pts, 0.5, rng.uniform(0, 5, size=(20, 3)), 0.9)
+
+
+def test_grid_index_queries_outside_and_empty():
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(0, 5, size=(300, 3))
+    queries = np.array([[-3.0, -3.0, -3.0], [100.0, 2.0, 2.0], [2.5, 2.5, -0.6],
+                        [5.3, 5.3, 5.3], [2.0, 2.0, 2.0]])
+    _assert_grid_matches_brute_force(pts, 0.5, queries, 0.7)
+    offsets, _ = GridIndex(pts, 0.5).radius_neighbors(queries[:2], 0.7)
+    assert offsets.tolist() == [0, 0, 0]
+    nearest, dist = GridIndex(pts, 0.5).nearest_within(queries[:2], 0.7)
+    assert nearest.tolist() == [-1, -1]
+    assert np.all(np.isinf(dist))
+
+
+def test_grid_index_tie_goes_to_lowest_index():
+    # both points are 2 m from the query; index 0 lies in the later cell of
+    # the x, y, z scan, so scan order alone would pick index 1
+    pts = np.array([[3.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 9.0, 1.0]])
+    nearest, dist = GridIndex(pts, 0.5).nearest_within([[1.0, 1.0, 1.0]], 2.5)
+    assert nearest.tolist() == [0]
+    assert dist.tolist() == [2.0]
+
+
+def test_grid_index_far_outlier():
+    # a dense key over the occupied box would need ~1e30 cells
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(0, 2, size=(300, 3)), [[1e9, 1e9, 1e9]],
+                     rng.uniform(0, 2, size=(100, 3))])
+    queries = np.vstack([rng.uniform(0, 2, size=(20, 3)), [[1e9, 1e9, 1e9 + 0.05]]])
+    _assert_grid_matches_brute_force(pts, 0.1, queries, 0.25)
 
 
 # --- voxel downsample ---------------------------------------------------------
@@ -135,6 +190,114 @@ def test_fpfh_rigid_invariance():
     desc_a = compute_fpfh(cloud_a, radius=1.2)
     desc_b = compute_fpfh(cloud_b, radius=1.2)
     assert np.allclose(desc_a.values, desc_b.values, atol=1e-6)
+
+
+def _reference_fpfh(pts, normals, radius):
+    """The per-point FPFH loop: one neighbor list and histogram per point."""
+    def pair_features(p, n_p, q_pts, q_normals):
+        d = q_pts - p
+        dist = np.linalg.norm(d, axis=1)
+        dist = np.where(dist > 0, dist, 1.0)
+        dn = d / dist[:, None]
+        u = n_p
+        v = np.cross(dn, u)
+        v_norm = np.linalg.norm(v, axis=1)
+        deg = v_norm < 1e-12
+        if np.any(deg):
+            alt = np.cross(np.tile([1.0, 0.0, 0.0], (int(deg.sum()), 1)), u)
+            alt_bad = np.linalg.norm(alt, axis=1) < 1e-12
+            alt[alt_bad] = np.cross([0.0, 1.0, 0.0], u)
+            v[deg] = alt
+            v_norm = np.linalg.norm(v, axis=1)
+        v = v / v_norm[:, None]
+        w = np.cross(u, v)
+        alpha = np.einsum("ij,ij->i", v, q_normals)
+        phi = dn @ u
+        theta = np.arctan2(np.einsum("ij,ij->i", w, q_normals), q_normals @ u)
+        return alpha, phi, theta
+
+    n = len(pts)
+    all_d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    neighbor_lists = []
+    spfh = np.zeros((n, 33))
+    isolated = np.zeros(n, dtype=bool)
+    for i in range(n):
+        nbrs = np.nonzero(all_d[i] <= radius)[0]
+        nbrs = nbrs[nbrs != i]
+        neighbor_lists.append(nbrs)
+        if nbrs.size == 0:
+            isolated[i] = True
+            continue
+        alpha, phi, theta = pair_features(pts[i], normals[i], pts[nbrs], normals[nbrs])
+        spfh[i, 0:11] = np.histogram(alpha, bins=11, range=(-1.0, 1.0))[0]
+        spfh[i, 11:22] = np.histogram(phi, bins=11, range=(-1.0, 1.0))[0]
+        spfh[i, 22:33] = np.histogram(theta, bins=11, range=(-np.pi, np.pi))[0]
+    fpfh = np.zeros((n, 33))
+    for i in range(n):
+        nbrs = neighbor_lists[i]
+        if nbrs.size == 0:
+            continue
+        dist = np.linalg.norm(pts[nbrs] - pts[i], axis=1)
+        weights = 1.0 / np.maximum(dist, 1e-12)
+        fpfh[i] = spfh[i] + (weights[:, None] * spfh[nbrs]).sum(axis=0) / nbrs.size
+        for lo in (0, 11, 22):
+            total = fpfh[i, lo:lo + 11].sum()
+            if total > 0:
+                fpfh[i, lo:lo + 11] *= 100.0 / total
+    return fpfh, isolated
+
+
+def test_fpfh_matches_per_point_reference():
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(0, 2, size=(250, 3))
+    normals = rng.normal(size=(250, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    # pairs whose connecting line is parallel to the first point's normal,
+    # the second one along x, so both fallback frames are taken
+    pts[1] = pts[0] + 0.1 * normals[0]
+    pts[3] = pts[2] + [0.1, 0.0, 0.0]
+    normals[2] = [1.0, 0.0, 0.0]
+    pts = np.vstack([pts, [[50.0, 50.0, 50.0]]])
+    normals = np.vstack([normals, [[0.0, 0.0, 1.0]]])
+    desc = compute_fpfh(PointCloud(points=pts, normals=normals), radius=0.45)
+    want, isolated = _reference_fpfh(pts, normals, 0.45)
+    assert np.array_equal(desc.isolated, isolated)
+    assert isolated.sum() == 1
+    np.testing.assert_allclose(desc.values, want, rtol=0, atol=1e-12)
+
+
+def test_histogram_bins_match_numpy():
+    edges = np.linspace(-np.pi, np.pi, 12)
+    x = np.concatenate([edges, np.nextafter(edges, np.inf),
+                        np.nextafter(edges, -np.inf),
+                        np.random.default_rng(18).uniform(-4, 4, 500)])
+    bins = _histogram_bins(x, -np.pi, np.pi)
+    inside = bins >= 0
+    assert np.array_equal(inside, (x >= -np.pi) & (x <= np.pi))
+    assert np.array_equal(np.bincount(bins[inside], minlength=11),
+                          np.histogram(x, bins=11, range=(-np.pi, np.pi))[0])
+    for value, b in zip(x[inside], bins[inside]):
+        assert np.histogram([value], bins=11, range=(-np.pi, np.pi))[0][b] == 1
+
+
+def test_normals_match_brute_force_knn():
+    # a sparse corner group whose cell needs a reach beyond 1 to hold k + 2
+    rng = np.random.default_rng(19)
+    k = 8
+    pts = np.vstack([rng.uniform(0, 1, size=(400, 3)),
+                     [1.6, 1.6, 1.6] + rng.normal(size=(3, 3)) * 0.05])
+    cell = _density_cell(pts, k)
+    offsets, _ = GridIndex(pts, cell).cube(pts[-1:], 1)
+    assert offsets[1] < k + 2
+    got = estimate_normals(PointCloud(points=pts), k_neighbors=k).normals
+
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    nb = pts[np.argsort(d, axis=1)[:, :k + 1]]
+    centered = nb - nb.mean(axis=1, keepdims=True)
+    w, v = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / (k + 1))
+    want = v[:, :, 0] * np.where(np.einsum("ij,ij->i", v[:, :, 0], -pts) < 0, -1, 1)[:, None]
+    assert np.all(w[:, 1] > 1e-12 * w[:, 2])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # --- matching / RANSAC / ICP -----------------------------------------------
