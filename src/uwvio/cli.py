@@ -33,15 +33,19 @@ def _log(args, message):
 def load_config(path):
     """Simple `key: value` config file; '#' starts a comment line."""
     config = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if ":" not in text:
-                raise InputError(f"{path}:{line_no}: expected 'key: value'")
-            key, _, value = text.partition(":")
-            config[key.strip()] = value.strip()
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if ":" not in text:
+            raise InputError(f"{path}:{line_no}: expected 'key: value'")
+        key, _, value = text.partition(":")
+        config[key.strip()] = value.strip()
     return config
 
 
@@ -51,7 +55,12 @@ def _resolve(args, key, default, cast=str):
     if value is not None:
         return value
     if args.config_values and key in args.config_values:
-        return cast(args.config_values[key])
+        value = args.config_values[key]
+        try:
+            return cast(value)
+        except ValueError:
+            raise InputError(f"{args.config}: {key}: cannot read {value!r} "
+                             f"as {cast.__name__}") from None
     return default
 
 
@@ -204,8 +213,9 @@ def cmd_eval_tags(args):
     detections = traj_eval.load_tag_csv(args.detections_csv)
     max_dt = _resolve(args, "max-dt", traj_eval.DEFAULT_MAX_DT, float)
     by_tag, unmatched = traj_eval.tag_world_positions(traj, detections, max_dt)
-    for det in unmatched:
-        _log(args, f"warning: detection of tag {det.tag_id} at t={det.t:.3f} "
+    unmatched = list(zip(unmatched.t.tolist(), unmatched.tag_id.tolist()))
+    for t, tag in unmatched:
+        _log(args, f"warning: detection of tag {tag} at t={t:.3f} "
                    "has no trajectory pose within tolerance")
     stats = traj_eval.tag_statistics(by_tag)
     quantile_csv = out_dir / "tag_quantiles.csv"
@@ -224,6 +234,7 @@ def cmd_eval_tags(args):
         "avg_dist_error": stats.avg_dist_error,
         "n_detections": stats.n_detections,
         "n_unmatched": len(unmatched),
+        "unmatched": unmatched,
         "quantile_csv": quantile_csv.name,
     }
     _write_report(out_dir, "tags_report.json", report)
@@ -367,8 +378,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.config_values = load_config(args.config) if args.config else {}
     try:
+        args.config_values = load_config(args.config) if args.config else {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return args.func(args)

@@ -9,22 +9,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _row_dot(a, b):
+    # a batched matmul gives each row the bits of a 1-D np.dot; np.sum and
+    # einsum round differently
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def quat_normalize(q):
+    """Each quaternion of a (..., 4) array scaled to unit norm."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0:
+    n = np.sqrt(_row_dot(q, q))[..., None]
+    if np.any(n == 0):
         raise ValueError("zero quaternion")
     return q / n
 
 
 def quat_to_matrix(q):
-    """Rotation matrix from a unit quaternion (x, y, z, w)."""
-    x, y, z, w = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrices (..., 3, 3) from unit quaternions (..., 4) as (x, y, z, w)."""
+    x, y, z, w = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(np.shape(q)[:-1] + (3, 3))
 
 
 def matrix_to_quat(R):
@@ -70,25 +77,19 @@ def quat_multiply(q1, q2):
     ])
 
 
-def quat_conjugate(q):
-    x, y, z, w = q
-    return np.array([-x, -y, -z, w])
-
-
 def quat_slerp(q0, q1, alpha):
-    """Spherical linear interpolation between two unit quaternions."""
+    """Spherical linear interpolation of unit quaternions (..., 4) by (...) fractions."""
     q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    dot = float(np.dot(q0, q1))
-    if dot < 0:
-        q1 = -q1
-        dot = -dot
-    if dot > 0.9995:
-        # nearly parallel: lerp + renormalize
-        return quat_normalize(q0 + alpha * (q1 - q0))
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    dot = _row_dot(q0, np.asarray(q1, dtype=float))[..., None]
+    q1 = np.where(dot < 0, -1.0, 1.0) * q1
+    dot = np.abs(dot)
+    # nearly parallel: lerp + renormalize
+    near = dot > 0.9995
     theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.sin(theta)
-    return (np.sin((1 - alpha) * theta) * q0 + np.sin(alpha * theta) * q1) / s
+    s = np.where(near, 1.0, np.sin(theta))  # no 0/0 in the rows that lerp
+    far = (np.sin((1 - alpha) * theta) * q0 + np.sin(alpha * theta) * q1) / s
+    return np.where(near, quat_normalize(q0 + alpha * (q1 - q0)), far)
 
 
 def rotation_about_z(angle):
@@ -138,7 +139,7 @@ class RigidTransform:
 
     def inverse(self):
         Rinv = self.R.T
-        return RigidTransform(q=quat_conjugate(self.q), t=-(Rinv @ self.t))
+        return RigidTransform(q=self.q * [-1.0, -1.0, -1.0, 1.0], t=-(Rinv @ self.t))
 
     def compose(self, other):
         """self ∘ other: apply ``other`` first, then ``self``."""

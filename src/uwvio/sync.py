@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gpmf
-from .errors import (CountMismatch, MissingStream, NonMonotonicPayloads,
-                     StreamNotFound, ZeroCount)
+from .errors import (CountMismatch, InputError, MissingStream,
+                     NonMonotonicPayloads, StreamNotFound, ZeroCount)
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
 FRAMES_CSV_HEADER = "index,t,exposure"
@@ -205,9 +205,14 @@ def export_frames_csv(dataset, path):
 
 def load_imu_csv(path):
     """Read an exported IMU CSV back into (t, accel, gyro) arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise InputError(f"{path}: {exc}") from None
     if data.size == 0:
         return np.empty(0), np.empty((0, 3)), np.empty((0, 3))
+    if data.shape[1] != 7:
+        raise InputError(f"{path}: expected 7 columns, got {data.shape[1]}")
     return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 

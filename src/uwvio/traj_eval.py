@@ -1,10 +1,13 @@
 """Trajectory accuracy tooling: timestamp association, Umeyama Sim(3)
 alignment, ATE RMSE, and fiducial-tag displacement statistics.
 
-Trajectories use the TUM plain-text format: one pose per line
-``t tx ty tz qx qy qz qw``, `#` comments allowed.
+TUM trajectories (``t tx ty tz qx qy qz qw`` lines) and tag detection CSVs
+(``t,tag_id,px,py,pz`` in the camera frame, after a ``t,...`` header) load
+through one table reader into column records, `Trajectory` and
+`TagDetections`; every later step works on whole columns.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,63 +36,93 @@ class Trajectory:
         return len(self.t)
 
 
+@dataclass
+class TagDetections:
+    t: np.ndarray       # (n,) seconds
+    tag_id: np.ndarray  # (n,) int64
+    p_cm: np.ndarray    # (n, 3) marker position in camera frame
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float)
+        self.tag_id = np.asarray(self.tag_id, dtype=np.int64)
+        self.p_cm = np.asarray(self.p_cm, dtype=float).reshape(-1, 3)
+
+    def __len__(self):
+        return len(self.t)
+
+
+def _read_table(path, row, record, delimiter=None, header=None):
+    """``record`` of the columns of a numeric text table, one ``row`` per
+    data line; `#` starts a comment and lines starting with ``header`` are
+    skipped. Any failure on the way, such as a field that does not parse as
+    its column's type, is an `InputError` naming the file."""
+    text = ""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if header:
+            # blank skipped lines rather than drop them, so line numbers hold
+            text = re.sub(rf"(?m)^(?:[ \t]*(?:#|{re.escape(header)}).*|[ \t]+)$", "", text)
+        # an iterator, not the list, keeps numpy's no-data warning short
+        rows = np.loadtxt(iter(text.split("\n")), dtype=row, delimiter=delimiter, ndmin=1)
+        if not all(np.isfinite(rows[name]).all() for name in row.names):
+            raise ValueError("non-finite value")
+        return record(**{name: np.ascontiguousarray(rows[name]) for name in row.names})
+    except (ValueError, InputError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InputError(_field_count_error(path, text, row, delimiter)
+                         or f"{path}: {exc}") from None
+
+
+def _field_count_error(path, text, row, delimiter):
+    """Message naming the first data line with a wrong field count, if any."""
+    n = row.itemsize // 8  # every column is 8 bytes wide
+    if delimiter is None:
+        field, sep, pad = r"[^\s#]+", r"[^\S\n]+", r"[^\S\n]*"
+    else:
+        field, sep, pad = rf"[^{delimiter}#\n]*", delimiter, ""
+    good = rf"{pad}(?:{field}(?:{sep}{field}){{{n - 1}}}{pad})?(?:#.*)?"
+    bad = re.search(rf"(?m)^(?!{good}$).+$", text)
+    if bad:
+        got = len(bad.group().partition("#")[0].split(delimiter))
+        line_no = text.count("\n", 0, bad.start()) + 1
+        return f"{path}:{line_no}: expected {n} fields, got {got}"
+
+
 def load_tum(path):
-    t, pos, quats = [], [], []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) != 8:
-                raise InputError(f"{path}:{line_no}: expected 8 fields, got {len(fields)}")
-            vals = [float(v) for v in fields]
-            t.append(vals[0])
-            pos.append(vals[1:4])
-            quats.append(quat_normalize(vals[4:8]))
-    return Trajectory(t=np.array(t), positions=np.array(pos).reshape(-1, 3),
-                      quats=np.array(quats).reshape(-1, 4))
+    row = np.dtype([("t", float), ("positions", float, 3), ("quats", float, 4)])
+    return _read_table(path, row, lambda t, positions, quats:
+                       Trajectory(t, positions, quat_normalize(quats)))
 
 
 def save_tum(traj, path):
-    with open(path, "w") as f:
-        f.write("# t tx ty tz qx qy qz qw\n")
-        for t, p, q in zip(traj.t, traj.positions, traj.quats):
-            f.write(f"{t:.9f} {p[0]:.9f} {p[1]:.9f} {p[2]:.9f} "
-                    f"{q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}\n")
+    np.savetxt(path, np.column_stack([traj.t, traj.positions, traj.quats]),
+               fmt="%.9f", header="# t tx ty tz qx qy qz qw", comments="")
 
 
 def associate(t_a, t_b, max_dt=DEFAULT_MAX_DT):
     """Greedy nearest-timestamp matching; each pose used at most once.
 
-    Returns index pairs (i, j) with |t_a[i] - t_b[j]| <= max_dt, sorted
-    by i.
+    Returns an (m, 2) int array of the pairs (i, j) with
+    |t_a[i] - t_b[j]| <= max_dt, sorted by i.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     if len(t_a) == 0 or len(t_b) == 0:
         raise NoMatches("empty trajectory")
-    candidates = []
-    for i, ta in enumerate(t_a):
-        j = int(np.searchsorted(t_b, ta))
-        for jj in (j - 1, j):
-            if 0 <= jj < len(t_b):
-                dt = abs(ta - t_b[jj])
-                if dt <= max_dt:
-                    candidates.append((dt, i, jj))
-    candidates.sort()
-    used_a, used_b = set(), set()
-    pairs = []
-    for _, i, j in candidates:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        pairs.append((i, j))
-    if not pairs:
+    # candidates: the poses of t_b on either side of each t_a, nearest first
+    j = np.searchsorted(t_b, t_a)[:, None] + [-1, 0]
+    dt = np.abs(t_a[:, None] - t_b[np.clip(j, 0, len(t_b) - 1)])
+    i, side = np.nonzero((j >= 0) & (j < len(t_b)) & (dt <= max_dt))
+    j, dt = j[i, side], dt[i, side]
+    order = np.lexsort((j, i, dt))
+    match, used_b = {}, set()
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a not in match and b not in used_b:
+            match[a] = b
+            used_b.add(b)
+    if not match:
         raise NoMatches(f"no timestamp pairs within {max_dt} s")
-    pairs.sort()
-    return pairs
+    return np.array(sorted(match.items()))
 
 
 def umeyama_sim3(source, target, fix_scale=False):
@@ -140,68 +173,44 @@ def evaluate_ate(traj_ref, traj_est, max_dt=DEFAULT_MAX_DT, fix_scale=False):
     Returns (ate, transform, n_pairs).
     """
     pairs = associate(traj_ref.t, traj_est.t, max_dt)
-    ref = traj_ref.positions[[i for i, _ in pairs]]
-    est = traj_est.positions[[j for _, j in pairs]]
+    ref = traj_ref.positions[pairs[:, 0]]
+    est = traj_est.positions[pairs[:, 1]]
     transform = umeyama_sim3(est, ref, fix_scale=fix_scale)
     return ate_rmse(ref, est, transform), transform, len(pairs)
 
 
-@dataclass(frozen=True)
-class TagDetection:
-    tag_id: int
-    t: float
-    p_cm: np.ndarray  # marker position in camera frame
-
-
 def load_tag_csv(path):
-    """Detections CSV: ``t,tag_id,px,py,pz`` with a header line."""
-    detections = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#") or text.startswith("t,"):
-                continue
-            fields = text.split(",")
-            if len(fields) != 5:
-                raise InputError(f"{path}:{line_no}: expected 5 fields")
-            detections.append(TagDetection(
-                tag_id=int(fields[1]), t=float(fields[0]),
-                p_cm=np.array([float(v) for v in fields[2:5]])))
-    return detections
-
-
-def _pose_at(traj, t, max_dt):
-    """Camera pose at time t, interpolating between bracketing poses."""
-    idx = int(np.searchsorted(traj.t, t))
-    if idx == 0 or idx == len(traj):
-        edge = 0 if idx == 0 else len(traj) - 1
-        if abs(traj.t[edge] - t) > max_dt:
-            return None
-        return traj.positions[edge], quat_to_matrix(traj.quats[edge])
-    t0, t1 = traj.t[idx - 1], traj.t[idx]
-    alpha = (t - t0) / (t1 - t0)
-    pos = (1 - alpha) * traj.positions[idx - 1] + alpha * traj.positions[idx]
-    q = quat_slerp(traj.quats[idx - 1], traj.quats[idx], alpha)
-    return pos, quat_to_matrix(q)
+    row = np.dtype([("t", float), ("tag_id", np.int64), ("p_cm", float, 3)])
+    return _read_table(path, row, TagDetections, delimiter=",", header="t,")
 
 
 def tag_world_positions(traj, detections, max_dt=DEFAULT_MAX_DT):
-    """Map camera-frame detections to world positions via the trajectory.
-
-    Returns (positions_by_tag, unmatched) where unmatched lists detections
-    whose timestamps fall outside the trajectory by more than max_dt.
-    """
-    by_tag = {}
-    unmatched = []
-    for det in detections:
-        pose = _pose_at(traj, det.t, max_dt)
-        if pose is None:
-            unmatched.append(det)
-            continue
-        pos, R = pose
-        world = R @ det.p_cm + pos
-        by_tag.setdefault(det.tag_id, []).append(world)
-    return ({tag: np.array(pts) for tag, pts in by_tag.items()}, unmatched)
+    """Map camera-frame detections to world positions via the trajectory
+    pose at their time: interpolated between two poses, else the end pose
+    if within max_dt. Returns (positions_by_tag, unmatched): an (n, 3)
+    array per tag id in detection order, and the poseless `TagDetections`."""
+    n = len(traj)
+    if n == 0:
+        raise NoMatches("empty trajectory")
+    t = detections.t
+    k = np.searchsorted(traj.t, t)
+    inside = (k > 0) & (k < n)
+    edge = np.minimum(k, n - 1)
+    ok = inside | (np.abs(traj.t[edge] - t) <= max_dt)
+    pos = traj.positions[edge]
+    quats = traj.quats[edge]
+    k = k[inside]
+    t0, t1 = traj.t[k - 1], traj.t[k]
+    alpha = ((t[inside] - t0) / (t1 - t0))[:, None]
+    pos[inside] = (1 - alpha) * traj.positions[k - 1] + alpha * traj.positions[k]
+    quats[inside] = quat_slerp(traj.quats[k - 1], traj.quats[k], alpha[:, 0])
+    R = quat_to_matrix(quats[ok])
+    world = (R @ detections.p_cm[ok][:, :, None])[:, :, 0] + pos[ok]
+    tag_id = detections.tag_id[ok]
+    order = np.argsort(tag_id, kind="stable")
+    tags, starts = np.unique(tag_id[order], return_index=True)
+    by_tag = dict(zip(tags.tolist(), np.split(world[order], starts[1:])))
+    return by_tag, TagDetections(t[~ok], detections.tag_id[~ok], detections.p_cm[~ok])
 
 
 @dataclass
@@ -218,9 +227,10 @@ def tag_statistics(positions_by_tag):
     Standard deviations use the sample (n-1) estimator. Quantiles per tag
     are (min, Q1, median, Q3, max) of the distance errors.
     """
+    if not positions_by_tag:
+        raise InsufficientDetections("no tag detection has a trajectory pose")
     per_tag = {}
     all_devs = []
-    all_dists = []
     for tag, pts in sorted(positions_by_tag.items()):
         pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         if len(pts) < 2:
@@ -236,9 +246,8 @@ def tag_statistics(positions_by_tag):
             "quantiles": np.percentile(dists, [0, 25, 50, 75, 100]),
         }
         all_devs.append(devs)
-        all_dists.append(dists)
     devs = np.vstack(all_devs)
-    dists = np.concatenate(all_dists)
+    dists = np.linalg.norm(devs, axis=1)
     return TagStats(per_tag=per_tag,
                     std_xyz=np.std(devs, axis=0, ddof=1),
                     avg_dist_error=float(np.mean(dists)),

@@ -278,11 +278,10 @@ def _loop_with_tags(sigma, n_per_tag, seed):
     for tag_id in range(5):
         idx = rng.choice(len(t), size=n_per_tag, replace=False)
         world = tags[tag_id] + rng.normal(size=(n_per_tag, 3)) * sigma
-        dets = []
-        for i, w in zip(idx, world):
-            R = rotation_about_z(2 * np.pi * t[i] / 60.0)
-            dets.append(traj_eval.TagDetection(
-                tag_id=tag_id, t=float(t[i]), p_cm=R.T @ (w - pos[i])))
+        p_cm = [rotation_about_z(2 * np.pi * t[i] / 60.0).T @ (w - pos[i])
+                for i, w in zip(idx, world)]
+        dets = traj_eval.TagDetections(t=t[idx], tag_id=np.full(n_per_tag, tag_id),
+                                       p_cm=p_cm)
         positions, unmatched = traj_eval.tag_world_positions(traj, dets)
         assert not unmatched
         by_tag[tag_id] = positions[tag_id]
@@ -301,8 +300,8 @@ def test_criterion_9_tag_statistics():
     # zero noise from a static pose: world positions reproduce bit-exactly
     static = Trajectory(t=np.array([0.0, 1.0]), positions=np.zeros((2, 3)),
                         quats=np.tile([0.0, 0, 0, 1.0], (2, 1)))
-    dets = [traj_eval.TagDetection(tag_id=0, t=0.25 * k, p_cm=np.array([1.0, 2, 3]))
-            for k in range(1, 4)]
+    dets = traj_eval.TagDetections(t=[0.25 * k for k in range(1, 4)], tag_id=[0] * 3,
+                                   p_cm=[[1.0, 2, 3]] * 3)
     pos0, _ = traj_eval.tag_world_positions(static, dets)
     zero_stats = traj_eval.tag_statistics(pos0)
     ok = err < 0.15 and zero_stats.avg_dist_error == 0.0

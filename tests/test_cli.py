@@ -132,12 +132,71 @@ def test_eval_tags_subcommand(tmp_path):
             R = rotation_about_z(2 * np.pi * t[i] / 60.0)
             p_cm = R.T @ (world - pos[i])
             f.write(f"{t[i]:.9f},7,{p_cm[0]:.12f},{p_cm[1]:.12f},{p_cm[2]:.12f}\n")
+        # one detection a second past the trajectory end has no pose
+        f.write(f"{t[-1] + 1.0:.9f},7,0.0,0.0,1.0\n")
     out = tmp_path / "out"
     assert run(["--out-dir", out, "eval-tags", traj_path, csv]) == 0
     report = read_json(out / "tags_report.json")
     assert report["n_detections"] == 20
     assert report["avg_dist_error"] < 1e-6  # noiseless => zero displacement
+    assert report["n_unmatched"] == 1
+    assert report["unmatched"] == [[pytest.approx(t[-1] + 1.0), 7]]
     assert (out / "tag_quantiles.csv").exists()
+
+
+TUM_POSES = "0.0 0 0 0 0 0 0 1\n0.1 1 0 0 0 0 0 1\n0.2 2 0 0 0 0 0 1\n"
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command, traj, tags", [
+    ("eval-ate", TUM_POSES + "0.3 3 0 x 0 0 0 1\n", None),
+    ("eval-ate", TUM_POSES + "0.3 3 0 0 0 0 0 0\n", None),
+    ("eval-ate", TUM_POSES.encode() + b"0.3 3 0 0 0 0 0 1\xff\n", None),
+    ("eval-tags", TUM_POSES, "t,tag_id,px,py,pz\n0.1,x,0,0,1\n"),
+    ("eval-tags", TUM_POSES, "t,tag_id,px,py,pz\n0.1,1.5,0,0,1\n"),
+    ("eval-tags", TUM_POSES, b"t,tag_id,px,py,pz\n0.1,1,0,0,1\xff\n"),
+], ids=["non-numeric", "zero-quaternion", "ate-0xff", "tag-id-x", "tag-id-1.5",
+        "tags-0xff"])
+def test_eval_malformed_input_exit_code_2(tmp_path, capsys, command, traj, tags):
+    traj_path, tags_path = tmp_path / "traj.txt", tmp_path / "tags.csv"
+    for path, content in ((traj_path, traj), (tags_path, tags)):
+        if content is not None:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    second = tags_path if command == "eval-tags" else traj_path
+    assert run(["-q", "--out-dir", tmp_path, command, traj_path, second]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_allan_malformed_csv_exit_code_2(tmp_path, capsys):
+    csv = _write_noise_csv(tmp_path / "imu.csv")
+    lines = csv.read_text().splitlines()
+    lines[5] = lines[5].replace(",", ",x", 1)
+    csv.write_text("\n".join(lines) + "\n")
+    assert run(["-q", "--out-dir", tmp_path, "allan", csv]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("content", [None, b"max-dt: 0.5\xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_config_exit_code_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert run(["--out-dir", tmp_path, "--config", cfg, "fixtures"]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_non_numeric_config_value_exit_code_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("voxel: abc\n")
+    assert run(["--out-dir", tmp_path, "--config", cfg, "register",
+                tmp_path / "src.ply", tmp_path / "tgt.ply"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "voxel" in err and "'abc'" in err
 
 
 def test_register_subcommand(tmp_path):

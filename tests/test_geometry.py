@@ -86,3 +86,45 @@ def test_rotation_angle():
 def test_quat_normalize():
     q = quat_normalize([0.0, 0.0, 0.0, 2.0])
     assert np.allclose(q, [0, 0, 0, 1])
+
+
+def _matrix_scalar(q):
+    x, y, z, w = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _slerp_scalar(q0, q1, alpha):
+    dot = float(np.dot(q0, q1))
+    if dot < 0:
+        q1, dot = -q1, -dot
+    if dot > 0.9995:
+        q = q0 + alpha * (q1 - q0)
+        return q / np.linalg.norm(q)
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    return (np.sin((1 - alpha) * theta) * q0 + np.sin(alpha * theta) * q1) / np.sin(theta)
+
+
+def test_row_wise_quaternions_match_scalar_formulas():
+    """The (..., 4) forms give each row the bits of the one-quaternion
+    formulas they generalise."""
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((600, 4)) * rng.uniform(0.1, 10, (600, 1))
+    unit = quat_normalize(q)
+    assert np.array_equal(unit, np.array([r / np.linalg.norm(r) for r in q]))
+    assert np.array_equal(quat_to_matrix(unit), np.array([_matrix_scalar(r) for r in unit]))
+    q1 = quat_normalize(rng.standard_normal((600, 4)))
+    q1[:200] = quat_normalize(unit[:200] + rng.normal(size=(200, 4)) * 1e-3)  # near
+    q1[200:250] = -unit[200:250]                                              # opposite sign
+    q1[250:300] = unit[250:300]                                               # equal
+    alpha = rng.uniform(0, 1, 600)
+    with np.errstate(all="raise"):
+        rows = quat_slerp(unit, q1, alpha)
+    assert np.array_equal(rows, np.array([_slerp_scalar(a, b, t)
+                                          for a, b, t in zip(unit, q1, alpha)]))
+    assert quat_to_matrix(unit.reshape(20, 30, 4)).shape == (20, 30, 3, 3)
+    with pytest.raises(ValueError):
+        quat_normalize([[0.0, 0, 0, 1], [0.0, 0, 0, 0]])

@@ -4,11 +4,11 @@ import pytest
 from uwvio.errors import (DegenerateConfiguration, InputError,
                           InsufficientDetections, NoMatches)
 from uwvio.fixtures import circle_trajectory
-from uwvio.geometry import (Sim3Transform, matrix_to_quat, quat_to_matrix,
-                            random_rotation, rotation_about_z)
-from uwvio.traj_eval import (Trajectory, associate, ate_rmse, evaluate_ate,
-                             load_tag_csv, load_tum, save_tum, tag_statistics,
-                             tag_world_positions, umeyama_sim3)
+from uwvio.geometry import (Sim3Transform, matrix_to_quat, quat_slerp,
+                            quat_to_matrix, random_rotation, rotation_about_z)
+from uwvio.traj_eval import (TagDetections, Trajectory, associate, ate_rmse,
+                             evaluate_ate, load_tag_csv, load_tum, save_tum,
+                             tag_statistics, tag_world_positions, umeyama_sim3)
 
 
 def make_traj(t, pos, quats=None):
@@ -48,6 +48,48 @@ def test_tum_rejects_bad_line(tmp_path):
         load_tum(path)
 
 
+def test_load_tum_matches_line_parser(tmp_path):
+    rng = np.random.default_rng(13)
+    rows = np.column_stack([np.cumsum(rng.uniform(0.01, 0.1, 300)),
+                            rng.normal(size=(300, 7)) * 3])
+    lines = [" ".join(repr(v) for v in row) for row in rows.tolist()]
+    lines[10:10] = ["", "# comment", "  \t"]
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join(lines) + "\n")
+    traj = load_tum(path)
+    # the per-line parser the table reader replaced
+    ref = np.array([[float(v) for v in line.split()] for line in lines
+                    if line.strip() and not line.startswith("#")])
+    assert np.array_equal(traj.t, ref[:, 0])
+    assert np.array_equal(traj.positions, ref[:, 1:4])
+    assert np.array_equal(traj.quats, np.array([q / np.linalg.norm(q) for q in ref[:, 4:]]))
+
+
+@pytest.mark.parametrize("loader, text, where", [
+    (load_tum, "# c\n\n0 1 2 3 0 0 0 1\n\n1 1 2 3 0 0 1\n", ":5: expected 8 fields, got 7"),
+    (load_tum, "0 1 2 3 0 0 0 1 9\n", ":1: expected 8 fields, got 9"),
+    (load_tag_csv, "t,tag_id,px,py,pz\n  \n0.5,3,1,2,3\n0.6,3,1,2\n",
+     ":4: expected 5 fields, got 4"),
+])
+def test_field_count_error_names_line(tmp_path, loader, text, where):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"^{path}{where}$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("0.2 1 2 nan 0 0 0 1", "non-finite value"),
+    ("0.2 1 2 3 0 0 0 0", "zero quaternion"),
+    ("0.0 1 2 3 0 0 0 1", "strictly increasing"),
+])
+def test_tum_rejects_bad_values(tmp_path, line, reason):
+    path = tmp_path / "traj.txt"
+    path.write_text(f"0.1 1 2 3 0 0 0 1\n{line}\n")
+    with pytest.raises(InputError, match=f"^{path}: .*{reason}"):
+        load_tum(path)
+
+
 def test_non_monotonic_timestamps_rejected():
     with pytest.raises(InputError):
         make_traj([0.0, 1.0, 1.0], np.zeros((3, 3)))
@@ -57,13 +99,13 @@ def test_non_monotonic_timestamps_rejected():
 
 def test_associate_exact_match():
     pairs = associate([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], max_dt=0.01)
-    assert pairs == [(0, 0), (1, 1), (2, 2)]
+    assert pairs.tolist() == [[0, 0], [1, 1], [2, 2]]
 
 
 def test_associate_prefers_nearest():
     # 1.004 is closer to b[1]=1.005 than b[0]=0.995
     pairs = associate([1.004], [0.995, 1.005], max_dt=0.02)
-    assert pairs == [(0, 1)]
+    assert pairs.tolist() == [[0, 1]]
 
 
 def test_associate_each_pose_used_once():
@@ -81,7 +123,39 @@ def test_associate_dense_offset():
     t_a = np.arange(100) * 0.1
     t_b = t_a + 0.003
     pairs = associate(t_a, t_b, max_dt=0.02)
-    assert pairs == [(i, i) for i in range(100)]
+    assert pairs.tolist() == [[i, i] for i in range(100)]
+
+
+def _associate_loop(t_a, t_b, max_dt):
+    """The per-pose greedy matcher that `associate` replaced."""
+    candidates = []
+    for i, ta in enumerate(t_a):
+        j = int(np.searchsorted(t_b, ta))
+        for jj in (j - 1, j):
+            if 0 <= jj < len(t_b) and abs(ta - t_b[jj]) <= max_dt:
+                candidates.append((abs(ta - t_b[jj]), i, jj))
+    used_a, used_b, pairs = set(), set(), []
+    for _, i, j in sorted(candidates):
+        if i not in used_a and j not in used_b:
+            used_a.add(i)
+            used_b.add(j)
+            pairs.append([i, j])
+    return sorted(pairs)
+
+
+def test_associate_matches_greedy_loop():
+    rng = np.random.default_rng(11)
+    t_a = np.unique(rng.uniform(0, 20, 400))
+    # a second stamp near many of t_a makes poses compete for partners
+    t_b = np.unique(np.concatenate([rng.uniform(0, 20, 300), t_a[::3] + 0.004,
+                                    t_a[1::3] - 0.004]))
+    pairs = associate(t_a, t_b, max_dt=0.05)
+    assert pairs.shape[1] == 2
+    assert pairs.tolist() == _associate_loop(t_a, t_b, 0.05)
+    # whole-second stamps: many candidates tie on dt
+    t_a = np.unique(rng.integers(0, 300, 100)).astype(float)
+    t_b = np.unique(rng.integers(0, 300, 100)).astype(float)
+    assert associate(t_a, t_b, max_dt=3).tolist() == _associate_loop(t_a, t_b, 3)
 
 
 # --- Umeyama / ATE ----------------------------------------------------------
@@ -185,8 +259,7 @@ def test_evaluate_ate_end_to_end():
 def test_tag_world_positions_static_camera():
     # camera fixed at origin, identity orientation: world == camera frame
     traj = make_traj([0.0, 1.0], np.zeros((2, 3)))
-    from uwvio.traj_eval import TagDetection
-    dets = [TagDetection(tag_id=1, t=0.5, p_cm=np.array([1.0, 2.0, 3.0]))]
+    dets = TagDetections(t=[0.5], tag_id=[1], p_cm=[[1.0, 2.0, 3.0]])
     by_tag, unmatched = tag_world_positions(traj, dets)
     assert not unmatched
     assert np.allclose(by_tag[1][0], [1.0, 2.0, 3.0])
@@ -195,8 +268,7 @@ def test_tag_world_positions_static_camera():
 def test_tag_world_positions_moving_camera():
     # camera translating along x; detection mid-segment interpolates the pose
     traj = make_traj([0.0, 1.0], [[0, 0, 0], [2.0, 0, 0]])
-    from uwvio.traj_eval import TagDetection
-    dets = [TagDetection(tag_id=0, t=0.25, p_cm=np.array([0.0, 1.0, 0.0]))]
+    dets = TagDetections(t=[0.25], tag_id=[0], p_cm=[[0.0, 1.0, 0.0]])
     by_tag, _ = tag_world_positions(traj, dets)
     assert np.allclose(by_tag[0][0], [0.5, 1.0, 0.0])
 
@@ -205,19 +277,54 @@ def test_tag_rotation_applied():
     q = matrix_to_quat(rotation_about_z(np.pi / 2))
     traj = Trajectory(t=np.array([0.0, 1.0]), positions=np.zeros((2, 3)),
                       quats=np.tile(q, (2, 1)))
-    from uwvio.traj_eval import TagDetection
-    dets = [TagDetection(tag_id=0, t=0.5, p_cm=np.array([1.0, 0.0, 0.0]))]
+    dets = TagDetections(t=[0.5], tag_id=[0], p_cm=[[1.0, 0.0, 0.0]])
     by_tag, _ = tag_world_positions(traj, dets)
     assert np.allclose(by_tag[0][0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_tag_unmatched_outside_trajectory():
     traj = make_traj([0.0, 1.0], np.zeros((2, 3)))
-    from uwvio.traj_eval import TagDetection
-    dets = [TagDetection(tag_id=0, t=5.0, p_cm=np.zeros(3))]
+    dets = TagDetections(t=[5.0], tag_id=[0], p_cm=[np.zeros(3)])
     by_tag, unmatched = tag_world_positions(traj, dets)
     assert not by_tag
     assert len(unmatched) == 1
+
+
+def _world_positions_loop(traj, dets, max_dt):
+    """The per-detection interpolation that `tag_world_positions` replaced."""
+    by_tag, unmatched = {}, []
+    for t, tag, p in zip(dets.t, dets.tag_id.tolist(), dets.p_cm):
+        idx = int(np.searchsorted(traj.t, t))
+        if idx == 0 or idx == len(traj):
+            edge = 0 if idx == 0 else len(traj) - 1
+            if abs(traj.t[edge] - t) > max_dt:
+                unmatched.append(t)
+                continue
+            pos, R = traj.positions[edge], quat_to_matrix(traj.quats[edge])
+        else:
+            t0, t1 = traj.t[idx - 1], traj.t[idx]
+            alpha = (t - t0) / (t1 - t0)
+            pos = (1 - alpha) * traj.positions[idx - 1] + alpha * traj.positions[idx]
+            R = quat_to_matrix(quat_slerp(traj.quats[idx - 1], traj.quats[idx], alpha))
+        by_tag.setdefault(tag, []).append(R @ p + pos)
+    return {tag: np.array(pts) for tag, pts in by_tag.items()}, unmatched
+
+
+def test_tag_world_positions_match_per_detection_loop():
+    rng = np.random.default_rng(14)
+    traj = random_traj(120, seed=14)
+    t = np.concatenate([rng.uniform(traj.t[0], traj.t[-1], 400), traj.t[::7],
+                        traj.t[0] - rng.uniform(0, 0.04, 20),
+                        traj.t[-1] + rng.uniform(0, 0.04, 20)])
+    dets = TagDetections(t=t, tag_id=rng.integers(0, 9, len(t)),
+                         p_cm=rng.normal(size=(len(t), 3)) * 4)
+    by_tag, unmatched = tag_world_positions(traj, dets, max_dt=0.02)
+    ref, ref_unmatched = _world_positions_loop(traj, dets, 0.02)
+    assert sorted(by_tag) == sorted(ref)
+    for tag, pts in ref.items():
+        assert np.array_equal(by_tag[tag], pts)
+    assert 0 < len(unmatched) < 40
+    assert unmatched.t.tolist() == ref_unmatched
 
 
 def test_tag_statistics_oracle():
@@ -238,6 +345,14 @@ def test_tag_statistics_oracle():
 def test_tag_statistics_requires_two_detections():
     with pytest.raises(InsufficientDetections):
         tag_statistics({0: np.zeros((1, 3))})
+    with pytest.raises(InsufficientDetections):
+        tag_statistics({})
+
+
+def test_tag_world_positions_empty_trajectory():
+    traj = make_traj(np.zeros(0), np.zeros((0, 3)))
+    with pytest.raises(NoMatches):
+        tag_world_positions(traj, TagDetections(t=[0.5], tag_id=[1], p_cm=[[0.0, 0, 1]]))
 
 
 def test_tag_csv(tmp_path):
@@ -245,6 +360,6 @@ def test_tag_csv(tmp_path):
     path.write_text("t,tag_id,px,py,pz\n0.5,3,1.0,2.0,3.0\n0.7,3,1.1,2.1,3.1\n")
     dets = load_tag_csv(path)
     assert len(dets) == 2
-    assert dets[0].tag_id == 3
-    assert dets[0].t == 0.5
-    assert np.allclose(dets[1].p_cm, [1.1, 2.1, 3.1])
+    assert dets.tag_id[0] == 3
+    assert dets.t[0] == 0.5
+    assert np.allclose(dets.p_cm[1], [1.1, 2.1, 3.1])
