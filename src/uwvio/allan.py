@@ -41,13 +41,13 @@ class NoiseParams:
     white_slope: np.ndarray  # free-slope check over the white-noise window
 
 
-def default_taus(n_samples, rate, points_per_decade=POINTS_PER_DECADE):
+def default_taus(n_samples, rate):
     """Log-spaced tau grid from 2/rate up to n/(2*rate)."""
     lo = 2.0 / rate
     hi = n_samples / (2.0 * rate)
     if hi <= lo:
         raise SeriesTooShort(f"{n_samples} samples support no tau range")
-    n_pts = max(int(np.ceil(np.log10(hi / lo) * points_per_decade)), 2)
+    n_pts = max(int(np.ceil(np.log10(hi / lo) * POINTS_PER_DECADE)), 2)
     return np.logspace(np.log10(lo), np.log10(hi), n_pts)
 
 

@@ -4,6 +4,9 @@ Every error carries an ``exit_code`` used by the CLI: 2 for input/parse
 problems, 1 for computational failures.
 """
 
+import itertools
+import re
+
 
 class UwvioError(Exception):
     exit_code = 1
@@ -150,3 +153,20 @@ class ConsensusFailure(UwvioError):
 
 class NoOverlap(UwvioError):
     pass
+
+
+def loadtxt_line_no(lines, row, skip=0):
+    """1-based number of the line that np.loadtxt read as data row ``row``:
+    it skips the first ``skip`` lines, then every line that holds nothing
+    but whitespace and a `#` comment."""
+    data = (no for no, line in enumerate(lines, start=1)
+            if no > skip and line.partition("#")[0].strip())
+    return next(itertools.islice(data, row, None))
+
+
+def loadtxt_field_error(path, exc, lines, skip=0):
+    """np.loadtxt's message for a field that does not parse, naming the
+    file line in place of numpy's count of data rows; None for others."""
+    bad = re.fullmatch(r"(.*) at row (\d+), (column \d+)\.", str(exc))
+    if bad:
+        return f"{path}:{loadtxt_line_no(lines, int(bad[2]), skip)}: {bad[1]} in {bad[3]}"

@@ -4,6 +4,11 @@ GPMF is a big-endian key-length-value encoding with a 32-bit aligned
 payload: 4-char ASCII key, 1-byte type code, 1-byte item size, 2-byte
 big-endian repeat count, followed by item_size * repeat bytes padded up to
 the next 4-byte boundary. Type code 0 marks a nested container.
+
+Numeric leaves decode with one `np.frombuffer` into a (repeat, channels)
+float array; a sensor stream comes out as that array divided by its
+sibling SCAL divisors. Layout follows the GPMF spec
+(https://github.com/gopro/gpmf-parser).
 """
 
 import struct
@@ -13,32 +18,16 @@ import numpy as np
 
 from .errors import BadTypeCode, ScaleMismatch, StreamNotFound, TruncatedKlv
 
-# type letter -> (struct format char, byte size)
-SCALAR_TYPES = {
-    "b": ("b", 1),
-    "B": ("B", 1),
-    "s": ("h", 2),
-    "S": ("H", 2),
-    "l": ("i", 4),
-    "L": ("I", 4),
-    "j": ("q", 8),
-    "J": ("Q", 8),
-    "f": ("f", 4),
-    "d": ("d", 8),
-}
+# type letter -> big-endian scalar dtype
+SCALAR_TYPES = {letter: np.dtype(code) for letter, code in (
+    ("b", "i1"), ("B", "u1"), ("s", ">i2"), ("S", ">u2"), ("l", ">i4"),
+    ("L", ">u4"), ("j", ">i8"), ("J", ">u8"), ("f", ">f4"), ("d", ">f8"))}
 
 # text-like types, decoded to str
 TEXT_TYPES = {"c", "U", "F"}
 
 # per-stream channel counts we insist on for the sensors we consume
 SENSOR_CHANNELS = {"ACCL": 3, "GYRO": 3, "SHUT": 1, "GPS5": 5}
-
-# keys inside a STRM container that describe the stream rather than carry
-# sensor samples
-STREAM_META_KEYS = {
-    "STNM", "SCAL", "SIUN", "UNIT", "TSMP", "TICK", "TOCK", "STMP",
-    "ORIN", "ORIO", "MTRX", "TMPC", "TYPE", "RMRK", "TIMO", "DVNM",
-}
 
 
 @dataclass(frozen=True)
@@ -85,17 +74,15 @@ class KlvNode:
         list of strings. Unknown type letters raise BadTypeCode.
         """
         letter = chr(self.header.type_code)
-        n = self.header.payload_len
         if letter in SCALAR_TYPES:
-            fmt, size = SCALAR_TYPES[letter]
-            if self.header.item_size % size != 0:
+            dtype = SCALAR_TYPES[letter]
+            channels, rest = divmod(self.header.item_size, dtype.itemsize)
+            if rest:
                 raise BadTypeCode(
                     f"{self.key}: item size {self.header.item_size} not a "
-                    f"multiple of {size} for type '{letter}'")
-            count = n // size
-            flat = np.array(struct.unpack(f">{count}{fmt}", self.raw[:n]), dtype=float)
-            channels = self.header.item_size // size
-            return flat.reshape(self.header.repeat, channels)
+                    f"multiple of {dtype.itemsize} for type '{letter}'")
+            flat = np.frombuffer(self.raw, dtype, self.header.repeat * channels)
+            return flat.astype(float).reshape(self.header.repeat, channels)
         if letter in TEXT_TYPES:
             out = []
             for i in range(self.header.repeat):
@@ -166,13 +153,11 @@ def write_klv(nodes):
 def make_leaf(key, letter, values, channels=1):
     """Build a leaf node from python values (fixture helper)."""
     if letter in SCALAR_TYPES:
-        fmt, size = SCALAR_TYPES[letter]
-        flat = np.asarray(values).reshape(-1).tolist()
-        if fmt not in ("f", "d"):
-            flat = [int(v) for v in flat]
-        raw = struct.pack(f">{len(flat)}{fmt}", *flat)
-        item_size = size * channels
-        repeat = len(flat) // channels
+        dtype = SCALAR_TYPES[letter]
+        flat = np.asarray(values).reshape(-1)
+        raw = flat.astype(dtype).tobytes()
+        item_size = dtype.itemsize * channels
+        repeat = flat.size // channels
     elif letter in TEXT_TYPES:
         if isinstance(values, str):
             values = [values]
@@ -192,20 +177,6 @@ def make_container(key, children):
     return KlvNode(header=header, children=list(children))
 
 
-@dataclass
-class SensorStream:
-    """Physically scaled sensor samples from one or more STRM containers."""
-    key: str
-    values: np.ndarray       # (n, channels)
-    scale: np.ndarray        # per-channel divisors actually applied
-    units_label: str = ""
-    axis_order: str = "xyz"  # device-to-output channel mapping applied
-
-    @property
-    def count(self):
-        return self.values.shape[0]
-
-
 def _iter_streams(root):
     """Yield every STRM container anywhere under the given node."""
     stack = [root]
@@ -218,36 +189,37 @@ def _iter_streams(root):
                 stack.append(child)
 
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+def _numeric(node, key):
+    values = node.values()
+    if not isinstance(values, np.ndarray):
+        raise BadTypeCode(f"{key}: {node.key} is not numeric")
+    return values
 
 
 def extract_stream(root, key, axis_order=None):
-    """Extract the physically scaled samples for one sensor FourCC.
+    """Physically scaled samples of one sensor FourCC as an (n, channels)
+    array.
 
-    Locates every STRM container holding ``key`` (multiple payload trees are
-    handled by the caller; duplicate streams inside one tree are
-    concatenated in order), divides raw values element-wise by the sibling
-    SCAL divisors, and optionally re-orders 3-channel device axes into
-    (x, y, z) output order. ``axis_order`` names the device channel order,
-    e.g. "zxy" means device channel 0 carries z.
+    Concatenates, in order, every STRM container under ``root`` holding
+    ``key`` (multiple payload trees are handled by the caller), divides raw
+    values element-wise by the sibling SCAL divisors, and optionally
+    re-orders 3-channel device axes into (x, y, z) output order.
+    ``axis_order`` names the device channel order, e.g. "zxy" means device
+    channel 0 carries z.
     """
     chunks = []
-    scale_used = None
-    units = ""
     for strm in _iter_streams(root):
         data = strm.find(key)
         if data is None:
             continue
-        raw = data.values()
-        if not isinstance(raw, np.ndarray):
-            raise BadTypeCode(f"{key}: stream data is not numeric")
+        raw = _numeric(data, key)
         expected = SENSOR_CHANNELS.get(key)
         if expected is not None and raw.shape[1] != expected:
             raise ScaleMismatch(
                 f"{key}: expected {expected} channels, got {raw.shape[1]}")
         scal = strm.find("SCAL")
         if scal is not None:
-            divisors = scal.values().reshape(-1)
+            divisors = _numeric(scal, key).reshape(-1)
             if divisors.size == 1:
                 divisors = np.full(raw.shape[1], divisors[0])
             elif divisors.size != raw.shape[1]:
@@ -257,32 +229,9 @@ def extract_stream(root, key, axis_order=None):
         else:
             divisors = np.ones(raw.shape[1])
         chunks.append(raw / divisors)
-        scale_used = divisors
-        siun = strm.find("SIUN") or strm.find("UNIT")
-        if siun is not None:
-            try:
-                units = siun.values()[0]
-            except BadTypeCode:
-                pass
     if not chunks:
         raise StreamNotFound(f"no STRM containing {key}")
     values = np.vstack(chunks)
-    order = "xyz"
     if axis_order is not None and values.shape[1] == 3:
-        perm = [axis_order.index(a) for a in "xyz"]
-        values = values[:, perm]
-        order = axis_order
-    return SensorStream(key=key, values=values, scale=scale_used,
-                        units_label=units, axis_order=order)
-
-
-def stream_counts(root):
-    """Per-FourCC sample counts across all STRM containers (diagnostics)."""
-    counts = {}
-    for strm in _iter_streams(root):
-        for child in strm.children:
-            if child.is_container or child.key in STREAM_META_KEYS:
-                continue
-            counts[child.key] = counts.get(child.key, 0) + child.header.repeat
-    return counts
-
+        values = values[:, [axis_order.index(a) for a in "xyz"]]
+    return values

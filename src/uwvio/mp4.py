@@ -2,11 +2,16 @@
 track and pull its raw payloads with media timestamps.
 
 Read-only and streaming-friendly: box parsing seeks past payloads and
-never loads the video track; only telemetry sample bytes are copied.
+never loads the video track; only telemetry sample bytes are copied. The
+sample tables (ISO/IEC 14496-12 §8.6–8.7) are read into column arrays, and
+every entry count they declare is checked against the bytes of its box, or
+against the file length, before it sizes anything.
 """
 
 import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (AlignmentError, InconsistentSampleTable, MalformedBox,
                      NotMp4, NoTelemetryTrack, TruncatedFile)
@@ -43,25 +48,15 @@ class BoxHeader:
                 return child
         return None
 
-    def find_all(self, fourcc):
-        return [c for c in self.children if c.fourcc == fourcc]
-
-
-@dataclass
-class Sample:
-    file_offset: int
-    size: int
-    decode_time: int
-    duration: int
-
 
 @dataclass
 class TrackSampleTable:
-    track_id: int
-    handler_fourcc: str
-    sample_format_fourcc: str
+    """One track's samples as int64 columns; times in ``timescale`` ticks."""
     timescale: int
-    samples: list
+    offsets: np.ndarray       # (n,) file offset of each sample
+    sizes: np.ndarray         # (n,) bytes
+    decode_times: np.ndarray  # (n,) ticks since the track start
+    durations: np.ndarray     # (n,) ticks
 
 
 @dataclass(frozen=True)
@@ -156,14 +151,33 @@ def _require(box, fourcc):
     return child
 
 
-def _full_box(data):
-    """Split version/flags from a full-box payload."""
-    version = data[0]
-    return version, data[4:]
+def _u32(body, at, fourcc):
+    if len(body) < at + 4:
+        raise InconsistentSampleTable(
+            f"{fourcc}: {len(body)} bytes, need {at + 4}")
+    return int.from_bytes(body[at:at + 4], "big")
+
+
+def _full_box(f, box):
+    """Version and body (the payload past version/flags) of a full box."""
+    data = _read_payload(f, box)
+    return _u32(data, 0, box.fourcc) >> 24, data[4:]
+
+
+def _entries(body, fourcc, fields, at=4):
+    """The (count, fields) big-endian table that starts at ``at``, right
+    after its u32 entry count: u64 entries for co64, u32 for the rest."""
+    count = _u32(body, at - 4, fourcc)
+    dtype = np.dtype(">u8" if fourcc == "co64" else ">u4")
+    room = (len(body) - at) // (fields * dtype.itemsize)
+    if count > room:
+        raise InconsistentSampleTable(
+            f"{fourcc} declares {count} entries, its box holds {room}")
+    return np.frombuffer(body, dtype, count * fields, at).reshape(count, fields)
 
 
 def find_gpmf_track(tree, f):
-    """Return the sample table of the unique track with sample format `gpmd`.
+    """Return the sample table of the first track with sample format `gpmd`.
 
     Decode times accumulate the time-to-sample table; file offsets resolve
     through the sample-to-chunk and chunk-offset tables (stco or co64).
@@ -171,144 +185,100 @@ def find_gpmf_track(tree, f):
     moov = next((b for b in tree if b.fourcc == "moov"), None)
     if moov is None:
         raise NoTelemetryTrack("no moov box")
-    for trak in moov.find_all("trak"):
-        table = _track_table(trak, f)
-        if table is not None and table.sample_format_fourcc == "gpmd":
+    for trak in moov.children:
+        table = _track_table(trak, f) if trak.fourcc == "trak" else None
+        if table is not None:
             return table
     raise NoTelemetryTrack("no track with sample format gpmd")
 
 
 def _track_table(trak, f):
     mdia = trak.find("mdia")
-    if mdia is None:
-        return None
-    minf = mdia.find("minf")
+    minf = mdia.find("minf") if mdia else None
     stbl = minf.find("stbl") if minf else None
-    if stbl is None:
-        return None
-    stsd = stbl.find("stsd")
+    stsd = stbl.find("stsd") if stbl else None
     if stsd is None:
         return None
-    data = _read_payload(f, stsd)
-    _, body = _full_box(data)
-    entry_count = struct.unpack(">I", body[:4])[0]
-    if entry_count < 1 or len(body) < 16:
-        return None
-    sample_format = body[8:12].decode("ascii", errors="replace")
-    if sample_format != "gpmd":
+    _, body = _full_box(f, stsd)
+    if _u32(body, 0, "stsd") < 1 or len(body) < 16 or body[8:12] != b"gpmd":
         return None
 
-    hdlr = mdia.find("hdlr")
-    handler = "????"
-    if hdlr is not None:
-        hd = _read_payload(f, hdlr)
-        handler = hd[8:12].decode("ascii", errors="replace")
-
-    mdhd = _require(mdia, "mdhd")
-    md = _read_payload(f, mdhd)
-    version, body = _full_box(md)
-    if version == 1:
-        timescale = struct.unpack(">I", body[16:20])[0]
-    else:
-        timescale = struct.unpack(">I", body[8:12])[0]
-
-    track_id = 0
-    tkhd = trak.find("tkhd")
-    if tkhd is not None:
-        td = _read_payload(f, tkhd)
-        version, body = _full_box(td)
-        track_id = struct.unpack(">I", body[16:20] if version == 1 else body[8:12])[0]
-
-    # time-to-sample: (count, delta) runs -> per-sample decode time/duration
-    stts = _read_payload(f, _require(stbl, "stts"))
-    _, body = _full_box(stts)
-    n_entries = struct.unpack(">I", body[:4])[0]
-    durations = []
-    for i in range(n_entries):
-        count, delta = struct.unpack(">II", body[4 + 8 * i:12 + 8 * i])
-        durations.extend([delta] * count)
-
-    # sample sizes
-    stsz = _read_payload(f, _require(stbl, "stsz"))
-    _, body = _full_box(stsz)
-    uniform_size, sample_count = struct.unpack(">II", body[:8])
-    if uniform_size:
-        sizes = [uniform_size] * sample_count
-    else:
-        sizes = list(struct.unpack(f">{sample_count}I", body[8:8 + 4 * sample_count]))
-
-    if len(durations) != sample_count:
-        raise InconsistentSampleTable(
-            f"stts declares {len(durations)} samples, stsz {sample_count}")
-
-    # chunk offsets (32- or 64-bit)
-    stco = stbl.find("stco")
-    co64 = stbl.find("co64")
-    if stco is not None:
-        _, body = _full_box(_read_payload(f, stco))
-        n = struct.unpack(">I", body[:4])[0]
-        chunk_offsets = list(struct.unpack(f">{n}I", body[4:4 + 4 * n]))
-    elif co64 is not None:
-        _, body = _full_box(_read_payload(f, co64))
-        n = struct.unpack(">I", body[:4])[0]
-        chunk_offsets = list(struct.unpack(f">{n}Q", body[4:4 + 8 * n]))
-    else:
-        raise InconsistentSampleTable("no stco/co64 chunk offsets")
-
-    # sample-to-chunk runs -> samples per chunk
-    stsc = _read_payload(f, _require(stbl, "stsc"))
-    _, body = _full_box(stsc)
-    n_entries = struct.unpack(">I", body[:4])[0]
-    runs = [struct.unpack(">III", body[4 + 12 * i:16 + 12 * i]) for i in range(n_entries)]
-
-    samples = []
-    decode_time = 0
-    sample_idx = 0
-    for ci, chunk_off in enumerate(chunk_offsets):
-        per_chunk = 0
-        for first_chunk, samples_per_chunk, _desc in runs:
-            if ci + 1 >= first_chunk:
-                per_chunk = samples_per_chunk
-        offset = chunk_off
-        for _ in range(per_chunk):
-            if sample_idx >= sample_count:
-                break
-            samples.append(Sample(file_offset=offset, size=sizes[sample_idx],
-                                  decode_time=decode_time,
-                                  duration=durations[sample_idx]))
-            offset += sizes[sample_idx]
-            decode_time += durations[sample_idx]
-            sample_idx += 1
-    if sample_idx != sample_count:
-        raise InconsistentSampleTable(
-            f"chunk layout yields {sample_idx} samples, size table {sample_count}")
-
+    version, body = _full_box(f, _require(mdia, "mdhd"))
+    timescale = _u32(body, 16 if version == 1 else 8, "mdhd")
+    if timescale == 0:
+        raise InconsistentSampleTable("mdhd timescale is 0")
     file_len = _file_length(f)
-    for s in samples:
-        if s.file_offset + s.size > file_len:
-            raise InconsistentSampleTable(
-                f"sample at {s.file_offset} (+{s.size}) exceeds file end {file_len}")
 
-    return TrackSampleTable(track_id=track_id, handler_fourcc=handler,
-                            sample_format_fourcc=sample_format,
-                            timescale=timescale, samples=samples)
+    # time-to-sample runs: (count, delta)
+    stts = _entries(_full_box(f, _require(stbl, "stts"))[1], "stts", 2).astype(np.int64)
+
+    # sample sizes: one size for every sample, or a table of them
+    _, body = _full_box(f, _require(stbl, "stsz"))
+    uniform, count = _u32(body, 0, "stsz"), _u32(body, 4, "stsz")
+    if uniform:
+        if count * uniform > file_len:
+            raise InconsistentSampleTable(
+                f"stsz declares {count} samples of {uniform} bytes, "
+                f"file holds {file_len}")
+        sizes = np.full(count, uniform, dtype=np.int64)
+    else:
+        sizes = _entries(body, "stsz", 1, at=8)[:, 0].astype(np.int64)
+
+    if stts[:, 0].sum() != count:
+        raise InconsistentSampleTable(
+            f"stts declares {stts[:, 0].sum()} samples, stsz {count}")
+    durations = np.repeat(stts[:, 1], stts[:, 0])
+
+    co = stbl.find("stco") or stbl.find("co64")
+    if co is None:
+        raise InconsistentSampleTable("no stco/co64 chunk offsets")
+    # an offset past the file end stays past it, and fits in int64
+    chunks = np.minimum(_entries(_full_box(f, co)[1], co.fourcc, 1)[:, 0],
+                        file_len + 1).astype(np.int64)
+
+    # sample-to-chunk runs: (first_chunk, samples_per_chunk, description)
+    stsc = _entries(_full_box(f, _require(stbl, "stsc"))[1], "stsc", 3).astype(np.int64)
+    if np.any(np.diff(stsc[:, 0]) <= 0):
+        raise InconsistentSampleTable("stsc first_chunk does not increase")
+    # a chunk takes the last run starting at or before its 1-based number,
+    # and no samples before the first run; the size table caps the total
+    run = np.searchsorted(stsc[:, 0], np.arange(1, len(chunks) + 1), side="right")
+    ends = np.minimum(np.cumsum(np.append(0, stsc[:, 1])[run]), count)
+    placed = int(ends[-1]) if len(ends) else 0
+    if placed != count:
+        raise InconsistentSampleTable(
+            f"chunk layout yields {placed} samples, size table {count}")
+    per_chunk = np.diff(ends, prepend=0)
+
+    # a sample sits after the samples before it in its chunk
+    before = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = before[:-1] + np.repeat(chunks - before[ends - per_chunk], per_chunk)
+    past = np.flatnonzero(offsets + sizes > file_len)
+    if past.size:
+        i = past[0]
+        raise InconsistentSampleTable(
+            f"sample at {offsets[i]} (+{sizes[i]}) exceeds file end {file_len}")
+
+    return TrackSampleTable(timescale=timescale, offsets=offsets, sizes=sizes,
+                            decode_times=np.cumsum(durations) - durations,
+                            durations=durations)
 
 
 def extract_payloads(table, f):
     """Copy every telemetry sample out of the file as a RawPayload."""
+    starts = (table.decode_times / table.timescale).tolist()
+    durations = (table.durations / table.timescale).tolist()
     payloads = []
-    for s in table.samples:
-        f.seek(s.file_offset)
-        data = f.read(s.size)
-        if len(data) < s.size:
-            raise TruncatedFile(f"short payload read at offset {s.file_offset}")
-        if len(data) % 4 != 0:
+    for offset, size, start, duration in zip(
+            table.offsets.tolist(), table.sizes.tolist(), starts, durations):
+        f.seek(offset)
+        data = f.read(size)
+        if len(data) < size:
+            raise TruncatedFile(f"short payload read at offset {offset}")
+        if size % 4 != 0:
             raise AlignmentError(
-                f"payload at offset {s.file_offset} is {len(data)} bytes, "
-                "not 32-bit aligned")
-        payloads.append(RawPayload(data=data,
-                                   start_time=s.decode_time / table.timescale,
-                                   duration=s.duration / table.timescale))
+                f"payload at offset {offset} is {size} bytes, not 32-bit aligned")
+        payloads.append(RawPayload(data=data, start_time=start, duration=duration))
     return payloads
 
 
@@ -322,9 +292,9 @@ def _full(fourcc, body, version=0, flags=0):
     return _box(fourcc, struct.pack(">I", (version << 24) | flags) + body)
 
 
-def write_fixture_mp4(path, payloads, timescale=1000, durations=None,
-                      with_video_track=True, gpmd=True):
-    """Write a minimal valid MP4 holding the given telemetry payloads.
+def write_fixture_mp4(path, payloads, timescale=1000, durations=None, gpmd=True):
+    """Write a minimal valid MP4: a stub video track, then the given
+    telemetry payloads in a `gpmd` track unless ``gpmd`` is false.
 
     ``payloads`` is a list of byte blocks stored as one sample each in a
     `gpmd` track; ``durations`` are per-sample durations in timescale ticks
@@ -342,9 +312,7 @@ def write_fixture_mp4(path, payloads, timescale=1000, durations=None,
     mdat_offset = len(ftyp)
     data_start = mdat_offset + 8
 
-    traks = b""
-    if with_video_track:
-        traks += _stub_video_trak(track_id=1)
+    traks = _stub_video_trak(track_id=1)
     if gpmd:
         traks += _gpmd_trak(track_id=2, timescale=timescale, payloads=payloads,
                             durations=durations, data_start=data_start)

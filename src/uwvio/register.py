@@ -16,11 +16,14 @@ from .geometry import RigidTransform, rigid_fit
 from .gridindex import GridIndex
 
 DEFAULT_VOXEL = 0.10            # paper pipeline voxel size, meters
-DEFAULT_NORMAL_K = 30
-DEFAULT_FEATURE_RADIUS_FACTOR = 5.0
-DEFAULT_RANSAC_MAX_ITER = 100_000
-DEFAULT_RANSAC_CONFIDENCE = 0.999
-DEFAULT_MIN_INLIER_RATIO = 0.05
+NORMAL_K = 30
+FEATURE_RADIUS_FACTOR = 5.0     # FPFH radius in voxels
+RANSAC_MAX_ITER = 100_000
+RANSAC_CONFIDENCE = 0.999
+MIN_INLIER_RATIO = 0.05
+ICP_MAX_ITER = 50
+ICP_TOL = 1e-8                  # transform change that ends ICP
+MATCH_CHUNK = 512               # descriptor rows per nearest-neighbour pass
 
 # deterministic fallback normal for rank-deficient neighborhoods
 DEGENERATE_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -76,7 +79,7 @@ def voxel_downsample(cloud, voxel):
     return PointCloud(points=points, colors=colors)
 
 
-def estimate_normals(cloud, k_neighbors=DEFAULT_NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
+def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     """Per-point normals from the k-neighborhood covariance.
 
     The normal is the smallest-eigenvalue eigenvector, oriented toward the
@@ -226,7 +229,7 @@ def compute_fpfh(cloud, radius):
     return FpfhDescriptors(values=fpfh, isolated=isolated)
 
 
-def match_descriptors(desc_a, desc_b, mutual=True, chunk=512):
+def match_descriptors(desc_a, desc_b, mutual=True):
     """Nearest-neighbor correspondences in descriptor space (L2).
 
     Returns an (m, 2) array of (index_a, index_b) pairs. With ``mutual``
@@ -236,32 +239,28 @@ def match_descriptors(desc_a, desc_b, mutual=True, chunk=512):
     b = np.asarray(desc_b.values if hasattr(desc_b, "values") else desc_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloud("empty descriptor set")
-    fwd = _nn_indices(a, b, chunk)
+    fwd = _nn_indices(a, b)
     if not mutual:
         return np.column_stack([np.arange(len(a)), fwd])
-    bwd = _nn_indices(b, a, chunk)
+    bwd = _nn_indices(b, a)
     idx_a = np.arange(len(a))
     keep = bwd[fwd] == idx_a
     return np.column_stack([idx_a[keep], fwd[keep]])
 
 
-def _nn_indices(a, b, chunk):
+def _nn_indices(a, b):
     """Index of the L2-nearest row of b for every row of a."""
     b_sq = np.sum(b * b, axis=1)
     out = np.empty(len(a), dtype=int)
-    for start in range(0, len(a), chunk):
-        block = a[start:start + chunk]
+    for start in range(0, len(a), MATCH_CHUNK):
+        block = a[start:start + MATCH_CHUNK]
         d2 = np.sum(block * block, axis=1)[:, None] - 2.0 * block @ b.T + b_sq
-        out[start:start + chunk] = np.argmin(d2, axis=1)
+        out[start:start + MATCH_CHUNK] = np.argmin(d2, axis=1)
     return out
 
 
 def robust_global_registration(correspondences, points_a, points_b,
-                               inlier_threshold,
-                               seed=0,
-                               max_iterations=DEFAULT_RANSAC_MAX_ITER,
-                               confidence=DEFAULT_RANSAC_CONFIDENCE,
-                               min_inlier_ratio=DEFAULT_MIN_INLIER_RATIO):
+                               inlier_threshold, seed=0):
     """Consensus-maximizing rigid transform over putative correspondences.
 
     RANSAC with a 3-point closed-form rigid fit and a final least-squares
@@ -279,9 +278,9 @@ def robust_global_registration(correspondences, points_a, points_b,
 
     best_count = 0
     best_inliers = None
-    needed = max_iterations
+    needed = RANSAC_MAX_ITER
     it = 0
-    while it < min(needed, max_iterations):
+    while it < min(needed, RANSAC_MAX_ITER):
         sample = rng.choice(n, size=3, replace=False)
         R, t = rigid_fit(a[sample], b[sample])
         resid2 = np.sum((a @ R.T + t - b) ** 2, axis=1)
@@ -296,23 +295,24 @@ def robust_global_registration(correspondences, points_a, points_b,
             # iterations needed to hit an all-inlier sample with the
             # requested confidence
             denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
-            needed = int(np.ceil(np.log(1.0 - confidence) / denom))
+            needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
         it += 1
 
-    if best_inliers is None or best_count < max(3, int(np.ceil(min_inlier_ratio * n))):
+    minimum = max(3, int(np.ceil(MIN_INLIER_RATIO * n)))
+    if best_inliers is None or best_count < minimum:
         raise ConsensusFailure(
-            f"best consensus {best_count}/{n} below minimum "
-            f"{max(3, int(np.ceil(min_inlier_ratio * n)))}")
+            f"best consensus {best_count}/{n} below minimum {minimum}")
     R, t = rigid_fit(a[best_inliers], b[best_inliers])
     return RigidTransform.from_matrix(R, t)
 
 
-def icp_refine(source, target, init, threshold, max_iter=50, tol=1e-8):
+def icp_refine(source, target, init, threshold):
     """Point-to-point ICP from the given initial guess.
 
     Alternates nearest-neighbor association (within ``threshold``) with a
     closed-form rigid fit. Stops when the transform change drops below
-    ``tol``, the association RMSE stops improving, or ``max_iter``.
+    ``ICP_TOL``, the association RMSE stops improving, or after
+    ``ICP_MAX_ITER`` iterations.
     """
     src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
     tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
@@ -321,7 +321,7 @@ def icp_refine(source, target, init, threshold, max_iter=50, tol=1e-8):
     index = GridIndex(tgt, threshold)
     transform = init
     prev_rmse = np.inf
-    for _ in range(max_iter):
+    for _ in range(ICP_MAX_ITER):
         moved = transform.apply(src)
         nearest, dists = index.nearest_within(moved, threshold)
         hit = nearest >= 0
@@ -335,7 +335,7 @@ def icp_refine(source, target, init, threshold, max_iter=50, tol=1e-8):
         delta = np.abs(new_transform.matrix() - transform.matrix()).max()
         transform = new_transform
         prev_rmse = rmse
-        if delta < tol:
+        if delta < ICP_TOL:
             break
     return transform
 
@@ -374,31 +374,20 @@ class PipelineResult:
     isolated_points: tuple = (0, 0)     # FPFH points with no neighbor: source, target
 
 
-def register_pipeline(source, target,
-                      voxel=DEFAULT_VOXEL,
-                      normal_k=DEFAULT_NORMAL_K,
-                      feature_radius_factor=DEFAULT_FEATURE_RADIUS_FACTOR,
-                      seed=0,
-                      mutual=True,
-                      ransac_max_iter=DEFAULT_RANSAC_MAX_ITER,
-                      confidence=DEFAULT_RANSAC_CONFIDENCE,
-                      icp_max_iter=50):
+def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
     """End-to-end map comparison: downsample, describe, match, register
     globally, refine with ICP on the original clouds, and score."""
     src_d = voxel_downsample(source, voxel)
     tgt_d = voxel_downsample(target, voxel)
-    src_d = estimate_normals(src_d, normal_k)
-    tgt_d = estimate_normals(tgt_d, normal_k)
-    radius = feature_radius_factor * voxel
+    src_d = estimate_normals(src_d, NORMAL_K)
+    tgt_d = estimate_normals(tgt_d, NORMAL_K)
+    radius = FEATURE_RADIUS_FACTOR * voxel
     desc_s = compute_fpfh(src_d, radius)
     desc_t = compute_fpfh(tgt_d, radius)
-    corr = match_descriptors(desc_s, desc_t, mutual=mutual)
+    corr = match_descriptors(desc_s, desc_t)
     coarse = robust_global_registration(corr, src_d.points, tgt_d.points,
-                                        inlier_threshold=voxel, seed=seed,
-                                        max_iterations=ransac_max_iter,
-                                        confidence=confidence)
-    refined = icp_refine(source, target, coarse, threshold=voxel,
-                         max_iter=icp_max_iter)
+                                        inlier_threshold=voxel, seed=seed)
+    refined = icp_refine(source, target, coarse, threshold=voxel)
     result = score_registration(source, target, refined, threshold=voxel)
     return PipelineResult(result=result, coarse_transform=coarse,
                           n_putative=len(corr),

@@ -1,10 +1,11 @@
 """Turn per-payload sensor streams into one globally timestamped dataset.
 
 Per-sample timing follows the payload model: each payload spans
-[T_i, T_{i+1}) and its n samples are placed uniformly on that span. Frame
-timestamps come straight from the SHUT stream; the accelerometer timeline
-is the master IMU clock and the gyroscope is linearly resampled onto it
-when per-payload counts differ.
+[T_i, T_{i+1}) and its n samples are placed uniformly on that span, for
+all payloads at once from their count column. Frame timestamps come
+straight from the SHUT stream; the accelerometer timeline is the master
+IMU clock and the gyroscope is linearly resampled onto it when
+per-payload counts differ.
 """
 
 import warnings
@@ -14,7 +15,8 @@ import numpy as np
 
 from . import gpmf
 from .errors import (CountMismatch, InputError, MissingStream,
-                     NonMonotonicPayloads, StreamNotFound, ZeroCount)
+                     NonMonotonicPayloads, StreamNotFound, ZeroCount,
+                     loadtxt_field_error, loadtxt_line_no)
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
 FRAMES_CSV_HEADER = "index,t,exposure"
@@ -59,46 +61,44 @@ def payload_streams_from_klv(raw_payloads, axis_order="xyz"):
                 streams[key] = gpmf.extract_stream(root, key, axis_order=order)
             except StreamNotFound:
                 streams[key] = None
+        shutter = streams["SHUT"]
         out.append(PayloadStreams(
             start=rp.start_time, duration=rp.duration,
-            accel=streams["ACCL"].values if streams["ACCL"] else None,
-            gyro=streams["GYRO"].values if streams["GYRO"] else None,
-            shutter=streams["SHUT"].values[:, 0] if streams["SHUT"] else None,
+            accel=streams["ACCL"], gyro=streams["GYRO"],
+            shutter=None if shutter is None else shutter[:, 0],
         ))
     return out
 
 
-def interpolate_sample_times(payload_starts, counts, last_duration=None):
+def interpolate_sample_times(bounds, counts):
     """Uniformly place per-payload samples on their payload spans.
 
-    ``payload_starts`` has either len(counts) entries plus ``last_duration``
-    to close the final span, or len(counts) + 1 entries where the extra
-    entry is the end of the last span. Payload i with n samples spanning
-    [T_i, T_{i+1}) places sample j at T_i + j * (T_{i+1} - T_i) / n.
+    ``bounds`` has len(counts) + 1 entries: payload i with n samples spans
+    [T_i, T_{i+1}) and places sample j at T_i + j * (T_{i+1} - T_i) / n.
     """
-    starts = np.asarray(payload_starts, dtype=float)
-    counts = [int(c) for c in counts]
-    if len(starts) == len(counts):
-        if last_duration is None:
-            raise ValueError("need last_duration when no closing boundary given")
-        bounds = np.append(starts, starts[-1] + last_duration)
-    elif len(starts) == len(counts) + 1:
-        bounds = starts
-    else:
-        raise ValueError("payload_starts must have len(counts) or len(counts)+1 entries")
+    bounds = np.asarray(bounds, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(bounds) != len(counts) + 1:
+        raise ValueError("bounds must have len(counts) + 1 entries")
     if np.any(np.diff(bounds) <= 0):
         raise NonMonotonicPayloads("payload start times are not strictly increasing")
-    pieces = []
-    for i, n in enumerate(counts):
-        if n < 1:
-            raise ZeroCount(f"payload {i} has zero samples")
-        t0, t1 = bounds[i], bounds[i + 1]
-        pieces.append(t0 + np.arange(n) * (t1 - t0) / n)
-    return np.concatenate(pieces) if pieces else np.empty(0)
+    if np.any(counts < 1):
+        raise ZeroCount(f"payload {np.argmax(counts < 1)} has zero samples")
+    payload = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(payload)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t0, t1 = bounds[:-1][payload], bounds[1:][payload]
+    return t0 + j * (t1 - t0) / counts[payload]
 
 
-def build_dataset(payloads, meta=None, axis_order="xyz",
-                  count_tolerance=COUNT_TOLERANCE):
+def _sample_times(bounds, counts):
+    """Sample times of the payloads with samples; the span of each runs to
+    the next such payload's start, the last one's to the next bound."""
+    used = np.flatnonzero(counts)
+    return interpolate_sample_times(
+        np.append(bounds[used], bounds[used[-1] + 1]), counts[used])
+
+
+def build_dataset(payloads, meta=None, axis_order="xyz"):
     """Merge parsed payload streams into one SyncedDataset.
 
     The clock origin is the first payload's start. ACCL is the master IMU
@@ -108,18 +108,23 @@ def build_dataset(payloads, meta=None, axis_order="xyz",
     payloads = list(payloads)
     if not payloads:
         raise MissingStream("no payloads")
-    have_accl = any(p.accel is not None for p in payloads)
-    have_gyro = any(p.gyro is not None for p in payloads)
-    have_shut = any(p.shutter is not None for p in payloads)
-    if not (have_accl and have_gyro and have_shut):
-        missing = [k for k, v in
-                   (("ACCL", have_accl), ("GYRO", have_gyro), ("SHUT", have_shut))
-                   if not v]
-        raise MissingStream(f"streams never seen: {', '.join(missing)}")
+    # (payload, stream) sample counts; an absent stream counts 0
+    counts = np.array([[0 if s is None else len(s) for s in (p.accel, p.gyro, p.shutter)]
+                       for p in payloads], dtype=np.int64)
+    never = [key for key, n in zip(("ACCL", "GYRO", "SHUT"), counts.max(axis=0)) if n == 0]
+    if never:
+        raise MissingStream(f"streams never seen: {', '.join(never)}")
+    mismatch = np.flatnonzero(np.abs(counts[:, 0] - counts[:, 1]) > COUNT_TOLERANCE)
+    if mismatch.size:
+        i = mismatch[0]
+        raise CountMismatch(
+            f"payload {i}: ACCL count {counts[i, 0]} vs GYRO count {counts[i, 1]} "
+            f"differ by more than {COUNT_TOLERANCE}")
 
     origin = payloads[0].start
     starts = np.array([p.start - origin for p in payloads])
-    last_duration = payloads[-1].duration
+    # payload spans: each start, then the end of the last payload
+    bounds = np.append(starts, starts[-1] + payloads[-1].duration)
 
     warnings_list = []
     if len(starts) > 1:
@@ -132,30 +137,8 @@ def build_dataset(payloads, meta=None, axis_order="xyz",
             warnings_list.append(msg)
             warnings.warn(msg)
 
-    accel_counts, gyro_counts, shut_counts = [], [], []
-    for i, p in enumerate(payloads):
-        na = 0 if p.accel is None else len(p.accel)
-        ng = 0 if p.gyro is None else len(p.gyro)
-        if abs(na - ng) > count_tolerance:
-            raise CountMismatch(
-                f"payload {i}: ACCL count {na} vs GYRO count {ng} "
-                f"differ by more than {count_tolerance}")
-        accel_counts.append(na)
-        gyro_counts.append(ng)
-        shut_counts.append(0 if p.shutter is None else len(p.shutter))
-
-    def _times(counts):
-        idx = [i for i, c in enumerate(counts) if c > 0]
-        cts = [counts[i] for i in idx]
-        bounds = [starts[i] for i in idx]
-        # spans run to the next used payload start; close the final span
-        last = idx[-1]
-        closing = starts[last] + last_duration if last == len(payloads) - 1 \
-            else starts[last + 1]
-        return interpolate_sample_times(np.append(bounds, closing), cts)
-
-    accel_t = _times(accel_counts)
-    gyro_t = _times(gyro_counts)
+    accel_t = _sample_times(bounds, counts[:, 0])
+    gyro_t = _sample_times(bounds, counts[:, 1])
     accel = np.vstack([p.accel for p in payloads if p.accel is not None])
     gyro_raw = np.vstack([p.gyro for p in payloads if p.gyro is not None])
 
@@ -165,7 +148,7 @@ def build_dataset(payloads, meta=None, axis_order="xyz",
         gyro = np.column_stack([
             np.interp(accel_t, gyro_t, gyro_raw[:, c]) for c in range(3)])
 
-    frame_t = _times(shut_counts)
+    frame_t = _sample_times(bounds, counts[:, 2])
     exposure = np.concatenate([p.shutter for p in payloads if p.shutter is not None])
 
     rate = 1.0 / float(np.median(np.diff(accel_t))) if len(accel_t) > 1 else 0.0
@@ -174,7 +157,7 @@ def build_dataset(payloads, meta=None, axis_order="xyz",
         "imu_rate_hz": rate,
         "n_imu_samples": len(accel_t),
         "n_frames": len(frame_t),
-        "duration_s": float(starts[-1] + last_duration),
+        "duration_s": float(bounds[-1]),
         "warnings": warnings_list,
     }
     if meta:
@@ -208,11 +191,18 @@ def load_imu_csv(path):
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:  # UnicodeDecodeError is one
-        raise InputError(f"{path}: {exc}") from None
+        with open(path, errors="replace") as f:
+            message = loadtxt_field_error(path, exc, f, skip=1)
+        raise InputError(message or f"{path}: {exc}") from None
     if data.size == 0:
         return np.empty(0), np.empty((0, 3)), np.empty((0, 3))
     if data.shape[1] != 7:
         raise InputError(f"{path}: expected 7 columns, got {data.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        with open(path, errors="replace") as f:
+            line_no = loadtxt_line_no(f, bad[0], skip=1)
+        raise InputError(f"{path}:{line_no}: non-finite value")
     return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 

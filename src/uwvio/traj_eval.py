@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, EmptyPairs, InputError,
-                     InsufficientDetections, NoMatches)
+                     InsufficientDetections, NoMatches, loadtxt_field_error)
 from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
 
 DEFAULT_MAX_DT = 0.020  # half the 60 Hz frame interval
@@ -70,6 +70,7 @@ def _read_table(path, row, record, delimiter=None, header=None):
         return record(**{name: np.ascontiguousarray(rows[name]) for name in row.names})
     except (ValueError, InputError) as exc:  # UnicodeDecodeError is a ValueError
         raise InputError(_field_count_error(path, text, row, delimiter)
+                         or loadtxt_field_error(path, exc, text.split("\n"))
                          or f"{path}: {exc}") from None
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uwvio import fixtures, ply, register, sync, traj_eval
+from uwvio import fixtures, mp4, ply, register, sync, traj_eval
 from uwvio.cli import load_config, main
 from uwvio.geometry import rotation_about_z, RigidTransform
 
@@ -178,6 +178,27 @@ def test_allan_malformed_csv_exit_code_2(tmp_path, capsys):
     csv.write_text("\n".join(lines) + "\n")
     assert run(["-q", "--out-dir", tmp_path, "allan", csv]) == 2
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_allan_non_finite_cell_exit_code_2(tmp_path, capsys, cell):
+    csv = _write_noise_csv(tmp_path / "imu.csv")
+    lines = csv.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[2] = cell
+    lines[5] = ",".join(fields)
+    csv.write_text("\n".join(lines) + "\n")
+    assert run(["-q", "--out-dir", tmp_path, "allan", csv]) == 2
+    assert capsys.readouterr().err == f"error: {csv}:6: non-finite value\n"
+
+
+def test_extract_empty_streams_exit_code_2(tmp_path, capsys):
+    empty = np.zeros((0, 3))
+    payload = fixtures.gpmf_payload(accel_raw=empty, gyro_raw=empty, shutter=empty)
+    path = mp4.write_fixture_mp4(tmp_path / "empty.mp4", [payload] * 2)
+    assert run(["-q", "--out-dir", tmp_path, "extract", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: streams never seen: ACCL, GYRO, SHUT\n")
 
 
 @pytest.mark.parametrize("content", [None, b"max-dt: 0.5\xff\n"],

@@ -9,7 +9,7 @@ from uwvio import gpmf
 from uwvio.errors import (BadTypeCode, ScaleMismatch, StreamNotFound,
                           TruncatedKlv)
 from uwvio.gpmf import (KlvHeader, KlvNode, extract_stream, make_container,
-                        make_leaf, parse_klv, stream_counts, write_klv)
+                        make_leaf, parse_klv, write_klv)
 
 
 def klv_bytes(key, letter, item_size, repeat, payload):
@@ -89,8 +89,7 @@ def test_scal_division():
     ])
     root = parse_klv(write_klv([make_container("DEVC", [strm])]))
     stream = extract_stream(root, "ACCL")
-    assert np.allclose(stream.values, [[1.0, 2.0, -0.5]])
-    assert stream.scale.tolist() == [418.0, 418.0, 418.0]
+    assert np.allclose(stream, [[1.0, 2.0, -0.5]])
 
 
 def test_per_channel_scal():
@@ -99,7 +98,7 @@ def test_per_channel_scal():
         make_leaf("GYRO", "l", np.array([[8, 8, 8]]), channels=3),
     ])
     stream = extract_stream(parse_klv(write_klv([strm])), "GYRO")
-    assert np.allclose(stream.values, [[8.0, 4.0, 2.0]])
+    assert np.allclose(stream, [[8.0, 4.0, 2.0]])
 
 
 def test_scal_channel_mismatch():
@@ -124,9 +123,9 @@ def test_axis_order_permutation():
     root = parse_klv(write_klv([strm]))
     # device order "zxy": channel0=z, channel1=x, channel2=y
     stream = extract_stream(root, "ACCL", axis_order="zxy")
-    assert stream.values.tolist() == [[20.0, 30.0, 10.0]]
+    assert stream.tolist() == [[20.0, 30.0, 10.0]]
     identity = extract_stream(root, "ACCL")
-    assert identity.values.tolist() == [[10.0, 20.0, 30.0]]
+    assert identity.tolist() == [[10.0, 20.0, 30.0]]
 
 
 def test_duplicate_streams_concatenate_in_order():
@@ -135,18 +134,7 @@ def test_duplicate_streams_concatenate_in_order():
             make_leaf("ACCL", "l", np.asarray(vals), channels=3)])
     root = parse_klv(write_klv([strm([[1, 2, 3]]), strm([[4, 5, 6]])]))
     stream = extract_stream(root, "ACCL")
-    assert stream.values.tolist() == [[1, 2, 3], [4, 5, 6]]
-    assert stream_counts(root) == {"ACCL": 2}
-
-
-def test_stream_counts_exclude_metadata():
-    strm = make_container("STRM", [
-        make_leaf("SCAL", "l", [418]),
-        make_leaf("SIUN", "c", "m/s2"),
-        make_leaf("TSMP", "L", [42]),
-        make_leaf("ACCL", "l", np.zeros((5, 3)), channels=3),
-    ])
-    assert stream_counts(parse_klv(write_klv([strm]))) == {"ACCL": 5}
+    assert stream.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_all_scalar_types_round_trip_values():
@@ -228,6 +216,6 @@ def test_scaling_linearity():
             make_leaf("SCAL", "l", [divisor]),
             make_leaf("ACCL", "l", raw, channels=3),
         ])
-        return extract_stream(parse_klv(write_klv([strm])), "ACCL").values
+        return extract_stream(parse_klv(write_klv([strm])), "ACCL")
     assert np.allclose(scaled(100) * 100, scaled(50) * 50)
     assert np.allclose(scaled(100), scaled(300) * 3)

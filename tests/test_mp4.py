@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from uwvio import fixtures, mp4
-from uwvio.errors import (AlignmentError, MalformedBox, NoTelemetryTrack,
-                          NotMp4, TruncatedFile)
+from uwvio.cli import main
+from uwvio.errors import (AlignmentError, InconsistentSampleTable, MalformedBox,
+                          NoTelemetryTrack, NotMp4, TruncatedFile)
 
 
 def box_bytes(fourcc, payload=b""):
@@ -94,10 +95,8 @@ def test_fixture_track_and_payloads(tmp_path):
     with open(path, "rb") as f:
         tree = mp4.parse_box_tree(f)
         table = mp4.find_gpmf_track(tree, f)
-        assert table.sample_format_fourcc == "gpmd"
-        assert table.handler_fourcc == "meta"
         assert table.timescale == 1000
-        assert len(table.samples) == 3
+        assert len(table.sizes) == 3
         payloads = mp4.extract_payloads(table, f)
     assert [p.start_time for p in payloads] == [0.0, 1.01, 2.02]
     assert all(p.duration == 1.01 for p in payloads)
@@ -168,3 +167,117 @@ def test_parse_reads_headers_not_payloads(tmp_path):
     mp4.parse_box_tree(reader)
     # header walking must not touch the megabyte payload
     assert reader.bytes_read < 10_000
+
+
+# --- sample tables: malformed and chunked ------------------------------
+
+STBL = ("mdia", "minf", "stbl")
+
+
+def _chain(data, *path):
+    """Boxes from moov down ``path`` in the gpmd track, which follows the
+    fixture's stub video track."""
+    moov = next(b for b in mp4.parse_box_tree(io.BytesIO(data)) if b.fourcc == "moov")
+    chain = [moov, [b for b in moov.children if b.fourcc == "trak"][-1]]
+    for fourcc in path:
+        chain.append(chain[-1].find(fourcc))
+    return chain
+
+
+def _patched(fourcc, at, change):
+    """Corruption: the u32 ``at`` bytes into the payload of a sample-table
+    box, passed through ``change``."""
+    def corrupt(data):
+        pos = _chain(data, *STBL, fourcc)[-1].payload_offset + at
+        out = bytearray(data)
+        struct.pack_into(">I", out, pos, change(struct.unpack_from(">I", data, pos)[0]))
+        return bytes(out)
+    return corrupt
+
+
+def _replaced(path, new):
+    """Corruption: the box at ``path`` replaced by ``new``, its ancestors
+    resized to match (moov follows mdat, so no sample moves)."""
+    def corrupt(data):
+        chain = _chain(data, *path)
+        box = chain[-1]
+        out = bytearray(data[:box.offset] + new + data[box.offset + box.size:])
+        for parent in chain[:-1]:
+            struct.pack_into(">I", out, parent.offset, parent.size + len(new) - box.size)
+        return bytes(out)
+    return corrupt
+
+
+MALFORMED = {
+    "stts count past box end": _patched("stts", 4, lambda n: n + 1),
+    "stsz count past box end": _patched("stsz", 8, lambda n: n + 1),
+    "stsc count past box end": _patched("stsc", 4, lambda n: n + 1),
+    "stco count past box end": _patched("stco", 4, lambda n: n + 1),
+    "uniform stsz past file end": _patched("stsz", 4, lambda _: 1 << 31),
+    "3-byte mdhd": _replaced(("mdia", "mdhd"), box_bytes("mdhd", b"\x00" * 3)),
+    "stsc first_chunk decreases": _replaced(
+        STBL + ("stsc",), box_bytes("stsc", struct.pack(">8I", 0, 2, 2, 1, 1, 1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_sample_table(tmp_path, capsys, case):
+    path = fixtures.fixture_mp4(tmp_path / "f.mp4", n_payloads=3, accel_count=8,
+                                gyro_count=8, shut_count=2)
+    path.write_bytes(MALFORMED[case](path.read_bytes()))
+    with open(path, "rb") as f:
+        with pytest.raises(InconsistentSampleTable):
+            mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
+    assert main(["-q", "--out-dir", str(tmp_path / "out"), "extract", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _loop_table(chunk_offsets, runs, sizes, durations):
+    """The per-chunk, per-sample loop the column reader replaced:
+    (offset, size, decode time, duration) of each sample."""
+    samples, decode_time, i = [], 0, 0
+    for ci, chunk_off in enumerate(chunk_offsets):
+        per_chunk = 0
+        for first_chunk, samples_per_chunk, _desc in runs:
+            if ci + 1 >= first_chunk:
+                per_chunk = samples_per_chunk
+        offset = chunk_off
+        for _ in range(per_chunk):
+            if i >= len(sizes):
+                break
+            samples.append((offset, sizes[i], decode_time, durations[i]))
+            offset += sizes[i]
+            decode_time += durations[i]
+            i += 1
+    return samples
+
+
+@pytest.mark.parametrize("per_chunk, co", [
+    ([2] * 5, "stco"),
+    ([1, 3, 3, 0, 2, 4], "stco"),  # an empty chunk; the last holds more than remain
+    ([0, 4, 4, 4], "co64"),
+])
+def test_chunked_layout_matches_per_sample_loop(tmp_path, per_chunk, co):
+    rng = np.random.default_rng(1)
+    payloads = [bytes(4 * int(n)) for n in rng.integers(1, 9, size=10)]
+    durations = rng.integers(500, 1500, size=10).tolist()
+    path = tmp_path / "c.mp4"
+    mp4.write_fixture_mp4(path, payloads, durations=durations)
+    with open(path, "rb") as f:
+        contiguous = mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
+    # regroup the contiguous samples into chunks of per_chunk samples
+    firsts = np.minimum(np.cumsum([0] + per_chunk[:-1]), len(payloads) - 1)
+    chunk_offsets = contiguous.offsets[firsts].tolist()
+    runs = [(c + 1, n, 1) for c, n in enumerate(per_chunk)
+            if c == 0 or n != per_chunk[c - 1]]
+    stsc = struct.pack(f">{2 + 3 * len(runs)}I", 0, len(runs), *[v for r in runs for v in r])
+    offsets = struct.pack(f">II{len(chunk_offsets)}{'Q' if co == 'co64' else 'I'}",
+                          0, len(chunk_offsets), *chunk_offsets)
+    data = _replaced(STBL + ("stsc",), box_bytes("stsc", stsc))(path.read_bytes())
+    path.write_bytes(_replaced(STBL + ("stco",), box_bytes(co, offsets))(data))
+    with open(path, "rb") as f:
+        table = mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
+    got = list(zip(table.offsets.tolist(), table.sizes.tolist(),
+                   table.decode_times.tolist(), table.durations.tolist()))
+    assert got == _loop_table(chunk_offsets, runs, [len(p) for p in payloads], durations)
+    assert table.offsets.tolist() == contiguous.offsets.tolist()

@@ -1,6 +1,8 @@
-"""Byte-level fuzz of the text readers: any flip or truncation of a valid
-TUM trajectory, tag CSV or IMU CSV either loads or raises InputError."""
+"""Byte-level fuzz of the readers: any flip or truncation of a valid TUM
+trajectory, tag CSV, IMU CSV or fixture MP4 either loads or raises
+InputError."""
 
+import io
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from uwvio import fixtures, mp4, sync  # noqa: E402
 from uwvio.errors import InputError  # noqa: E402
 from uwvio.sync import load_imu_csv  # noqa: E402
 from uwvio.traj_eval import load_tag_csv, load_tum  # noqa: E402
@@ -33,11 +36,18 @@ pytestmark = pytest.mark.filterwarnings("ignore:loadtxt. input contained no data
 
 
 @st.composite
-def mutations(draw, base):
+def flips(draw, base, start=0):
+    """``base`` with 1-4 bytes from ``start`` on overwritten."""
     data = bytearray(base)
     for _ in range(draw(st.integers(1, 4))):
-        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
-    return bytes(data[:draw(st.integers(0, len(data)))])
+        data[draw(st.integers(start, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@st.composite
+def mutations(draw, base):
+    data = draw(flips(base))
+    return data[:draw(st.integers(0, len(data)))]
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))
@@ -54,5 +64,34 @@ def test_reader_returns_or_raises_input_error(kind):
                 loader(path)
             except InputError:
                 pass
+
+    check()
+
+
+def _extract(data):
+    """What `uwvio extract` does with an MP4, short of writing files."""
+    f = io.BytesIO(data)
+    table = mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
+    payloads = mp4.extract_payloads(table, f)
+    return sync.build_dataset(sync.payload_streams_from_klv(payloads))
+
+
+@pytest.mark.filterwarnings("ignore")  # gap warnings, SCAL divisors of 0
+def test_mp4_extract_returns_or_raises_input_error(tmp_path):
+    base = fixtures.fixture_mp4(tmp_path / "f.mp4", n_payloads=3, accel_count=8,
+                                gyro_count=8, shut_count=2).read_bytes()
+    # half the inputs change only the sample tables of the gpmd track,
+    # which end the file
+    moov = next(b for b in mp4.parse_box_tree(io.BytesIO(base)) if b.fourcc == "moov")
+    trak = [b for b in moov.children if b.fourcc == "trak"][-1]
+    stbl = trak.find("mdia").find("minf").find("stbl")
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(mutations(base), flips(base, stbl.offset)))
+    def check(data):
+        try:
+            _extract(data)
+        except InputError:
+            pass
 
     check()

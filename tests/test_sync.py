@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from uwvio import mp4, sync
-from uwvio.errors import (CountMismatch, MissingStream, NonMonotonicPayloads,
-                          ZeroCount)
+from uwvio.errors import (CountMismatch, InputError, MissingStream,
+                          NonMonotonicPayloads, ZeroCount)
 from uwvio.fixtures import fixture_mp4
 from uwvio.sync import (PayloadStreams, build_dataset,
                         interpolate_sample_times, load_imu_csv)
@@ -11,28 +13,45 @@ from uwvio.sync import (PayloadStreams, build_dataset,
 
 def test_uniform_placement_single_payload():
     # 4 samples on [10, 11): 10.0, 10.25, 10.5, 10.75
-    t = interpolate_sample_times([10.0], [4], last_duration=1.0)
+    t = interpolate_sample_times([10.0, 11.0], [4])
     assert np.allclose(t, [10.0, 10.25, 10.5, 10.75])
 
 
 def test_spans_close_at_next_start():
-    t = interpolate_sample_times([0.0, 1.01, 2.02], [2, 2], None)
+    t = interpolate_sample_times([0.0, 1.01, 2.02], [2, 2])
     assert np.allclose(t, [0.0, 0.505, 1.01, 1.515])
 
 
 def test_varying_counts():
-    t = interpolate_sample_times([0.0, 1.0], [1, 3], last_duration=0.6)
+    t = interpolate_sample_times([0.0, 1.0, 1.6], [1, 3])
     assert np.allclose(t, [0.0, 1.0, 1.2, 1.4])
 
 
 def test_non_monotonic_rejected():
     with pytest.raises(NonMonotonicPayloads):
-        interpolate_sample_times([0.0, 2.0, 1.0], [1, 1], last_duration=1.0)
+        interpolate_sample_times([0.0, 2.0, 1.0], [1, 1])
 
 
 def test_zero_count_rejected():
     with pytest.raises(ZeroCount):
-        interpolate_sample_times([0.0, 1.0], [2, 0], last_duration=1.0)
+        interpolate_sample_times([0.0, 1.0, 2.0], [2, 0])
+
+
+def _loop_times(bounds, counts):
+    """The per-payload loop that interpolate_sample_times replaced."""
+    pieces = []
+    for i, n in enumerate(counts):
+        t0, t1 = bounds[i], bounds[i + 1]
+        pieces.append(t0 + np.arange(n) * (t1 - t0) / n)
+    return np.concatenate(pieces)
+
+
+def test_times_match_per_payload_loop_bit_for_bit():
+    rng = np.random.default_rng(0)
+    counts = rng.integers(1, 300, size=600).tolist()
+    bounds = 12.345 + np.cumsum(np.append(0.0, rng.uniform(0.9, 1.1, 600)))
+    got = interpolate_sample_times(bounds, counts)
+    assert got.tobytes() == _loop_times(bounds, counts).tobytes()
 
 
 def _payload(start, duration, na=4, ng=4, ns=2, accel_val=1.0, gyro_val=2.0):
@@ -93,6 +112,13 @@ def test_missing_stream_raises():
     assert "SHUT" in str(exc.value)
 
 
+def test_stream_of_empty_blocks_is_missing():
+    payload = PayloadStreams(start=0.0, duration=1.0, accel=np.zeros((4, 3)),
+                             gyro=np.zeros((4, 3)), shutter=np.zeros(0))
+    with pytest.raises(MissingStream, match="never seen: SHUT$"):
+        build_dataset([payload, payload])
+
+
 def test_payload_gap_warning():
     payloads = [_payload(0.0, 1.0), _payload(1.0, 1.0), _payload(2.0, 1.0),
                 _payload(3.0, 1.0), _payload(9.0, 1.0)]
@@ -128,6 +154,18 @@ def test_csv_round_trip(tmp_path):
     lines = frames.read_text().splitlines()
     assert lines[0] == "index,t,exposure"
     assert len(lines) == 1 + len(ds.frame_t)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "non-finite value"),
+    ("-inf", "non-finite value"),
+    ("x", "could not convert string 'x' to float64 in column 3"),
+])
+def test_imu_csv_errors_name_file_line(tmp_path, cell, message):
+    path = tmp_path / "imu.csv"
+    path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n\n# c\n1,1,{cell},3,4,5,6\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:5: {message}$"):
+        load_imu_csv(path)
 
 
 def test_end_to_end_fixture(tmp_path):

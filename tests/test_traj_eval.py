@@ -70,6 +70,11 @@ def test_load_tum_matches_line_parser(tmp_path):
     (load_tum, "0 1 2 3 0 0 0 1 9\n", ":1: expected 8 fields, got 9"),
     (load_tag_csv, "t,tag_id,px,py,pz\n  \n0.5,3,1,2,3\n0.6,3,1,2\n",
      ":4: expected 5 fields, got 4"),
+    (load_tum, "0 1 2 3 0 x 0 1\n", ":1: could not convert string 'x' to float64 in column 6"),
+    (load_tum, "# c\n\n0 1 2 3 0 0 0 1\n  # c\n1 1 2 y 0 0 0 1\n",
+     ":5: could not convert string 'y' to float64 in column 4"),
+    (load_tag_csv, "t,tag_id,px,py,pz\n  \n0.5,3,1,2,3\n0.6,q,1,2,3\n",
+     ":4: could not convert string 'q' to int64 in column 2"),
 ])
 def test_field_count_error_names_line(tmp_path, loader, text, where):
     path = tmp_path / "table.txt"
