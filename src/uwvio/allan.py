@@ -19,6 +19,10 @@ from .errors import FitRegionEmpty, NonPositiveTau, SeriesTooShort
 
 POINTS_PER_DECADE = 30
 
+# cluster differences formed per block of this many samples: the block and
+# the three prefix-sum slices it is formed from stay in a 2 MB L2 cache
+BLOCK = 65536
+
 # default log-log fit windows in seconds; (low, high); None = data limit
 WHITE_WINDOW = (None, 1.0)
 WALK_WINDOW = (100.0, None)
@@ -75,14 +79,24 @@ def allan_deviation(samples, rate, taus=None):
     if ms.size == 0:
         raise SeriesTooShort("series too short for every requested tau")
 
-    # prefix sums give cluster means in O(1) per cluster
-    csum = np.vstack([np.zeros(x.shape[1]), np.cumsum(x, axis=0)])
+    # one axis at a time: a contiguous prefix sum gives cluster means in
+    # O(1) per cluster, and every cluster size reuses one difference buffer
+    csum = np.zeros(n + 1)
+    buf = np.empty(min(n, BLOCK))
     adev = np.empty((ms.size, x.shape[1]))
-    for i, m in enumerate(ms):
-        # second difference of prefix sums = m * (ybar_{k+m} - ybar_k)
-        d = csum[2 * m:n] - 2 * csum[m:n - m] + csum[:n - 2 * m]
-        avar = np.sum(d * d, axis=0) / (2.0 * m * m * (n - 2 * m))
-        adev[i] = np.sqrt(avar)
+    for axis in range(x.shape[1]):
+        np.cumsum(x[:, axis], out=csum[1:])
+        for i, m in enumerate(ms):
+            # second difference of prefix sums = m * (ybar_{k+m} - ybar_k)
+            # for k < n - 2m, formed in place one block at a time
+            ssq = 0.0
+            for lo in range(0, n - 2 * m, BLOCK):
+                d = buf[:min(BLOCK, n - 2 * m - lo)]
+                np.multiply(csum[lo + m:][:d.size], 2, out=d)
+                np.subtract(csum[lo + 2 * m:][:d.size], d, out=d)
+                np.add(d, csum[lo:][:d.size], out=d)
+                ssq += np.dot(d, d)
+            adev[i, axis] = np.sqrt(ssq / (2.0 * m * m * (n - 2 * m)))
     return AllanCurve(taus=ms / rate, adev=adev, rate=rate, n_samples=n)
 
 

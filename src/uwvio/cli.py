@@ -93,6 +93,8 @@ def cmd_extract(args):
         streams = sync.payload_streams_from_klv(payloads, axis_order=axis_order)
     dataset = sync.build_dataset(
         streams, meta={"recording": Path(args.mp4_path).name}, axis_order=axis_order)
+    for warning in dataset.meta["warnings"]:
+        _log(args, f"warning: {warning}")
     imu_csv = out_dir / "imu.csv"
     frames_csv = out_dir / "frames.csv"
     manifest = out_dir / "manifest.txt"
@@ -107,6 +109,7 @@ def cmd_extract(args):
         "duration_s": round(float(dataset.meta["duration_s"]), 6),
         "axis_order": axis_order,
         "files": [imu_csv.name, frames_csv.name, manifest.name],
+        "warnings": dataset.meta["warnings"],
     }
     _write_report(out_dir, "extract_report.json", summary)
     print(f"payloads: {summary['payloads']}")

@@ -202,7 +202,8 @@ def extract_stream(root, key, axis_order=None):
 
     Concatenates, in order, every STRM container under ``root`` holding
     ``key`` (multiple payload trees are handled by the caller), divides raw
-    values element-wise by the sibling SCAL divisors, and optionally
+    values element-wise by the sibling SCAL divisors (a divisor that is
+    zero or not finite is a `ScaleMismatch`), and optionally
     re-orders 3-channel device axes into (x, y, z) output order.
     ``axis_order`` names the device channel order, e.g. "zxy" means device
     channel 0 carries z.
@@ -226,6 +227,9 @@ def extract_stream(root, key, axis_order=None):
                 raise ScaleMismatch(
                     f"{key}: SCAL has {divisors.size} divisors for "
                     f"{raw.shape[1]} channels")
+            bad = divisors[~np.isfinite(divisors) | (divisors == 0)]
+            if bad.size:
+                raise ScaleMismatch(f"{key}: SCAL divisor {bad[0]:g} is zero or not finite")
         else:
             divisors = np.ones(raw.shape[1])
         chunks.append(raw / divisors)

@@ -24,6 +24,9 @@ FRAMES_CSV_HEADER = "index,t,exposure"
 # accelerometer/gyroscope count disagreement tolerated inside one payload
 COUNT_TOLERANCE = 2
 
+# rows formatted and written per block by the CSV exporters
+CHUNK_ROWS = 16384
+
 
 @dataclass
 class PayloadStreams:
@@ -171,19 +174,41 @@ def _fmt(v):
     return np.format_float_positional(float(v), trim="-")
 
 
-def export_imu_csv(dataset, path):
+def _fmt_cells(values):
+    """`_fmt` of every cell of ``values``, as an object array of the same
+    shape. Each distinct value is formatted once; distinct means distinct
+    bits, so -0.0 keeps its sign."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(_fmt, uniq.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(bits.shape)]
+
+
+def _write_rows(path, header, row, n_rows, columns):
+    """``header``, then ``row % cells`` for each of ``n_rows`` rows, one
+    `write` per CHUNK_ROWS rows. ``columns(rows)`` gives, for a slice of
+    rows, one sequence per cell of the row."""
     with open(path, "w") as f:
-        f.write(IMU_CSV_HEADER + "\n")
-        for t, a, g in zip(dataset.imu_t, dataset.accel, dataset.gyro):
-            f.write(f"{t:.9f},{_fmt(a[0])},{_fmt(a[1])},{_fmt(a[2])},"
-                    f"{_fmt(g[0])},{_fmt(g[1])},{_fmt(g[2])}\n")
+        f.write(header + "\n")
+        for start in range(0, n_rows, CHUNK_ROWS):
+            cells = columns(slice(start, start + CHUNK_ROWS))
+            f.write("".join(map(row.__mod__, zip(*cells))))
+
+
+def export_imu_csv(dataset, path):
+    def columns(rows):
+        values = _fmt_cells(np.hstack([dataset.accel[rows], dataset.gyro[rows]]))
+        return [dataset.imu_t[rows].tolist(), *values.T.tolist()]
+    _write_rows(path, IMU_CSV_HEADER, "%.9f,%s,%s,%s,%s,%s,%s\n",
+                len(dataset.imu_t), columns)
 
 
 def export_frames_csv(dataset, path):
-    with open(path, "w") as f:
-        f.write(FRAMES_CSV_HEADER + "\n")
-        for i, (t, e) in enumerate(zip(dataset.frame_t, dataset.exposure)):
-            f.write(f"{i},{t:.9f},{_fmt(e)}\n")
+    def columns(rows):
+        return [range(len(dataset.frame_t))[rows], dataset.frame_t[rows].tolist(),
+                _fmt_cells(dataset.exposure[rows]).tolist()]
+    _write_rows(path, FRAMES_CSV_HEADER, "%d,%.9f,%s\n",
+                len(dataset.frame_t), columns)
 
 
 def load_imu_csv(path):

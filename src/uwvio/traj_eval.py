@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, EmptyPairs, InputError,
-                     InsufficientDetections, NoMatches, loadtxt_field_error)
+                     InsufficientDetections, NoMatches, loadtxt_field_error,
+                     loadtxt_line_no)
 from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
 
 DEFAULT_MAX_DT = 0.020  # half the 60 Hz frame interval
@@ -65,13 +66,16 @@ def _read_table(path, row, record, delimiter=None, header=None):
             text = re.sub(rf"(?m)^(?:[ \t]*(?:#|{re.escape(header)}).*|[ \t]+)$", "", text)
         # an iterator, not the list, keeps numpy's no-data warning short
         rows = np.loadtxt(iter(text.split("\n")), dtype=row, delimiter=delimiter, ndmin=1)
-        if not all(np.isfinite(rows[name]).all() for name in row.names):
-            raise ValueError("non-finite value")
-        return record(**{name: np.ascontiguousarray(rows[name]) for name in row.names})
+        finite = np.all([np.isfinite(rows[name]).reshape(len(rows), -1).all(axis=1)
+                         for name in row.names], axis=0)
+        if finite.all():
+            return record(**{name: np.ascontiguousarray(rows[name]) for name in row.names})
     except (ValueError, InputError) as exc:  # UnicodeDecodeError is a ValueError
         raise InputError(_field_count_error(path, text, row, delimiter)
                          or loadtxt_field_error(path, exc, text.split("\n"))
                          or f"{path}: {exc}") from None
+    line_no = loadtxt_line_no(text.split("\n"), np.argmin(finite))
+    raise InputError(f"{path}:{line_no}: non-finite value")
 
 
 def _field_count_error(path, text, row, delimiter):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uwvio.allan import (AllanCurve, allan_deviation, default_taus,
+from uwvio.allan import (BLOCK, AllanCurve, allan_deviation, default_taus,
                          export_curve_csv, fit_noise_params,
                          simulate_imu_noise)
 from uwvio.errors import FitRegionEmpty, NonPositiveTau, SeriesTooShort
@@ -14,6 +14,40 @@ def oracle_overlapping_adev(x, m):
     # k = 0 .. n - 2m - 1, n - 2m overlapping cluster-mean differences
     diffs = (means[m:] - means[:-m])[:n - 2 * m]
     return np.sqrt(np.sum(diffs ** 2) / (2 * (n - 2 * m)))
+
+
+def prefix_sum_adev(x, ms):
+    """The (N, axes) prefix-sum kernel that the per-axis kernel replaced."""
+    n = x.shape[0]
+    csum = np.vstack([np.zeros(x.shape[1]), np.cumsum(x, axis=0)])
+    adev = np.empty((len(ms), x.shape[1]))
+    for i, m in enumerate(ms):
+        d = csum[2 * m:n] - 2 * csum[m:n - m] + csum[:n - 2 * m]
+        adev[i] = np.sqrt(np.sum(d * d, axis=0) / (2.0 * m * m * (n - 2 * m)))
+    return adev
+
+
+@pytest.mark.parametrize("axes", [1, 3, 5])
+def test_matches_prefix_sum_kernel(axes):
+    n, rate = 1001, 20.0
+    x = 9.81 + simulate_imu_noise(2e-3, 1e-4, rate, n / rate, seed=axes, axes=axes)
+    # every cluster size; the largest one kept leaves a single cluster pair
+    curve = allan_deviation(x, rate, taus=np.arange(1, n) / rate)
+    ms = np.arange(1, (n - 1) // 2 + 1)
+    assert np.array_equal(np.rint(curve.taus * rate), ms)
+    np.testing.assert_allclose(curve.adev, prefix_sum_adev(x.reshape(n, -1), ms),
+                               rtol=1e-12, atol=0)
+
+
+def test_matches_prefix_sum_kernel_across_blocks():
+    n, rate = 2 * BLOCK + 4, 200.0
+    x = 9.81 + simulate_imu_noise(2e-3, 1e-4, rate, n / rate, seed=0, axes=2)
+    # n - 2m runs over 3 blocks, exactly 2, just under 2, just over 1,
+    # exactly 1, and 2 for the largest m kept
+    ms = np.array([1, 2, 3, BLOCK // 2, BLOCK // 2 + 2, BLOCK + 1])
+    curve = allan_deviation(x, rate, taus=ms / rate)
+    assert np.array_equal(np.rint(curve.taus * rate), ms)
+    np.testing.assert_allclose(curve.adev, prefix_sum_adev(x, ms), rtol=1e-12, atol=0)
 
 
 def test_matches_direct_estimator():

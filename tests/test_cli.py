@@ -27,11 +27,40 @@ def test_extract(tmp_path, capsys):
     assert report["imu_samples"] == 60
     assert report["frames"] == 12
     assert report["axis_order"] == "zxy"
+    assert report["warnings"] == []
     assert (out / "imu.csv").exists()
     assert (out / "frames.csv").exists()
     assert (out / "manifest.txt").exists()
     stdout = capsys.readouterr().out
     assert "payloads: 3" in stdout
+
+
+def test_extract_reports_payload_gap_warnings(tmp_path, capsys):
+    # the fourth payload starts 3.03 s after the third: two payloads dropped
+    payload = fixtures.gpmf_payload(accel_raw=np.ones((20, 3)), gyro_raw=np.ones((20, 3)),
+                                    shutter=np.full(4, 0.01))
+    path = mp4.write_fixture_mp4(tmp_path / "gap.mp4", [payload] * 5,
+                                 durations=[1010, 1010, 3030, 1010, 1010])
+    reports = []
+    for name in ("a", "b"):
+        assert run(["--out-dir", tmp_path / name, "extract", path]) == 0
+        reports.append((tmp_path / name / "extract_report.json").read_bytes())
+    warning = ("payload gap of 3.030s after payload 2 (nominal 1.010s); "
+               "possible dropped payloads")
+    assert read_json(tmp_path / "a" / "extract_report.json")["warnings"] == [warning]
+    assert reports[0] == reports[1]
+    assert f"warning: {warning}\n" in capsys.readouterr().err
+    assert f"warning: {warning}\n" in (tmp_path / "a" / "manifest.txt").read_text()
+
+
+def test_extract_zero_scal_exit_code_2(tmp_path, capsys):
+    payload = fixtures.gpmf_payload(accel_raw=np.ones((20, 3)), gyro_raw=np.ones((20, 3)),
+                                    shutter=np.full(4, 0.01), accel_scale=0)
+    path = mp4.write_fixture_mp4(tmp_path / "zero.mp4", [payload] * 2)
+    out = tmp_path / "out"
+    assert run(["-q", "--out-dir", out, "extract", path]) == 2
+    assert _one_error_line(capsys)
+    assert not (out / "imu.csv").exists()
 
 
 def test_extract_not_mp4_exit_code_2(tmp_path):

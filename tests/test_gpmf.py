@@ -110,6 +110,17 @@ def test_scal_channel_mismatch():
         extract_stream(parse_klv(write_klv([strm])), "GYRO")
 
 
+@pytest.mark.parametrize("letter, divisors", [
+    ("l", [0]), ("l", [1, 0, 4]), ("f", [np.inf]), ("f", [1.0, 2.0, np.nan])])
+def test_zero_or_non_finite_scal_rejected(letter, divisors):
+    strm = make_container("STRM", [
+        make_leaf("SCAL", letter, divisors),
+        make_leaf("ACCL", "l", np.array([[8, 8, 8]]), channels=3),
+    ])
+    with pytest.raises(ScaleMismatch, match="^ACCL: SCAL divisor .* is zero or not finite$"):
+        extract_stream(parse_klv(write_klv([strm])), "ACCL")
+
+
 def test_missing_stream():
     strm = make_container("STRM", [make_leaf("SHUT", "f", [[0.01]], channels=1)])
     with pytest.raises(StreamNotFound):

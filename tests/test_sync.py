@@ -156,6 +156,60 @@ def test_csv_round_trip(tmp_path):
     assert len(lines) == 1 + len(ds.frame_t)
 
 
+def _export_per_row(dataset, imu_path, frames_path):
+    """The per-row CSV writers that the block writers replaced."""
+    with open(imu_path, "w") as f:
+        f.write(sync.IMU_CSV_HEADER + "\n")
+        for t, a, g in zip(dataset.imu_t, dataset.accel, dataset.gyro):
+            f.write(f"{t:.9f},{sync._fmt(a[0])},{sync._fmt(a[1])},{sync._fmt(a[2])},"
+                    f"{sync._fmt(g[0])},{sync._fmt(g[1])},{sync._fmt(g[2])}\n")
+    with open(frames_path, "w") as f:
+        f.write(sync.FRAMES_CSV_HEADER + "\n")
+        for i, (t, e) in enumerate(zip(dataset.frame_t, dataset.exposure)):
+            f.write(f"{i},{t:.9f},{sync._fmt(e)}\n")
+
+
+def _assert_csvs_match_per_row(dataset, tmp_path):
+    _export_per_row(dataset, tmp_path / "imu_ref.csv", tmp_path / "frames_ref.csv")
+    sync.export_imu_csv(dataset, tmp_path / "imu.csv")
+    sync.export_frames_csv(dataset, tmp_path / "frames.csv")
+    for name in ("imu", "frames"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+
+
+def test_csv_writers_match_per_row_writer_on_distinct_values(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [0.0, 1.0, -7.0, 123456789.0, 2.0 ** 53, 1e-7, -1e-7, 1e20,
+               5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1.7976931348623157e308,
+               0.1 + 0.2, 1 / 3, np.pi * 1e15, np.e * 1e-15]
+    # random doubles, most of which need all 17 digits to round-trip
+    longest = rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)
+    assert any(len(repr(float(v)).split("e")[0].strip("-").replace(".", "").lstrip("0")) == 17
+               for v in longest)
+    # np.unique merges the signed zeros, so -0.0 goes in after it
+    values = rng.permutation(np.append(np.unique(np.append(special, longest)), -0.0))
+    n_imu = len(values) // 6
+    dataset = sync.SyncedDataset(
+        imu_t=np.sort(rng.uniform(0, 1e4, n_imu)),
+        accel=values[:3 * n_imu].reshape(-1, 3),
+        gyro=values[3 * n_imu:6 * n_imu].reshape(-1, 3),
+        frame_t=np.sort(rng.uniform(0, 1e4, len(values))), exposure=values)
+    _assert_csvs_match_per_row(dataset, tmp_path)
+
+
+@pytest.mark.parametrize("n_rows", [sync.CHUNK_ROWS - 1, sync.CHUNK_ROWS,
+                                    sync.CHUNK_ROWS + 1])
+def test_csv_writers_match_per_row_writer_at_chunk_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    # GPMF cells are integers over a SCAL divisor, so values repeat
+    cells = rng.integers(-300, 300, size=(n_rows, 7)) / 418.0
+    dataset = sync.SyncedDataset(
+        imu_t=np.arange(n_rows) / 200.0, accel=cells[:, :3], gyro=cells[:, 3:6],
+        frame_t=np.arange(n_rows) / 30.0, exposure=cells[:, 6])
+    _assert_csvs_match_per_row(dataset, tmp_path)
+
+
 @pytest.mark.parametrize("cell, message", [
     ("nan", "non-finite value"),
     ("-inf", "non-finite value"),

@@ -84,15 +84,23 @@ def test_field_count_error_names_line(tmp_path, loader, text, where):
 
 
 @pytest.mark.parametrize("line, reason", [
-    ("0.2 1 2 nan 0 0 0 1", "non-finite value"),
-    ("0.2 1 2 3 0 0 0 0", "zero quaternion"),
-    ("0.0 1 2 3 0 0 0 1", "strictly increasing"),
+    ("0.2 1 2 nan 0 0 0 1", ":2: non-finite value"),
+    ("0.2 1 2 3 0 0 0 0", ": .*zero quaternion"),
+    ("0.0 1 2 3 0 0 0 1", ": .*strictly increasing"),
 ])
 def test_tum_rejects_bad_values(tmp_path, line, reason):
     path = tmp_path / "traj.txt"
     path.write_text(f"0.1 1 2 3 0 0 0 1\n{line}\n")
-    with pytest.raises(InputError, match=f"^{path}: .*{reason}"):
+    with pytest.raises(InputError, match=f"^{path}{reason}"):
         load_tum(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_tag_csv_non_finite_value_names_line(tmp_path, cell):
+    path = tmp_path / "tags.csv"
+    path.write_text(f"t,tag_id,px,py,pz\n# c\n0.5,3,1,2,3\n\n0.6,3,1,{cell},3\n")
+    with pytest.raises(InputError, match=f"^{path}:5: non-finite value$"):
+        load_tag_csv(path)
 
 
 def test_non_monotonic_timestamps_rejected():
