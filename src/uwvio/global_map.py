@@ -12,8 +12,9 @@ position ``p_f``, quality, colour and pixel. ``landmarks`` maps each
 landmark id to ``{keyframe id: row}``, so a repeated observation overwrites
 its row. Keyframe poses sit in slot-indexed rotation and translation
 arrays. One kernel fuses any set of landmarks: it moves the rows into the
-world frame chunk by chunk, sums them per landmark with ``np.bincount``, and
-costs time linear in the number of observations.
+world frame chunk by chunk, sums each weighted channel per landmark slot
+with ``np.bincount``, puts the sums in landmark-id order, and costs time
+linear in the number of observations.
 """
 
 from dataclasses import dataclass
@@ -133,19 +134,18 @@ class GlobalMap:
         if landmark_id is None:
             n_lm = len(self._lm_slot)
             rows = slice(0, self.n_observations)
-            order = np.argsort(self._lm_ids[:n_lm])
+            groups = self._lm[rows]                       # landmark slot of each row
+            order = np.argsort(self._lm_ids[:n_lm])       # slot of each output
             ids = self._lm_ids[order]
-            rank = np.empty(n_lm, dtype=np.intp)
-            rank[order] = np.arange(n_lm)
-            groups = rank[self._lm[rows]]    # output index of each row
         else:
             obs = self.landmarks.get(landmark_id)
             if not obs:
                 raise UnknownLandmark(f"landmark {landmark_id} has no observations")
             n_lm = 1
             rows = np.fromiter(obs.values(), dtype=np.intp, count=len(obs))
-            ids = self._lm_ids[[self._lm_slot[landmark_id]]]
             groups = np.zeros(len(obs), dtype=np.intp)
+            order = np.zeros(1, dtype=np.intp)
+            ids = self._lm_ids[[self._lm_slot[landmark_id]]]
         kf, p_f = self._kf[rows], self._p_f[rows]
         quality, color = self._quality[rows], self._color[rows]
         count = np.bincount(groups, minlength=n_lm)
@@ -153,19 +153,26 @@ class GlobalMap:
         # all-zero weights make the weighted mean 0/0; such a landmark gets
         # the unweighted mean instead of being dropped
         unweighted = q_sum == 0.0
-        w = np.where(unweighted[groups], 1.0, quality)
-        weighted = np.empty((6, len(groups)))    # w times x, y, z, r, g, b
-        weighted[3:] = color.T * w
+        w = np.where(unweighted[groups], 1.0, quality) if unweighted.any() else quality
+        denom = np.where(unweighted, count, q_sum)
+        # w times the world x, y, z of every row; row 0 then takes w times
+        # r, g and b in turn, so each channel is summed from one contiguous row
+        weighted = np.empty((3, len(groups)))
         for s in range(0, len(groups), _CHUNK):
             e = s + _CHUNK
             k = kf[s:e]
-            weighted[:3, s:e] = (np.einsum("nij,nj->in", self._R[k], p_f[s:e])
-                                 + self._t[k].T) * w[s:e]
-        mean = np.stack([np.bincount(groups, weights=c, minlength=n_lm)
-                         for c in weighted])
-        mean /= np.where(unweighted, count, q_sum)
-        return (ids, mean[:3].T, np.clip(np.rint(mean[3:].T), 0, 255),
-                q_sum / count, count)
+            weighted[:, s:e] = (np.einsum("nij,nj->in", self._R[k], p_f[s:e])
+                                + self._t[k].T) * w[s:e]
+        mean = np.empty((6, len(order)))
+        for c in range(6):
+            channel = (weighted[c] if c < 3
+                       else np.multiply(color[:, c - 3], w, out=weighted[0]))
+            total = np.bincount(groups, weights=channel, minlength=n_lm)
+            total /= denom
+            np.take(total, order, out=mean[c])
+        color = mean[3:]
+        np.clip(np.rint(color, out=color), 0, 255, out=color)
+        return ids, mean[:3].T, color.T, (q_sum / count)[order], count[order]
 
     def fuse_landmark(self, landmark_id):
         _, p_w, color, quality, count = self._fuse(landmark_id)

@@ -6,7 +6,7 @@ from uwvio.errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
                           UnknownKeyframe, UnknownLandmark)
 from uwvio.fixtures import drift_loop_scene, write_drift_loop_log
 from uwvio.geometry import RigidTransform, matrix_to_quat, random_rotation, rotation_about_z
-from uwvio.global_map import GlobalMap, replay_log, replay_log_file
+from uwvio.global_map import _CHUNK, GlobalMap, replay_log, replay_log_file
 
 
 def identity_pose():
@@ -288,6 +288,49 @@ def test_fuse_all_and_export_match_fuse_landmark(tmp_path):
     assert np.allclose(back["points"], [f.p_w for f in points], rtol=1e-6, atol=1e-6)
     assert back["colors"].tolist() == [f.color.tolist() for f in points]
     assert np.allclose(back["quality"], [f.quality for f in points], atol=1e-7)
+
+
+def test_fuse_all_across_chunks_matches_plain_sums():
+    """Rows spanning several transform chunks, fused against per-row arithmetic."""
+    rng = np.random.default_rng(11)
+    m = GlobalMap()
+    poses = [pose(random_rotation(rng), rng.normal(size=3) * 5) for _ in range(7)]
+    for k, T in enumerate(poses):
+        m.add_keyframe(k, T)
+    n = 2 * _CHUNK + 3000
+    lms = rng.integers(-30_000, 30_000, size=n)
+    kfs = rng.integers(0, 7, size=n)
+    pts = rng.normal(size=(n, 3)) * 4
+    qs = rng.uniform(0.0, 1.0, n)
+    qs[np.isin(lms, lms[:3])] = 0.0               # three all-zero-quality landmarks
+    cols = rng.integers(0, 256, size=(n, 3))
+    rows = {}
+    for i in range(n):
+        m.add_observation(int(lms[i]), int(kfs[i]), pts[i], float(qs[i]), color=cols[i])
+        rows[int(lms[i]), int(kfs[i])] = i        # a repeated pair replaces the row
+    assert m.n_observations == len(rows) > 2 * _CHUNK
+    # keyframe 3 moves after its observations were stored
+    moved = pose(random_rotation(rng), rng.normal(size=3))
+    m.update_keyframe_poses({3: moved})
+    by_lm = {}
+    for (lm, k), i in rows.items():
+        p_f = poses[k].R.T @ (pts[i] - poses[k].t)
+        now = moved if k == 3 else poses[k]
+        by_lm.setdefault(lm, []).append((now.R @ p_f + now.t, qs[i], cols[i]))
+
+    fused = m.fuse_all()
+    assert list(fused) == sorted(by_lm)
+    for lm, obs in by_lm.items():
+        world, q, col = (np.array(v) for v in zip(*obs))
+        w = q if q.sum() > 0 else np.ones(len(q))
+        f = fused[lm]
+        assert np.allclose(f.p_w, (w[:, None] * world).sum(axis=0) / w.sum(),
+                           rtol=0, atol=1e-12)
+        assert f.color.tolist() == np.clip(
+            np.rint((w[:, None] * col).sum(axis=0) / w.sum()), 0, 255).tolist()
+        assert f.quality == pytest.approx(q.mean(), abs=1e-15)
+        assert f.n_obs == len(obs)
+    assert sum(1 for obs in by_lm.values() if not any(q for _, q, _ in obs)) == 3
 
 
 def test_replay_log_rejects_landmark_id_beyond_int64():
