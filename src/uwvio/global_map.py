@@ -8,7 +8,7 @@ landmark.
 
 Observations live in one table of column arrays with a row per
 (landmark, keyframe) pair: keyframe slot, landmark slot, keyframe-local
-position ``p_f``, quality, colour and pixel. ``landmarks`` maps each
+position ``p_f``, quality and colour. ``landmarks`` maps each
 landmark id to ``{keyframe id: row}``, so a repeated observation overwrites
 its row. Keyframe poses sit in slot-indexed rotation and translation
 arrays. One kernel fuses any set of landmarks: it moves the rows into the
@@ -17,6 +17,7 @@ with ``np.bincount``, puts the sums in landmark-id order, and costs time
 linear in the number of observations.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,6 @@ class GlobalMap:
         self._p_f = np.empty((0, 3))
         self._quality = np.empty(0)
         self._color = np.empty((0, 3))
-        self._pixel = np.empty((0, 2), dtype=np.int64)
 
     def add_keyframe(self, kf_id, pose):
         if kf_id in self.keyframes:
@@ -75,7 +75,7 @@ class GlobalMap:
         self.keyframes[kf_id] = pose
 
     def add_observation(self, landmark_id, kf_id, p_w_obs, quality,
-                        color=(0, 0, 0), pixel=(0, 0)):
+                        color=(0, 0, 0)):
         """Cache a world-frame observation in keyframe-local coordinates.
 
         A repeated observation from the same keyframe replaces the old one.
@@ -100,16 +100,13 @@ class GlobalMap:
             row = rows[kf_id] = self.n_observations
             self.n_observations += 1
             if row == len(self._kf):
-                (self._kf, self._lm, self._p_f, self._quality, self._color,
-                 self._pixel) = map(_grow, (self._kf, self._lm, self._p_f,
-                                            self._quality, self._color,
-                                            self._pixel))
+                self._kf, self._lm, self._p_f, self._quality, self._color = map(
+                    _grow, (self._kf, self._lm, self._p_f, self._quality, self._color))
             self._kf[row] = self._kf_slot[kf_id]
             self._lm[row] = self._lm_slot[landmark_id]
         self._p_f[row] = p_f
         self._quality[row] = quality
         self._color[row] = color
-        self._pixel[row] = pixel
 
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
@@ -192,19 +189,29 @@ class GlobalMap:
         return ply.write_ply(path, p_w, colors=color, quality=quality)
 
 
+def _finite(fields):
+    """``fields`` as floats; a non-finite one is a ValueError."""
+    values = [float(v) for v in fields]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return values
+
+
 def _parse_pose(fields):
-    t = np.array([float(v) for v in fields[:3]])
-    q = np.array([float(v) for v in fields[3:7]])
-    return RigidTransform(q=q, t=t)
+    values = _finite(fields)
+    return RigidTransform(q=np.array(values[3:]), t=np.array(values[:3]))
 
 
 def replay_log(lines):
     """Apply a recorded VIO event stream to a fresh map.
 
-    Line formats (whitespace-separated, quaternion w-last):
+    ``lines`` are str, or bytes decoded as UTF-8. Line formats
+    (whitespace-separated, quaternion w-last; integer pixel ``u v``, not kept):
       KF  id tx ty tz qx qy qz qw
       OBS lm_id kf_id px py pz q r g b u v
       UPD id tx ty tz qx qy qz qw
+    A bad line, such as one with a non-finite number or an unknown
+    keyframe, is an `EventLogError` carrying its line number.
     """
     gmap = GlobalMap()
     pending_updates = {}
@@ -215,11 +222,10 @@ def replay_log(lines):
             pending_updates.clear()
 
     for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
         try:
+            fields = (line if isinstance(line, str) else line.decode()).split()
+            if not fields or fields[0].startswith("#"):
+                continue
             tag = fields[0]
             if tag == "KF":
                 flush_updates()
@@ -230,26 +236,27 @@ def replay_log(lines):
                 flush_updates()
                 if len(fields) != 12:
                     raise EventLogError(line_no, f"OBS expects 11 values, got {len(fields) - 1}")
-                gmap.add_observation(
-                    landmark_id=int(fields[1]), kf_id=int(fields[2]),
-                    p_w_obs=[float(v) for v in fields[3:6]],
-                    quality=float(fields[6]),
-                    color=[float(v) for v in fields[7:10]],
-                    pixel=(int(fields[10]), int(fields[11])))
+                values = _finite(fields[3:10])
+                int(fields[10]), int(fields[11])  # u v: checked, not kept
+                gmap.add_observation(int(fields[1]), int(fields[2]), values[:3], values[3],
+                                     color=values[4:])
             elif tag == "UPD":
                 if len(fields) != 9:
                     raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
-                pending_updates[int(fields[1])] = _parse_pose(fields[2:9])
+                kf_id = int(fields[1])
+                if kf_id not in gmap.keyframes:
+                    raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+                pending_updates[kf_id] = _parse_pose(fields[2:9])
             else:
                 raise EventLogError(line_no, f"unknown event {tag!r}")
         except EventLogError:
             raise
-        except (UwvioError, ValueError, OverflowError) as exc:
+        except (UwvioError, ValueError, OverflowError) as exc:  # UnicodeDecodeError is one
             raise EventLogError(line_no, str(exc)) from exc
     flush_updates()
     return gmap
 
 
 def replay_log_file(path):
-    with open(path) as f:
+    with open(path, "rb") as f:
         return replay_log(f)

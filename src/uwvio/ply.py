@@ -1,9 +1,12 @@
 """Minimal PLY reader/writer for sparse point clouds.
 
-Supports binary little-endian and ASCII files with float32 x/y/z plus the
-optional properties this toolkit produces: uint8 red/green/blue, float32
-nx/ny/nz, float32 quality.
+Reads binary little-endian and ASCII vertex-only files with x/y/z and
+optional red/green/blue, nx/ny/nz and quality properties; writes binary
+little-endian files with float32 x/y/z, optional uint8 red/green/blue and
+optional float32 quality.
 """
+
+import os
 
 import numpy as np
 
@@ -17,102 +20,91 @@ _PLY_TYPES = {
 }
 
 
-def write_ply(path, points, colors=None, normals=None, quality=None,
-              binary=True):
-    """Write a vertex-only PLY file; returns the vertex count."""
-    points = np.asarray(points, dtype=np.float32).reshape(-1, 3)
-    n = len(points)
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-    header_props = ["property float x", "property float y", "property float z"]
+def write_ply(path, points, colors=None, quality=None):
+    """Write a binary little-endian vertex-only PLY file; returns the vertex
+    count. Points are stored as float32, colours as uint8."""
+    points = np.asarray(points).reshape(-1, 3)
+    fields, props, values = [("xyz", "<f4", 3)], ["float x", "float y", "float z"], [points]
     if colors is not None:
-        colors = np.asarray(colors).reshape(-1, 3).astype(np.uint8)
-        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-        header_props += ["property uchar red", "property uchar green",
-                         "property uchar blue"]
-    if normals is not None:
-        normals = np.asarray(normals, dtype=np.float32).reshape(-1, 3)
-        fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
-        header_props += ["property float nx", "property float ny",
-                         "property float nz"]
+        fields.append(("rgb", "u1", 3))
+        props += ["uchar red", "uchar green", "uchar blue"]
+        values.append(np.asarray(colors).reshape(-1, 3))
     if quality is not None:
-        quality = np.asarray(quality, dtype=np.float32).reshape(-1)
-        fields += [("quality", "<f4")]
-        header_props += ["property float quality"]
-
-    rec = np.empty(n, dtype=fields)
-    rec["x"], rec["y"], rec["z"] = points[:, 0], points[:, 1], points[:, 2]
-    if colors is not None:
-        rec["red"], rec["green"], rec["blue"] = colors[:, 0], colors[:, 1], colors[:, 2]
-    if normals is not None:
-        rec["nx"], rec["ny"], rec["nz"] = normals[:, 0], normals[:, 1], normals[:, 2]
-    if quality is not None:
-        rec["quality"] = quality
-
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = "\n".join(
-        ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
-        + header_props + ["end_header", ""])
+        fields.append(("quality", "<f4"))
+        props.append("float quality")
+        values.append(np.asarray(quality).reshape(-1))
+    # each input is cast as it is stored: no converted copy, one pass per field
+    rec = np.empty(len(points), dtype=fields)
+    for (name, *_), value in zip(fields, values):
+        rec[name] = value
+    header = "\n".join(["ply", "format binary_little_endian 1.0",
+                        f"element vertex {len(points)}"]
+                       + [f"property {p}" for p in props] + ["end_header", ""])
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        if binary:
-            f.write(rec.tobytes())
-        else:
-            for row in rec:
-                f.write((" ".join(_ascii_value(v) for v in row) + "\n").encode("ascii"))
-    return n
+        f.write(rec.data)
+    return len(points)
 
 
-def _ascii_value(v):
-    if np.issubdtype(type(v), np.integer):
-        return str(int(v))
-    return np.format_float_positional(float(v), trim="-")
-
-
-def read_ply(path):
-    """Read a vertex-only PLY file into a dict of named arrays.
-
-    Always contains "points" (n, 3); may contain "colors", "normals",
-    "quality".
-    """
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"ply":
-            raise InputError(f"{path}: not a PLY file")
-        fmt = None
-        n_vertices = None
-        props = []
-        in_vertex = False
-        while True:
-            line = f.readline()
-            if not line:
-                raise InputError(f"{path}: unterminated PLY header")
-            tokens = line.decode("ascii", errors="replace").split()
-            if not tokens:
-                continue
+def _read_header(path, f):
+    """Format, vertex count and vertex properties of the PLY header that
+    ``f`` is at; leaves ``f`` at the first data byte."""
+    fmt, n_vertices, props, in_vertex = None, None, {}, False
+    for line in f:
+        text = line.decode("ascii", errors="replace").strip()
+        tokens = text.split()
+        if not tokens:
+            continue
+        try:
+            if tokens[0] == "end_header":
+                return fmt, n_vertices, props
             if tokens[0] == "format":
                 fmt = tokens[1]
             elif tokens[0] == "element":
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertices = int(tokens[2])
+                    if n_vertices < 0:
+                        raise ValueError("negative count")
+                elif n_vertices is None:  # its data would come first
+                    raise InputError(f"{path}: element {tokens[1]} before vertex unsupported")
             elif tokens[0] == "property" and in_vertex:
                 if tokens[1] == "list":
                     raise InputError(f"{path}: list properties unsupported")
                 if tokens[1] not in _PLY_TYPES:
                     raise InputError(f"{path}: unknown property type {tokens[1]}")
-                props.append((tokens[2], _PLY_TYPES[tokens[1]]))
-            elif tokens[0] == "end_header":
-                break
+                if tokens[2] in props:
+                    raise ValueError("repeated property")
+                props[tokens[2]] = _PLY_TYPES[tokens[1]]
+        except (ValueError, IndexError):  # a short line, a bad count or name
+            raise InputError(f"{path}: bad PLY header line {text!r}") from None
+    raise InputError(f"{path}: unterminated PLY header")
+
+
+def read_ply(path):
+    """Read a vertex-only PLY file into a dict of named arrays.
+
+    Always contains "points" (n, 3); may contain "colors", "normals",
+    "quality". Any malformed header or vertex data is an `InputError`
+    naming the file.
+    """
+    with open(path, "rb") as f:
+        if f.readline().strip() != b"ply":
+            raise InputError(f"{path}: not a PLY file")
+        fmt, n_vertices, props = _read_header(path, f)
         if fmt not in ("ascii", "binary_little_endian"):
             raise InputError(f"{path}: unsupported format {fmt}")
         if n_vertices is None:
             raise InputError(f"{path}: no vertex element")
-        dtype = np.dtype(props)
+        if not {"x", "y", "z"} <= props.keys():
+            raise InputError(f"{path}: missing x/y/z properties")
+        dtype = np.dtype(list(props.items()))
         if fmt == "binary_little_endian":
-            raw = f.read(dtype.itemsize * n_vertices)
-            if len(raw) < dtype.itemsize * n_vertices:
+            size = dtype.itemsize * n_vertices
+            # checked before reading, so the header cannot size an allocation
+            if size > os.fstat(f.fileno()).st_size - f.tell():
                 raise InputError(f"{path}: truncated vertex data")
-            rec = np.frombuffer(raw, dtype=dtype, count=n_vertices)
+            rec = np.frombuffer(f.read(size), dtype=dtype, count=n_vertices)
         else:
             rows = []
             for _ in range(n_vertices):
@@ -120,17 +112,16 @@ def read_ply(path):
                 if not line:
                     raise InputError(f"{path}: truncated vertex data")
                 rows.append(tuple(line.split()))
-            rec = np.array(rows, dtype=dtype) if rows else np.empty(0, dtype=dtype)
+            try:
+                rec = np.array(rows, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise InputError(f"{path}: bad vertex data: {exc}") from None
 
-    names = set(rec.dtype.names or ())
-    out = {}
-    if not {"x", "y", "z"} <= names:
-        raise InputError(f"{path}: missing x/y/z properties")
-    out["points"] = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(float)
-    if {"red", "green", "blue"} <= names:
+    out = {"points": np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(float)}
+    if {"red", "green", "blue"} <= props.keys():
         out["colors"] = np.column_stack([rec["red"], rec["green"], rec["blue"]])
-    if {"nx", "ny", "nz"} <= names:
+    if {"nx", "ny", "nz"} <= props.keys():
         out["normals"] = np.column_stack([rec["nx"], rec["ny"], rec["nz"]]).astype(float)
-    if "quality" in names:
+    if "quality" in props:
         out["quality"] = np.asarray(rec["quality"], dtype=float)
     return out

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gpmf
-from .errors import (CountMismatch, InputError, MissingStream,
-                     NonMonotonicPayloads, StreamNotFound, ZeroCount,
-                     loadtxt_field_error, loadtxt_line_no)
+from .errors import (CountMismatch, MissingStream, NonMonotonicPayloads,
+                     StreamNotFound, ZeroCount)
+from .table import read_table
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
 FRAMES_CSV_HEADER = "index,t,exposure"
@@ -213,22 +213,8 @@ def export_frames_csv(dataset, path):
 
 def load_imu_csv(path):
     """Read an exported IMU CSV back into (t, accel, gyro) arrays."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:  # UnicodeDecodeError is one
-        with open(path, errors="replace") as f:
-            message = loadtxt_field_error(path, exc, f, skip=1)
-        raise InputError(message or f"{path}: {exc}") from None
-    if data.size == 0:
-        return np.empty(0), np.empty((0, 3)), np.empty((0, 3))
-    if data.shape[1] != 7:
-        raise InputError(f"{path}: expected 7 columns, got {data.shape[1]}")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        with open(path, errors="replace") as f:
-            line_no = loadtxt_line_no(f, bad[0], skip=1)
-        raise InputError(f"{path}:{line_no}: non-finite value")
-    return data[:, 0], data[:, 1:4], data[:, 4:7]
+    row = np.dtype([("t", float), ("accel", float, 3), ("gyro", float, 3)])
+    return read_table(path, row, delimiter=",", header="t,")
 
 
 def export_manifest(dataset, path):

@@ -7,15 +7,14 @@ through one table reader into column records, `Trajectory` and
 `TagDetections`; every later step works on whole columns.
 """
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateConfiguration, EmptyPairs, InputError,
-                     InsufficientDetections, NoMatches, loadtxt_field_error,
-                     loadtxt_line_no)
+                     InsufficientDetections, NoMatches)
 from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
+from .table import read_table
 
 DEFAULT_MAX_DT = 0.020  # half the 60 Hz frame interval
 
@@ -52,51 +51,13 @@ class TagDetections:
         return len(self.t)
 
 
-def _read_table(path, row, record, delimiter=None, header=None):
-    """``record`` of the columns of a numeric text table, one ``row`` per
-    data line; `#` starts a comment and lines starting with ``header`` are
-    skipped. Any failure on the way, such as a field that does not parse as
-    its column's type, is an `InputError` naming the file."""
-    text = ""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        if header:
-            # blank skipped lines rather than drop them, so line numbers hold
-            text = re.sub(rf"(?m)^(?:[ \t]*(?:#|{re.escape(header)}).*|[ \t]+)$", "", text)
-        # an iterator, not the list, keeps numpy's no-data warning short
-        rows = np.loadtxt(iter(text.split("\n")), dtype=row, delimiter=delimiter, ndmin=1)
-        finite = np.all([np.isfinite(rows[name]).reshape(len(rows), -1).all(axis=1)
-                         for name in row.names], axis=0)
-        if finite.all():
-            return record(**{name: np.ascontiguousarray(rows[name]) for name in row.names})
-    except (ValueError, InputError) as exc:  # UnicodeDecodeError is a ValueError
-        raise InputError(_field_count_error(path, text, row, delimiter)
-                         or loadtxt_field_error(path, exc, text.split("\n"))
-                         or f"{path}: {exc}") from None
-    line_no = loadtxt_line_no(text.split("\n"), np.argmin(finite))
-    raise InputError(f"{path}:{line_no}: non-finite value")
-
-
-def _field_count_error(path, text, row, delimiter):
-    """Message naming the first data line with a wrong field count, if any."""
-    n = row.itemsize // 8  # every column is 8 bytes wide
-    if delimiter is None:
-        field, sep, pad = r"[^\s#]+", r"[^\S\n]+", r"[^\S\n]*"
-    else:
-        field, sep, pad = rf"[^{delimiter}#\n]*", delimiter, ""
-    good = rf"{pad}(?:{field}(?:{sep}{field}){{{n - 1}}}{pad})?(?:#.*)?"
-    bad = re.search(rf"(?m)^(?!{good}$).+$", text)
-    if bad:
-        got = len(bad.group().partition("#")[0].split(delimiter))
-        line_no = text.count("\n", 0, bad.start()) + 1
-        return f"{path}:{line_no}: expected {n} fields, got {got}"
-
-
 def load_tum(path):
     row = np.dtype([("t", float), ("positions", float, 3), ("quats", float, 4)])
-    return _read_table(path, row, lambda t, positions, quats:
-                       Trajectory(t, positions, quat_normalize(quats)))
+    t, positions, quats = read_table(path, row)
+    try:
+        return Trajectory(t, positions, quat_normalize(quats))
+    except (ValueError, InputError) as exc:  # a zero quaternion, unsorted times
+        raise InputError(f"{path}: {exc}") from None
 
 
 def save_tum(traj, path):
@@ -186,7 +147,7 @@ def evaluate_ate(traj_ref, traj_est, max_dt=DEFAULT_MAX_DT, fix_scale=False):
 
 def load_tag_csv(path):
     row = np.dtype([("t", float), ("tag_id", np.int64), ("p_cm", float, 3)])
-    return _read_table(path, row, TagDetections, delimiter=",", header="t,")
+    return TagDetections(*read_table(path, row, delimiter=",", header="t,"))
 
 
 def tag_world_positions(traj, detections, max_dt=DEFAULT_MAX_DT):

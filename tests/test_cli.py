@@ -126,6 +126,22 @@ def test_map_bad_log_exit_code_2(tmp_path):
     assert run(["--out-dir", tmp_path, "map", log]) == 2
 
 
+@pytest.mark.parametrize("line, reason", [
+    (b"KF 1 0 0 0 nan 0 0 1", "non-finite value"),
+    (b"OBS 7 0 1 inf 3 0.5 0 0 0 0 0", "non-finite value"),
+    (b"OBS 7 0 1 2 3 0.5 0 0 0 0 0 # caf\xe9", "can't decode byte 0xe9"),
+    (b"UPD 5 0 0 0 0 0 0 1", "keyframe 5 not in map"),
+], ids=["kf-nan", "obs-inf", "not-utf8", "upd-unknown"])
+def test_map_bad_value_exit_code_2(tmp_path, capsys, line, reason):
+    log = tmp_path / "events.txt"
+    log.write_bytes(b"KF 0 0 0 0 0 0 0 1\n" + line + b"\n")
+    out = tmp_path / "out"
+    assert run(["-q", "--out-dir", out, "map", log]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and reason in err
+    assert not (out / "fused_map.ply").exists()
+
+
 def test_eval_ate_subcommand(tmp_path):
     t, pos, quats = fixtures.circle_trajectory(n=100)
     ref = traj_eval.Trajectory(t=t, positions=pos, quats=quats)
@@ -270,6 +286,20 @@ def test_register_subcommand(tmp_path):
         assert report[key] == len(register.voxel_downsample(cloud, 0.3))
     assert report["isolated_points"] == [1, 0]
     assert (out / "aligned_source.ply").exists()
+
+
+@pytest.mark.parametrize("header", [
+    "format ascii 1.0\nelement vertex x\n",
+    "format\nelement vertex 1\n",
+    "format binary_little_endian 1.0\nelement vertex 1000000000000\n",
+], ids=["count-x", "bare-format", "count-1e12"])
+def test_register_malformed_ply_exit_code_2(tmp_path, capsys, header):
+    bad, good = tmp_path / "bad.ply", tmp_path / "good.ply"
+    bad.write_text(f"ply\n{header}property float x\nproperty float y\n"
+                   "property float z\nend_header\n1 2 3\n")
+    ply.write_ply(good, np.zeros((1, 3)))
+    assert run(["-q", "--out-dir", tmp_path, "register", bad, good]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_fixtures_subcommand(tmp_path):

@@ -214,10 +214,12 @@ def test_csv_writers_match_per_row_writer_at_chunk_edges(tmp_path, n_rows):
     ("nan", "non-finite value"),
     ("-inf", "non-finite value"),
     ("x", "could not convert string 'x' to float64 in column 3"),
+    ("2,9", "expected 7 fields, got 8"),
 ])
 def test_imu_csv_errors_name_file_line(tmp_path, cell, message):
     path = tmp_path / "imu.csv"
-    path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n\n# c\n1,1,{cell},3,4,5,6\n")
+    # line 3 holds only whitespace: skipped, and counted
+    path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n \t\n# c\n1,1,{cell},3,4,5,6\n")
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}:5: {message}$"):
         load_imu_csv(path)
 
