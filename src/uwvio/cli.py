@@ -278,6 +278,8 @@ def cmd_register(args):
         "n_source_down": out.n_source_down,
         "n_target_down": out.n_target_down,
         "isolated_points": list(out.isolated_points),
+        "ransac_iterations": out.coarse.iterations,
+        "ransac_inliers": out.coarse.n_inliers,
         "transform_row_major": matrix.reshape(-1),
         "aligned_ply": aligned_ply.name,
     }

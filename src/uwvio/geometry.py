@@ -18,10 +18,18 @@ def _row_dot(a, b):
 def quat_normalize(q):
     """Each quaternion of a (..., 4) array scaled to unit norm."""
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(_row_dot(q, q))[..., None]
-    if np.any(n == 0):
-        raise ValueError("zero quaternion")
-    return q / n
+    sq = _row_dot(q, q)
+    ok = (sq > 0) & (sq < np.inf)
+    if not ok.all():
+        # a square sum that underflows to 0 or overflows: divide the row by
+        # its largest component first, unless that is 0 or not finite
+        big = np.max(np.abs(q), axis=-1)
+        fix = ~ok & (big > 0) & (big < np.inf)
+        q = q / np.where(fix, big, 1.0)[..., None]
+        sq = _row_dot(q, q)
+        if np.any(sq == 0):
+            raise ValueError("zero quaternion")
+    return q / np.sqrt(sq)[..., None]
 
 
 def quat_to_matrix(q):
@@ -192,16 +200,19 @@ class Sim3Transform:
 def rigid_fit(src, dst):
     """Least-squares rotation + translation mapping src points onto dst (Kabsch).
 
-    Returns (R, t) with dst ≈ src @ R.T + t.
+    Takes point sets (..., k, 3), so one call fits a whole stack of them, and
+    returns (R, t) of shapes (..., 3, 3) and (..., 3) with dst ≈ src @ R.T + t.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    H = (src - mu_s).T @ (dst - mu_d)
+    mu_s = src.mean(axis=-2)
+    mu_d = dst.mean(axis=-2)
+    H = np.swapaxes(src - mu_s[..., None, :], -1, -2) @ (dst - mu_d[..., None, :])
     U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    S = np.diag([1.0, 1.0, d])
-    R = Vt.T @ S @ U.T
-    t = mu_d - R @ mu_s
+    V = np.swapaxes(Vt, -1, -2)
+    Ut = np.swapaxes(U, -1, -2)
+    # reflection fix: V @ diag(1, 1, d), by scaling V's last column
+    V[..., 2] *= np.sign(np.linalg.det(V @ Ut))[..., None]
+    R = V @ Ut
+    t = mu_d - (R @ mu_s[..., None])[..., 0]
     return R, t

@@ -23,7 +23,7 @@ RANSAC_CONFIDENCE = 0.999
 MIN_INLIER_RATIO = 0.05
 ICP_MAX_ITER = 50
 ICP_TOL = 1e-8                  # transform change that ends ICP
-MATCH_CHUNK = 512               # descriptor rows per nearest-neighbour pass
+MATCH_CHUNK = 256               # descriptor rows per nearest-neighbour pass
 
 # deterministic fallback normal for rank-deficient neighborhoods
 DEGENERATE_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -250,13 +250,25 @@ def match_descriptors(desc_a, desc_b, mutual=True):
 
 def _nn_indices(a, b):
     """Index of the L2-nearest row of b for every row of a."""
+    a_sq = np.sum(a * a, axis=1)
     b_sq = np.sum(b * b, axis=1)
     out = np.empty(len(a), dtype=int)
     for start in range(0, len(a), MATCH_CHUNK):
-        block = a[start:start + MATCH_CHUNK]
-        d2 = np.sum(block * block, axis=1)[:, None] - 2.0 * block @ b.T + b_sq
-        out[start:start + MATCH_CHUNK] = np.argmin(d2, axis=1)
+        block = slice(start, start + MATCH_CHUNK)
+        # |a|^2 - 2 a.b + |b|^2 in one buffer
+        d2 = a[block] @ b.T
+        d2 *= 2.0
+        np.subtract(a_sq[block, None], d2, out=d2)
+        d2 += b_sq
+        out[block] = np.argmin(d2, axis=1)
     return out
+
+
+@dataclass
+class RansacResult:
+    transform: RigidTransform
+    iterations: int             # hypotheses evaluated
+    n_inliers: int              # best consensus size
 
 
 def robust_global_registration(correspondences, points_a, points_b,
@@ -264,8 +276,10 @@ def robust_global_registration(correspondences, points_a, points_b,
     """Consensus-maximizing rigid transform over putative correspondences.
 
     RANSAC with a 3-point closed-form rigid fit and a final least-squares
-    refit on the consensus set. Deterministic under the seed; ties are
-    broken in favor of the earlier iteration.
+    refit on the consensus set. Hypotheses are drawn, fitted and scored a
+    block at a time but taken in order, as a one-at-a-time loop would: ties
+    go to the earlier hypothesis, and the hypotheses of the last block past
+    the stopping point are discarded. Deterministic under the seed.
     """
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     n = len(corr)
@@ -275,35 +289,66 @@ def robust_global_registration(correspondences, points_a, points_b,
     b = np.asarray(points_b, dtype=float)[corr[:, 1]]
     rng = np.random.default_rng(seed)
     thr2 = inlier_threshold * inlier_threshold
+    block = max(1, _CHUNK // n)     # hypotheses per block: (n, block) temporaries
 
     best_count = 0
     best_inliers = None
-    needed = RANSAC_MAX_ITER
+    limit = RANSAC_MAX_ITER
     it = 0
-    while it < min(needed, RANSAC_MAX_ITER):
-        sample = rng.choice(n, size=3, replace=False)
+    while it < limit:
+        sample = _distinct_triples(rng, n, block)
         R, t = rigid_fit(a[sample], b[sample])
-        resid2 = np.sum((a @ R.T + t - b) ** 2, axis=1)
+        # squared residual of every correspondence under every hypothesis,
+        # one axis at a time
+        resid2 = np.zeros((n, block))
+        for k in range(3):
+            e = a @ R[:, k, :].T
+            e += t[:, k]
+            e -= b[:, k, None]
+            e *= e
+            resid2 += e
         inliers = resid2 < thr2
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-            ratio = count / n
+        counts = np.count_nonzero(inliers, axis=0)
+        # only a count above every earlier one can become the best
+        before = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
+        taken = 0
+        for j in np.flatnonzero(counts > before):
+            if it + j >= limit:
+                break
+            best_count = int(counts[j])
+            best_inliers = inliers[:, j]
+            taken = j + 1
+            ratio = best_count / n
             if ratio >= 1.0:
+                limit = it + taken      # nothing can beat an all-inlier fit
                 break
             # iterations needed to hit an all-inlier sample with the
             # requested confidence
             denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
             needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
-        it += 1
+            limit = min(needed, RANSAC_MAX_ITER)
+        it += min(block, max(taken, limit - it))
 
     minimum = max(3, int(np.ceil(MIN_INLIER_RATIO * n)))
     if best_inliers is None or best_count < minimum:
         raise ConsensusFailure(
             f"best consensus {best_count}/{n} below minimum {minimum}")
     R, t = rigid_fit(a[best_inliers], b[best_inliers])
-    return RigidTransform.from_matrix(R, t)
+    return RansacResult(transform=RigidTransform.from_matrix(R, t),
+                        iterations=it, n_inliers=best_count)
+
+
+def _distinct_triples(rng, n, m):
+    """m index triples of range(n), each without repeats: the second and
+    third draws come from the n - 1 and n - 2 indices left, shifted past
+    the ones already taken."""
+    s = rng.integers(0, [n, n - 1, n - 2], size=(m, 3))
+    i, j, k = s.T
+    j += j >= i
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    k += k >= lo
+    k += k >= hi
+    return s
 
 
 def icp_refine(source, target, init, threshold):
@@ -367,7 +412,7 @@ def score_registration(source, target, transform, threshold):
 @dataclass
 class PipelineResult:
     result: RegistrationResult
-    coarse_transform: RigidTransform
+    coarse: RansacResult
     n_putative: int
     n_source_down: int = 0
     n_target_down: int = 0
@@ -387,9 +432,9 @@ def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
     corr = match_descriptors(desc_s, desc_t)
     coarse = robust_global_registration(corr, src_d.points, tgt_d.points,
                                         inlier_threshold=voxel, seed=seed)
-    refined = icp_refine(source, target, coarse, threshold=voxel)
+    refined = icp_refine(source, target, coarse.transform, threshold=voxel)
     result = score_registration(source, target, refined, threshold=voxel)
-    return PipelineResult(result=result, coarse_transform=coarse,
+    return PipelineResult(result=result, coarse=coarse,
                           n_putative=len(corr),
                           n_source_down=len(src_d), n_target_down=len(tgt_d),
                           isolated_points=(int(desc_s.isolated.sum()),

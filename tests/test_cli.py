@@ -285,6 +285,11 @@ def test_register_subcommand(tmp_path):
         cloud = register.PointCloud(points=ply.read_ply(path)["points"])
         assert report[key] == len(register.voxel_downsample(cloud, 0.3))
     assert report["isolated_points"] == [1, 0]
+    # RANSAC ran at least the hypotheses its best consensus calls for
+    n, inliers = report["n_putative"], report["ransac_inliers"]
+    assert register.MIN_INLIER_RATIO * n <= inliers <= n
+    needed = np.log(1 - register.RANSAC_CONFIDENCE) / np.log1p(-(inliers / n) ** 3)
+    assert np.ceil(needed) <= report["ransac_iterations"] <= register.RANSAC_MAX_ITER
     assert (out / "aligned_source.ply").exists()
 
 

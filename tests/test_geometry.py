@@ -78,6 +78,19 @@ def test_rigid_fit_recovers_exact_motion():
     assert np.linalg.det(R) == pytest.approx(1.0)
 
 
+def test_rigid_fit_stack_matches_per_slice():
+    rng = np.random.default_rng(5)
+    src = rng.normal(size=(40, 6, 3))
+    dst = src @ random_rotation(rng).T + rng.normal(size=(40, 6, 3)) * 0.1
+    dst[::4] = src[::4] * [1.0, 1.0, -1.0]     # mirrored: the SVD gives d = -1
+    R, t = rigid_fit(src, dst)
+    assert R.shape == (40, 3, 3) and t.shape == (40, 3)
+    for i in range(40):
+        Ri, ti = rigid_fit(src[i], dst[i])
+        assert np.array_equal(R[i], Ri) and np.array_equal(t[i], ti)
+    assert np.allclose(np.linalg.det(R), 1.0, rtol=0, atol=1e-12)
+
+
 def test_rotation_angle():
     assert rotation_angle(np.eye(3)) == pytest.approx(0.0)
     assert rotation_angle(rotation_about_z(0.3)) == pytest.approx(0.3)
@@ -86,6 +99,18 @@ def test_rotation_angle():
 def test_quat_normalize():
     q = quat_normalize([0.0, 0.0, 0.0, 2.0])
     assert np.allclose(q, [0, 0, 0, 1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+def test_quat_normalize_extreme_magnitudes(scale):
+    # squares that overflow or underflow must not give (0, 0, 0, 0) or a
+    # false "zero quaternion"
+    r = np.sqrt(0.5)
+    q = quat_normalize([[scale, 0.0, 0.0, scale], [0.0, 0.0, 0.0, 2.0]])
+    assert np.allclose(q, [[r, 0, 0, r], [0, 0, 0, 1]], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="zero quaternion"):
+        quat_normalize([[0.0, 0.0, 0.0, 0.0], [scale, 0.0, 0.0, scale]])
 
 
 def _matrix_scalar(q):

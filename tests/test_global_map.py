@@ -170,6 +170,14 @@ def test_replay_log_minimal():
     assert np.allclose(fused.p_w, [1.0, 2.0, 4.0])  # shifted by the update
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_replay_log_quaternion_beyond_float_squares():
+    # the squared norm overflows; the keyframe still turns 90 deg about x
+    m = replay_log(["KF 0 0 0 0 1e200 0 0 1e200"])
+    assert np.allclose(m.keyframes[0].R, [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+                       rtol=0, atol=1e-15)
+
+
 def test_replay_log_errors_carry_line_numbers():
     with pytest.raises(EventLogError) as exc:
         replay_log(["KF 0 0 0 0 0 0 0 1", "BAD 1 2 3"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from uwvio import register
 from uwvio.errors import ConsensusFailure, EmptyCloud, NoOverlap, TooFewPoints
 from uwvio.fixtures import structured_scene
-from uwvio.geometry import (RigidTransform, random_rotation, rotation_about_z,
-                            rotation_angle)
+from uwvio.geometry import (RigidTransform, random_rotation, rigid_fit,
+                            rotation_about_z, rotation_angle)
 from uwvio.gridindex import GridIndex
 from uwvio.register import (PointCloud, _density_cell, _histogram_bins,
                             compute_fpfh, estimate_normals, icp_refine,
@@ -329,7 +330,7 @@ def test_ransac_recovers_transform_with_outliers():
     n_bad = 80
     b[:n_bad] = rng.uniform(-5, 5, size=(n_bad, 3))
     corr = np.column_stack([np.arange(n)] * 2)
-    T = robust_global_registration(corr, a, b, inlier_threshold=0.05, seed=0)
+    T = robust_global_registration(corr, a, b, inlier_threshold=0.05, seed=0).transform
     assert np.allclose(T.R, R, atol=1e-9)
     assert np.allclose(T.t, t, atol=1e-9)
 
@@ -340,9 +341,10 @@ def test_ransac_determinism():
     b = a + np.array([1.0, 0, 0])
     b[:10] += rng.normal(size=(10, 3))
     corr = np.column_stack([np.arange(50)] * 2)
-    T1 = robust_global_registration(corr, a, b, inlier_threshold=0.01, seed=3)
-    T2 = robust_global_registration(corr, a, b, inlier_threshold=0.01, seed=3)
-    assert np.array_equal(T1.matrix(), T2.matrix())
+    r1 = robust_global_registration(corr, a, b, inlier_threshold=0.01, seed=3)
+    r2 = robust_global_registration(corr, a, b, inlier_threshold=0.01, seed=3)
+    assert np.array_equal(r1.transform.matrix(), r2.transform.matrix())
+    assert (r1.iterations, r1.n_inliers) == (r2.iterations, r2.n_inliers)
 
 
 def test_ransac_all_outliers_fails():
@@ -352,6 +354,113 @@ def test_ransac_all_outliers_fails():
     corr = np.column_stack([np.arange(100)] * 2)
     with pytest.raises(ConsensusFailure):
         robust_global_registration(corr, a, b, inlier_threshold=1e-6, seed=0)
+
+
+def test_ransac_three_exact_correspondences():
+    # every hypothesis must use all three: a repeated index fits a degenerate
+    # pair and misses the transform
+    rng = np.random.default_rng(20)
+    a = rng.uniform(-5, 5, size=(3, 3))
+    R = random_rotation(rng)
+    t = np.array([0.3, 0.2, -1.0])
+    corr = np.column_stack([np.arange(3)] * 2)
+    res = robust_global_registration(corr, a, a @ R.T + t, inlier_threshold=1e-6)
+    assert res.n_inliers == 3
+    assert np.allclose(res.transform.R, R, atol=1e-9)
+    assert np.allclose(res.transform.t, t, atol=1e-9)
+
+
+def test_ransac_all_inliers_stops_after_one_hypothesis():
+    rng = np.random.default_rng(21)
+    a = rng.uniform(-5, 5, size=(500, 3))
+    corr = np.column_stack([np.arange(500)] * 2)
+    res = robust_global_registration(corr, a, a + [1.0, 2.0, 3.0], inlier_threshold=0.01)
+    assert (res.iterations, res.n_inliers) == (1, 500)
+
+
+def test_distinct_triples():
+    rng = np.random.default_rng(22)
+    for n in (3, 4, 50):
+        s = register._distinct_triples(rng, n, 2000)
+        assert s.min() >= 0 and s.max() < n
+        assert np.all((s[:, 0] != s[:, 1]) & (s[:, 0] != s[:, 2]) & (s[:, 1] != s[:, 2]))
+    # each third draw is uniform over the n - 2 indices left
+    s = register._distinct_triples(rng, 5, 50_000)
+    assert np.all(np.abs(np.bincount(s[:, 2], minlength=5) / 50_000 - 0.2) < 0.01)
+
+
+def _one_at_a_time(a, b, thr, samples):
+    """Iterations, best count and best inlier mask of a RANSAC loop that
+    fits and scores the given hypotheses one by one."""
+    best, best_inliers, needed, it = 0, None, register.RANSAC_MAX_ITER, 0
+    for sample in samples:
+        if it >= needed:
+            break
+        R, t = rigid_fit(a[sample], b[sample])
+        inliers = np.sum((a @ R.T + t - b) ** 2, axis=1) < thr * thr
+        it += 1
+        if inliers.sum() > best:
+            best, best_inliers = int(inliers.sum()), inliers
+            needed = int(np.ceil(np.log(1.0 - register.RANSAC_CONFIDENCE)
+                                 / np.log1p(-(best / len(a)) ** 3)))
+    return it, best, best_inliers
+
+
+def _check_blocks_against_one_at_a_time(res, a, b, thr, samples):
+    # the same iterations, best count and inlier set: ties go to the
+    # earlier hypothesis, and none past the stopping point is taken
+    it, best, best_inliers = _one_at_a_time(a, b, thr, samples)
+    assert (res.iterations, res.n_inliers) == (it, best)
+    R, t = rigid_fit(a[best_inliers], b[best_inliers])
+    assert np.array_equal(res.transform.matrix(),
+                          RigidTransform.from_matrix(R, t).matrix())
+    return it, best
+
+
+def test_ransac_blocks_match_one_hypothesis_at_a_time(monkeypatch):
+    rng = np.random.default_rng(23)
+    n, thr = 200, 0.1
+    a = rng.uniform(-5, 5, size=(n, 3))
+    b = a + [1.0, 0.0, 0.0] + rng.normal(size=(n, 3)) * 0.05
+    b[:150] = rng.uniform(-5, 5, size=(150, 3))
+    drawn = []
+
+    def recording(rng, n, m):
+        drawn.append(real(rng, n, m))
+        return drawn[-1].copy()
+
+    real = register._distinct_triples
+    monkeypatch.setattr(register, "_distinct_triples", recording)
+    corr = np.column_stack([np.arange(n)] * 2)
+    res = robust_global_registration(corr, a, b, inlier_threshold=thr, seed=4)
+    assert len(drawn) > 1
+    _check_blocks_against_one_at_a_time(res, a, b, thr, np.concatenate(drawn))
+
+
+@pytest.mark.parametrize("late, want", [(253, (253, 60)), (100, (101, 100))],
+                         ids=["at-the-limit", "past-the-new-limit"])
+def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
+    """Hypothesis 0 holds 60 of 200 pairs, which asks for 253 hypotheses;
+    the one at `late` holds 100. At 253 it is not evaluated. At 100 it is
+    taken, and its own limit of 52 has already passed."""
+    rng = np.random.default_rng(24)
+    n, thr = 200, 0.01
+    a = rng.uniform(-5, 5, size=(n, 3))
+    b = rng.uniform(-5, 5, size=(n, 3))
+    b[:60] = a[:60] + [1.0, 0.0, 0.0]
+    b[60:160] = a[60:160] @ rotation_about_z(1.0).T
+    # the other hypotheses join three outliers each
+    samples = np.array([rng.permutation(np.arange(160, n))[:3] for _ in range(600)])
+    samples[0], samples[late] = [0, 1, 2], [60, 61, 62]
+    stream = iter(samples.reshape(-1, 1, 3))
+
+    def crafted(rng, n, m):
+        return np.concatenate([next(stream) for _ in range(m)])
+
+    monkeypatch.setattr(register, "_distinct_triples", crafted)
+    corr = np.column_stack([np.arange(n)] * 2)
+    res = robust_global_registration(corr, a, b, inlier_threshold=thr)
+    assert _check_blocks_against_one_at_a_time(res, a, b, thr, samples) == want
 
 
 def test_icp_converges_from_small_offset():

@@ -97,6 +97,14 @@ def test_tum_rejects_bad_values(tmp_path, line, reason):
         load_tum(path)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_tum_quaternion_beyond_float_squares(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("0 1 2 3 1e200 0 0 1e200\n1 1 2 3 1e-200 0 0 1e-200\n")
+    r = np.sqrt(0.5)
+    assert np.allclose(load_tum(path).quats, [[r, 0, 0, r]] * 2, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_tag_csv_non_finite_value_names_line(tmp_path, cell):
     path = tmp_path / "tags.csv"
