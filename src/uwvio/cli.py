@@ -176,6 +176,8 @@ def cmd_map(args):
         "keyframes": len(gmap.keyframes),
         "landmarks": len(gmap.landmarks),
         "observations": gmap.n_observations,
+        "obs_lines": gmap.n_observations + gmap.n_replaced,
+        "replaced": gmap.n_replaced,
         "fused_points": count,
         "ply": out_ply.name,
     }

@@ -14,7 +14,8 @@ its row. Keyframe poses sit in slot-indexed rotation and translation
 arrays. One kernel fuses any set of landmarks: it moves the rows into the
 world frame chunk by chunk, sums each weighted channel per landmark slot
 with ``np.bincount``, puts the sums in landmark-id order, and costs time
-linear in the number of observations.
+linear in the number of observations. An event log's runs of ``OBS`` lines
+are parsed by numpy and stored block by block through `add_observations`.
 """
 
 import math
@@ -27,8 +28,18 @@ from .errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
                      UnknownKeyframe, UnknownLandmark, UwvioError)
 from .geometry import RigidTransform
 
-# rows transformed per step, so the gathered (rows, 3, 3) rotations stay in cache
+# rows transformed per step, and OBS lines parsed per block, so the gathered
+# (rows, 3, 3) rotations stay in cache and a block's memory stays bounded
 _CHUNK = 16_384
+
+# the 12 whitespace-separated fields of an event-log OBS line
+_OBS_ROW = np.dtype([("tag", "U3"), ("lm", np.int64), ("kf", np.int64),
+                     ("p_w", float, 3), ("quality", float), ("color", float, 3),
+                     ("uv", np.int64, 2)])
+# how a line of a run starts: numpy drops trailing NULs of a string field, so
+# the tag is checked here rather than by its parsed value; other OBS lines
+# (indented, or a tab after the tag) are applied line by line
+_OBS_START = ("OBS ", b"OBS ")
 
 
 @dataclass(frozen=True)
@@ -39,9 +50,10 @@ class FusedPoint:
     n_obs: int
 
 
-def _grow(a):
-    """Copy of ``a`` with twice the rows (at least 16), the old ones kept."""
-    out = np.empty((max(2 * len(a), 16),) + a.shape[1:], dtype=a.dtype)
+def _grow(a, rows=0):
+    """Copy of ``a`` with twice the rows (at least 16 and at least ``rows``),
+    the old ones kept."""
+    out = np.empty((max(2 * len(a), 16, rows),) + a.shape[1:], dtype=a.dtype)
     out[:len(a)] = a
     return out
 
@@ -58,6 +70,7 @@ class GlobalMap:
         self._t = np.empty((0, 3))
         self._lm_ids = np.empty(0, dtype=np.int64)
         self.n_observations = 0  # rows in use
+        self.n_replaced = 0      # observations that overwrote their pair's row
         self._kf = np.empty(0, dtype=np.intp)
         self._lm = np.empty(0, dtype=np.intp)
         self._p_f = np.empty((0, 3))
@@ -104,9 +117,69 @@ class GlobalMap:
                     _grow, (self._kf, self._lm, self._p_f, self._quality, self._color))
             self._kf[row] = self._kf_slot[kf_id]
             self._lm[row] = self._lm_slot[landmark_id]
+        else:
+            self.n_replaced += 1
         self._p_f[row] = p_f
         self._quality[row] = quality
         self._color[row] = color
+
+    def add_observations(self, lm, kf, p_w, quality, color):
+        """`add_observation` for each row of the arrays, in order.
+
+        ``lm`` and ``kf`` are ids, ``p_w`` and ``color`` hold 3 columns. Every
+        row is checked before anything is stored, and the first row at fault
+        raises `add_observation`'s error. The last row of a repeated
+        (landmark, keyframe) pair wins; new rows and landmark slots follow the
+        order of first occurrence, so the map is the one that one call per
+        row builds.
+        """
+        lm = np.asarray(lm, dtype=np.int64)
+        kf = np.asarray(kf, dtype=np.int64)
+        quality = np.asarray(quality, dtype=float)
+        kf_ids, kf_row = np.unique(kf, return_inverse=True)
+        kf_slot = np.array([self._kf_slot.get(k, -1) for k in kf_ids.tolist()],
+                           dtype=np.intp)[kf_row]
+        bad = (kf_slot < 0) | ~((quality >= 0.0) & (quality <= 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            if kf_slot[i] < 0:
+                raise UnknownKeyframe(f"keyframe {kf[i]} not in map")
+            raise InvalidQuality(f"quality {quality[i]} outside [0, 1]")
+        # (landmark, keyframe) -> index of its last row, in first-occurrence order
+        last = dict(zip(zip(lm.tolist(), kf.tolist()), range(len(lm))))
+        landmarks, lm_slot = self.landmarks, self._lm_slot
+        n_obs = self.n_observations
+        rows, slots = [], []
+        for lm_id, kf_id in last:
+            obs = landmarks.get(lm_id)
+            if obs is None:
+                obs = landmarks[lm_id] = {}
+                lm_slot[lm_id] = len(lm_slot)
+            row = obs.get(kf_id)
+            if row is None:
+                row = obs[kf_id] = n_obs
+                n_obs += 1
+            rows.append(row)
+            slots.append(lm_slot[lm_id])
+        self.n_replaced += len(lm) - (n_obs - self.n_observations)
+        self.n_observations = n_obs
+        rows, slots = np.array(rows, dtype=np.intp), np.array(slots, dtype=np.intp)
+        if n_obs > len(self._kf):
+            self._kf, self._lm, self._p_f, self._quality, self._color = (
+                _grow(a, n_obs) for a in (self._kf, self._lm, self._p_f,
+                                          self._quality, self._color))
+        if len(lm_slot) > len(self._lm_ids):
+            self._lm_ids = _grow(self._lm_ids, len(lm_slot))
+        src = np.fromiter(last.values(), dtype=np.intp, count=len(last))
+        kf_src = kf_slot[src]
+        p_f = np.matmul(self._R[kf_src].transpose(0, 2, 1),
+                        (np.asarray(p_w, dtype=float)[src] - self._t[kf_src])[:, :, None])
+        self._lm_ids[slots] = lm[src]
+        self._kf[rows] = kf_src
+        self._lm[rows] = slots
+        self._p_f[rows] = p_f[:, :, 0]
+        self._quality[rows] = quality[src]
+        self._color[rows] = np.asarray(color, dtype=float)[src]
 
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
@@ -212,20 +285,28 @@ def replay_log(lines):
       UPD id tx ty tz qx qy qz qw
     A bad line, such as one with a non-finite number or an unknown
     keyframe, is an `EventLogError` carrying its line number.
+
+    Consecutive lines that start with ``OBS `` are parsed by numpy and
+    stored by one `GlobalMap.add_observations` call per block of at most
+    `_CHUNK` lines. A block that numpy or a check rejects is applied line by
+    line instead: its first bad line raises, and where numpy is only
+    stricter than Python (``1_000``, an id beyond int64) the block is
+    applied exactly as one line at a time applies it.
     """
     gmap = GlobalMap()
     pending_updates = {}
+    run = []  # the lines of the current run of OBS lines
 
     def flush_updates():
         if pending_updates:
             gmap.update_keyframe_poses(dict(pending_updates))
             pending_updates.clear()
 
-    for line_no, line in enumerate(lines, start=1):
+    def apply_line(line_no, line):
         try:
             fields = (line if isinstance(line, str) else line.decode()).split()
             if not fields or fields[0].startswith("#"):
-                continue
+                return
             tag = fields[0]
             if tag == "KF":
                 flush_updates()
@@ -253,6 +334,33 @@ def replay_log(lines):
             raise
         except (UwvioError, ValueError, OverflowError) as exc:  # UnicodeDecodeError is one
             raise EventLogError(line_no, str(exc)) from exc
+
+    def apply_run(last_no):
+        """Apply ``run``, whose last line is line ``last_no``."""
+        flush_updates()
+        try:
+            rows = np.loadtxt([line if isinstance(line, str) else line.decode()
+                               for line in run], dtype=_OBS_ROW, comments=None, ndmin=1)
+            if not all(np.isfinite(rows[name]).all() for name in ("p_w", "quality", "color")):
+                raise ValueError("non-finite value")
+            gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"], rows["quality"],
+                                  rows["color"])
+        except (UwvioError, ValueError):  # UnicodeDecodeError is one
+            for line_no, line in enumerate(run, start=last_no - len(run) + 1):
+                apply_line(line_no, line)
+        run.clear()
+
+    for line_no, line in enumerate(lines, start=1):
+        if line[:4] in _OBS_START:
+            run.append(line)
+            if len(run) == _CHUNK:
+                apply_run(line_no)
+            continue
+        if run:
+            apply_run(line_no - 1)
+        apply_line(line_no, line)
+    if run:
+        apply_run(line_no)
     flush_updates()
     return gmap
 

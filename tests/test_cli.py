@@ -109,12 +109,18 @@ def test_allan_too_short_exit_code_1(tmp_path):
 def test_map_subcommand(tmp_path, capsys):
     log = fixtures.write_drift_loop_log(tmp_path / "events.txt",
                                         n_keyframes=10, n_landmarks=20)
+    # five observations seen again replace their rows
+    obs = [line for line in log.read_text().splitlines() if line.startswith("OBS")]
+    with open(log, "a") as f:
+        f.write("".join(line + "\n" for line in obs[:5]))
     out = tmp_path / "out"
     assert run(["--out-dir", out, "map", log]) == 0
     report = read_json(out / "map_report.json")
     assert report["keyframes"] == 10
     assert report["landmarks"] == 20
     assert report["observations"] == 80
+    assert report["obs_lines"] == 85
+    assert report["replaced"] == 5
     assert report["fused_points"] == 20
     cloud = ply.read_ply(out / "fused_map.ply")
     assert len(cloud["points"]) == 20

@@ -3,10 +3,11 @@ import pytest
 
 from uwvio import ply
 from uwvio.errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
-                          UnknownKeyframe, UnknownLandmark)
+                          UnknownKeyframe, UnknownLandmark, UwvioError)
 from uwvio.fixtures import drift_loop_scene, write_drift_loop_log
 from uwvio.geometry import RigidTransform, matrix_to_quat, random_rotation, rotation_about_z
-from uwvio.global_map import _CHUNK, GlobalMap, replay_log, replay_log_file
+from uwvio.global_map import (_CHUNK, GlobalMap, _finite, _parse_pose, replay_log,
+                              replay_log_file)
 
 
 def identity_pose():
@@ -346,3 +347,223 @@ def test_replay_log_rejects_landmark_id_beyond_int64():
         replay_log(["KF 0 0 0 0 0 0 0 1",
                     f"OBS {2 ** 64} 0 1 2 3 0.5 0 0 0 0 0"])
     assert exc.value.line_no == 2
+
+
+def _replay_line_by_line(lines):
+    """The per-line replay that block parsing replaced, kept as the reference."""
+    gmap = GlobalMap()
+    pending_updates = {}
+
+    def flush_updates():
+        if pending_updates:
+            gmap.update_keyframe_poses(dict(pending_updates))
+            pending_updates.clear()
+
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            fields = (line if isinstance(line, str) else line.decode()).split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            tag = fields[0]
+            if tag == "KF":
+                flush_updates()
+                if len(fields) != 9:
+                    raise EventLogError(line_no, f"KF expects 8 values, got {len(fields) - 1}")
+                gmap.add_keyframe(int(fields[1]), _parse_pose(fields[2:9]))
+            elif tag == "OBS":
+                flush_updates()
+                if len(fields) != 12:
+                    raise EventLogError(line_no, f"OBS expects 11 values, got {len(fields) - 1}")
+                values = _finite(fields[3:10])
+                int(fields[10]), int(fields[11])
+                gmap.add_observation(int(fields[1]), int(fields[2]), values[:3], values[3],
+                                     color=values[4:])
+            elif tag == "UPD":
+                if len(fields) != 9:
+                    raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
+                kf_id = int(fields[1])
+                if kf_id not in gmap.keyframes:
+                    raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+                pending_updates[kf_id] = _parse_pose(fields[2:9])
+            else:
+                raise EventLogError(line_no, f"unknown event {tag!r}")
+        except EventLogError:
+            raise
+        except (UwvioError, ValueError, OverflowError) as exc:
+            raise EventLogError(line_no, str(exc)) from exc
+    flush_updates()
+    return gmap
+
+
+def _obs_lines(rng, n, n_kf=6, n_lm=None):
+    """``n`` OBS lines over keyframes 0..n_kf-1; most pairs repeat."""
+    n_lm = n_lm or max(n // 8, 1)
+    lm = rng.integers(-n_lm, n_lm, size=n)
+    kf = rng.integers(0, n_kf, size=n)
+    p = rng.normal(size=(n, 3)) * 10
+    q = rng.choice([0.0, 0.25, 1.0, 0.7], size=n)
+    q[::3] = rng.uniform(0, 1, size=len(q[::3]))
+    c = rng.integers(0, 256, size=(n, 3))
+    return [f"OBS {a} {b} {x!r} {y!r} {z!r} {w!r} {r} {g} {bl} {a % 1920} 7"
+            for a, b, (x, y, z), w, (r, g, bl) in zip(lm.tolist(), kf.tolist(), p.tolist(),
+                                                      q.tolist(), c.tolist())]
+
+
+def _pose_lines(rng, tag, ids):
+    return [f"{tag} {k} " + " ".join(map(repr, rng.normal(size=7).tolist())) for k in ids]
+
+
+def _outcome(replay, lines):
+    try:
+        m = replay(lines)
+    except EventLogError as exc:
+        return exc.line_no, str(exc)
+    fused = m._fuse() if m.landmarks else ()
+    return ([(lm, list(rows.items())) for lm, rows in m.landmarks.items()],
+            m.n_observations, [(a.dtype, a.shape, a.tobytes()) for a in fused])
+
+
+def _assert_replays_alike(tmp_path, lines, newline="\n", valid=True):
+    data = b"".join((line.encode() if isinstance(line, str) else line) + newline.encode()
+                    for line in lines)
+    path = tmp_path / "events.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as f:
+        expected = _outcome(_replay_line_by_line, list(f))
+    assert isinstance(expected[0], list) == valid
+    assert _outcome(replay_log_file, path) == expected
+    try:
+        text = data.decode().split("\n")
+    except UnicodeDecodeError:
+        return
+    assert _outcome(replay_log, text) == _outcome(_replay_line_by_line, text)
+
+
+@pytest.mark.parametrize("run_length", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_replay_blocks_match_line_by_line(tmp_path, run_length):
+    rng = np.random.default_rng(run_length)
+    lines = _pose_lines(rng, "KF", range(6)) + _obs_lines(rng, run_length)
+    lines += _pose_lines(rng, "UPD", (1, 4)) + _obs_lines(rng, 40)
+    _assert_replays_alike(tmp_path, lines)
+
+
+def test_replay_repeated_pair_across_block_edge(tmp_path):
+    rng = np.random.default_rng(5)
+    run = _obs_lines(rng, _CHUNK + 10, n_lm=_CHUNK)
+    pair = "OBS 99999 2 {0}.5 1.25 -3 {1} 1 2 3 4 5"
+    for i, q in ((5, 0.5), (_CHUNK - 1, 0.25), (_CHUNK, 0.75), (_CHUNK + 7, 1)):
+        run[i] = pair.format(i, q)
+    lines = _pose_lines(rng, "KF", range(6)) + run
+    _assert_replays_alike(tmp_path, lines)
+    m = replay_log(lines)
+    row = m.landmarks[99999][2]
+    assert m._p_f[row].tolist() == (m.keyframes[2].R.T @ (
+        [_CHUNK + 7.5, 1.25, -3] - m.keyframes[2].t)).tolist()
+
+
+def test_replay_runs_between_keyframes_and_updates(tmp_path):
+    rng = np.random.default_rng(6)
+    lines = _pose_lines(rng, "KF", range(3))
+    for step in range(4):
+        lines += _obs_lines(rng, 30, n_kf=3 + step)
+        lines += _pose_lines(rng, "UPD", range(step + 1))
+        lines += _pose_lines(rng, "KF", [3 + step])
+    lines += _obs_lines(rng, 30, n_kf=7)
+    _assert_replays_alike(tmp_path, lines)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_replay_comments_blanks_and_indents_inside_a_run(tmp_path, newline):
+    rng = np.random.default_rng(7)
+    run = _obs_lines(rng, 200)
+    run[20] = "# a comment"
+    run[40] = ""
+    run[60] = "   \t "
+    run[80] = "  " + run[80]
+    run[100] = run[100].replace(" ", "\t", 2)
+    _assert_replays_alike(tmp_path, _pose_lines(rng, "KF", range(6)) + run, newline)
+
+
+def test_replay_ids_only_python_parses(tmp_path):
+    """numpy rejects these ids and the block is replayed line by line."""
+    rng = np.random.default_rng(8)
+    run = _obs_lines(rng, 100)
+    run[10] = "OBS 1_000 0 1 2 3 0.5 1 2 3 4 5"
+    run[11] = "OBS ٣ 1 1 2 3 0.5 1 2 3 4 5"   # Arabic-Indic 3
+    run[12] = f"OBS 3 2 1 2 3 0.5 1 2 3 {2 ** 70} 5"
+    lines = _pose_lines(rng, "KF", range(6)) + run
+    _assert_replays_alike(tmp_path, lines)
+    assert 1000 in replay_log(lines).landmarks
+    # int() takes an id of 2^63, which add_observation then rejects
+    lines.insert(20, f"OBS {2 ** 63} 0 1 2 3 0.5 1 2 3 4 5")
+    _assert_replays_alike(tmp_path, lines, valid=False)
+
+
+@pytest.mark.parametrize("bad", [
+    "OBS 1 0 1 2 3 0.5 1 2 3 4 5 6",
+    "OBS 1 0 1 2 3 0.5 1 2 3 4 5 # c",
+    b"OBS 1 0 1 2 3 0.5 1 2 3 4 5 caf\xe9",
+    "OBS 1 77 1 2 3 0.5 1 2 3 4 5",
+    "OBS 1 0 1 2 3 1.5 1 2 3 4 5",
+    "OBS 1 0 1 2 nan 0.5 1 2 3 4 5",
+    "OBS 1 0 1 2 3 0.5 1 2 3 4.0 5",
+    b"OBS\x00 1 0 1 2 3 0.5 1 2 3 4 5",
+    "OBSX 1 0 1 2 3 0.5 1 2 3 4 5",
+], ids=["13-fields", "trailing-comment", "not-utf8", "unknown-kf", "quality-1.5",
+        "nan", "float-pixel", "nul-in-tag", "long-tag"])
+def test_replay_error_inside_a_run(tmp_path, bad):
+    rng = np.random.default_rng(9)
+    run = _obs_lines(rng, 300)
+    lines = _pose_lines(rng, "KF", range(6)) + run[:150] + [bad] + run[150:]
+    _assert_replays_alike(tmp_path, lines, valid=False)
+    with pytest.raises(EventLogError) as exc:
+        replay_log_file(tmp_path / "events.txt")
+    assert exc.value.line_no == 157
+
+
+@pytest.mark.parametrize("first, second", [
+    ("OBS 1 0 1 2 3 1.5 1 2 3 4 5", "OBS 1 0 1 2 3 0.5 1 2 3 4 5 6"),
+    ("OBS 1 0 1 2 3 0.5 1 2 3 4 5 6", "OBS 1 0 1 2 3 1.5 1 2 3 4 5"),
+    ("OBS 1 9 1 2 3 0.5 1 2 3 4 5", "OBS 1 0 1 2 3 -0.5 1 2 3 4 5"),
+])
+def test_replay_first_bad_line_of_a_block_wins(tmp_path, first, second):
+    rng = np.random.default_rng(10)
+    run = _obs_lines(rng, 100)
+    lines = _pose_lines(rng, "KF", range(6)) + run[:30] + [first] + run[30:60] + [second]
+    _assert_replays_alike(tmp_path, lines, valid=False)
+    with pytest.raises(EventLogError) as exc:
+        replay_log(lines)
+    assert exc.value.line_no == 37
+
+
+def test_add_observations_matches_one_call_per_row():
+    rng = np.random.default_rng(12)
+    one, many = GlobalMap(), GlobalMap()
+    for k in range(4):
+        T = pose(random_rotation(rng), rng.normal(size=3))
+        one.add_keyframe(k, T)
+        many.add_keyframe(k, T)
+    n = 500
+    lm, kf = rng.integers(0, 60, n), rng.integers(0, 4, n)
+    p_w, q = rng.normal(size=(n, 3)), rng.uniform(0, 1, n)
+    color = rng.integers(0, 256, (n, 3))
+    for i in range(n):
+        one.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
+    many.add_observations(lm[:200], kf[:200], p_w[:200], q[:200], color[:200])
+    many.add_observations(lm[200:], kf[200:], p_w[200:], q[200:], color[200:])
+    assert [list(r.items()) for r in many.landmarks.values()] == \
+        [list(r.items()) for r in one.landmarks.values()]
+    assert list(many.landmarks) == list(one.landmarks)
+    assert (many.n_observations, many.n_replaced) == (one.n_observations, one.n_replaced)
+    assert one.n_observations + one.n_replaced == n
+    for a, b in zip(many._fuse(), one._fuse()):
+        assert a.tobytes() == b.tobytes()
+    # a bad row stores nothing, and the first bad row names the error
+    before = many.n_observations, many.n_replaced, len(many.landmarks)
+    with pytest.raises(UnknownKeyframe, match="keyframe 9 "):
+        many.add_observations([1000, 1001, 1002], [0, 9, 1], np.zeros((3, 3)),
+                              [0.5, 0.5, 2.0], np.zeros((3, 3)))
+    with pytest.raises(InvalidQuality, match="quality 2.0 "):
+        many.add_observations([1000, 1001, 1002], [0, 1, 1], np.zeros((3, 3)),
+                              [0.5, 2.0, np.nan], np.zeros((3, 3)))
+    assert (many.n_observations, many.n_replaced, len(many.landmarks)) == before

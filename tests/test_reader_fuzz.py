@@ -47,6 +47,10 @@ VALID = {
                                 b"KF 1 1 0 0 0 0 0.1 0.995\n"
                                 b"OBS 7 0 1.0 2.0 3.0 0.9 10 20 30 100 200\n"
                                 b"OBS 7 1 1.1 2.0 3.0 0.5 10 20 30 101 200\n"
+                                b"OBS 8 0 -1.5 0.25 4.0 1 0 255 7 12 40\n"
+                                b"OBS 9 1 2.0 -3.0 0.5 0.3 64 64 64 900 1\n"
+                                b"OBS 7 0 1.2 2.1 3.0 0.7 11 21 31 102 201\n"
+                                b"OBS 8 1 -1.4 0.2 4.1 0 5 250 9 13 41\n"
                                 b"UPD 1 1 0 0.1 0 0 0.1 0.995\n"),
 }
 
