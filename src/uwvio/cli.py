@@ -3,13 +3,14 @@
 One binary with subcommands: extract, allan, map, eval-ate, eval-tags,
 register, fixtures. Logging goes to stderr; data to files and stdout, so
 pipelines stay clean. Every subcommand writes a machine-readable JSON
-report next to its human-readable output and is deterministic for a given
-seed, config, and inputs. Exit codes: 0 success, 1 computational failure,
-2 input/parse error.
+report, which lists the warnings the run raised, next to its human-readable
+output and is deterministic for a given seed, config, and inputs. Exit
+codes: 0 success, 1 computational failure, 2 input/parse error.
 """
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allan as allan_mod
-from . import fixtures, global_map, gpmf, mp4, ply, register, sync, traj_eval
+from . import fixtures, global_map, mp4, ply, register, sync, traj_eval
 from .errors import InputError, SeriesTooShort, UwvioError
 
 # device channel order of ACCL/GYRO relative to the camera (x, y, z) frame;
@@ -49,19 +50,58 @@ def load_config(path):
     return config
 
 
-def _resolve(args, key, default, cast=str):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if args.config_values and key in args.config_values:
-        value = args.config_values[key]
-        try:
-            return cast(value)
-        except ValueError:
-            raise InputError(f"{args.config}: {key}: cannot read {value!r} "
-                             f"as {cast.__name__}") from None
-    return default
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _positive(text):
+    value = _float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _non_negative(text):
+    value = _float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _axis_order(text):
+    if sorted(text) != list("xyz"):
+        raise ValueError(f"expected a permutation of xyz, got {text!r}")
+    return text
+
+
+# options that a flag or a config line can set: (default, converter); a
+# converter turns the given text into the value or raises ValueError
+_OPTIONS = {
+    "axis-order": (DEFAULT_AXIS_ORDER, _axis_order),
+    "white-window-max": (allan_mod.WHITE_WINDOW[1], _positive),
+    "walk-window-min": (allan_mod.WALK_WINDOW[0], _positive),
+    "max-dt": (traj_eval.DEFAULT_MAX_DT, _non_negative),
+    "voxel": (register.DEFAULT_VOXEL, _positive),
+}
+
+
+def _resolve(args, key):
+    """Value of option ``key``: its flag if given, else its config line, else
+    its default. Given text that the option's converter rejects is an
+    `InputError` naming the option."""
+    default, convert = _OPTIONS[key]
+    text, source = getattr(args, key.replace("-", "_")), f"--{key}"
+    if text is None and key in args.config_values:
+        text, source = args.config_values[key], f"{args.config}: {key}"
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from None
 
 
 def _json_default(obj):
@@ -73,17 +113,13 @@ def _json_default(obj):
 
 
 def _write_report(out_dir, name, payload):
-    path = Path(out_dir) / name
-    with open(path, "w") as f:
+    with open(out_dir / name, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
-    return path
 
 
-def cmd_extract(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    axis_order = _resolve(args, "axis-order", DEFAULT_AXIS_ORDER)
+def cmd_extract(args, out_dir):
+    axis_order = _resolve(args, "axis-order")
     with open(args.mp4_path, "rb") as f:
         tree = mp4.parse_box_tree(f)
         table = mp4.find_gpmf_track(tree, f)
@@ -93,8 +129,6 @@ def cmd_extract(args):
         streams = sync.payload_streams_from_klv(payloads, axis_order=axis_order)
     dataset = sync.build_dataset(
         streams, meta={"recording": Path(args.mp4_path).name}, axis_order=axis_order)
-    for warning in dataset.meta["warnings"]:
-        _log(args, f"warning: {warning}")
     imu_csv = out_dir / "imu.csv"
     frames_csv = out_dir / "frames.csv"
     manifest = out_dir / "manifest.txt"
@@ -109,20 +143,18 @@ def cmd_extract(args):
         "duration_s": round(float(dataset.meta["duration_s"]), 6),
         "axis_order": axis_order,
         "files": [imu_csv.name, frames_csv.name, manifest.name],
-        "warnings": dataset.meta["warnings"],
     }
-    _write_report(out_dir, "extract_report.json", summary)
     print(f"payloads: {summary['payloads']}")
     print(f"imu samples: {summary['imu_samples']} "
           f"(~{summary['imu_rate_hz']} Hz)")
     print(f"frames: {summary['frames']}")
     print(f"wrote {imu_csv}, {frames_csv}, {manifest}")
-    return 0
+    return "extract_report.json", summary
 
 
-def cmd_allan(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_allan(args, out_dir):
+    white_hi = _resolve(args, "white-window-max")
+    walk_lo = _resolve(args, "walk-window-min")
     t, accel, gyro = sync.load_imu_csv(args.imu_csv)
     if len(t) < 2:
         raise SeriesTooShort("IMU log holds fewer than 2 samples")
@@ -132,12 +164,10 @@ def cmd_allan(args):
         raise SeriesTooShort(
             f"{duration:.0f} s of data; at least 10 minutes required")
     if duration < 3600:
-        _log(args, f"warning: only {duration / 60:.0f} min of data; "
-                   "noise fits below 1 h are unreliable")
+        warnings.warn(f"only {duration / 60:.0f} min of data; "
+                      "noise fits below 1 h are unreliable")
     series = {"accel": accel, "gyro": gyro}[args.sensor]
     curve = allan_mod.allan_deviation(series, rate)
-    white_hi = _resolve(args, "white-window-max", 1.0, float)
-    walk_lo = _resolve(args, "walk-window-min", 100.0, float)
     params = allan_mod.fit_noise_params(
         curve, white_window=(None, white_hi), walk_window=(walk_lo, None))
     curve_csv = out_dir / f"allan_{args.sensor}.csv"
@@ -153,7 +183,6 @@ def cmd_allan(args):
         "white_slope": params.white_slope,
         "curve_csv": curve_csv.name,
     }
-    _write_report(out_dir, f"allan_{args.sensor}_report.json", report)
     print(f"sensor: {args.sensor}  rate: {rate:.2f} Hz  "
           f"samples: {curve.n_samples}")
     for i, name in enumerate("xyz"[:len(params.sigma_w)]):
@@ -163,12 +192,10 @@ def cmd_allan(args):
     print(f"average: sigma_w={params.sigma_w_avg:.6e}  "
           f"sigma_b={params.sigma_b_avg:.6e}")
     print(f"wrote {curve_csv}")
-    return 0
+    return f"allan_{args.sensor}_report.json", report
 
 
-def cmd_map(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_map(args, out_dir):
     gmap = global_map.replay_log_file(args.event_log)
     out_ply = Path(args.out_ply) if args.out_ply else out_dir / "fused_map.ply"
     count = gmap.export_fused_cloud(out_ply)
@@ -181,19 +208,16 @@ def cmd_map(args):
         "fused_points": count,
         "ply": out_ply.name,
     }
-    _write_report(out_dir, "map_report.json", report)
     print(f"keyframes: {report['keyframes']}  landmarks: {report['landmarks']}  "
           f"observations: {report['observations']}")
     print(f"wrote {count} fused points to {out_ply}")
-    return 0
+    return "map_report.json", report
 
 
-def cmd_eval_ate(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_eval_ate(args, out_dir):
+    max_dt = _resolve(args, "max-dt")
     est = traj_eval.load_tum(args.traj_est)
     ref = traj_eval.load_tum(args.traj_ref)
-    max_dt = _resolve(args, "max-dt", traj_eval.DEFAULT_MAX_DT, float)
     ate, transform, n_pairs = traj_eval.evaluate_ate(
         ref, est, max_dt=max_dt, fix_scale=(args.mode == "se3"))
     report = {
@@ -204,24 +228,21 @@ def cmd_eval_ate(args):
         "rotation": transform.R,
         "translation": transform.t,
     }
-    _write_report(out_dir, "ate_report.json", report)
     print(f"pairs: {n_pairs}  mode: {args.mode}")
     print(f"alignment scale: {transform.s:.6f}")
     print(f"ATE RMSE: {ate:.6f} m")
-    return 0
+    return "ate_report.json", report
 
 
-def cmd_eval_tags(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_eval_tags(args, out_dir):
+    max_dt = _resolve(args, "max-dt")
     traj = traj_eval.load_tum(args.traj)
     detections = traj_eval.load_tag_csv(args.detections_csv)
-    max_dt = _resolve(args, "max-dt", traj_eval.DEFAULT_MAX_DT, float)
     by_tag, unmatched = traj_eval.tag_world_positions(traj, detections, max_dt)
     unmatched = list(zip(unmatched.t.tolist(), unmatched.tag_id.tolist()))
     for t, tag in unmatched:
-        _log(args, f"warning: detection of tag {tag} at t={t:.3f} "
-                   "has no trajectory pose within tolerance")
+        warnings.warn(f"detection of tag {tag} at t={t:.3f} "
+                      "has no trajectory pose within tolerance")
     stats = traj_eval.tag_statistics(by_tag)
     quantile_csv = out_dir / "tag_quantiles.csv"
     with open(quantile_csv, "w") as f:
@@ -242,7 +263,6 @@ def cmd_eval_tags(args):
         "unmatched": unmatched,
         "quantile_csv": quantile_csv.name,
     }
-    _write_report(out_dir, "tags_report.json", report)
     print(f"{'tag':>6} {'n':>5} {'std_x':>9} {'std_y':>9} {'std_z':>9} "
           f"{'avg_dist':>9}")
     for tag, s in stats.per_tag.items():
@@ -253,13 +273,11 @@ def cmd_eval_tags(args):
     print(f"{'all':>6} {stats.n_detections:>5} {sx:>9.4f} {sy:>9.4f} "
           f"{sz:>9.4f} {stats.avg_dist_error:>9.4f}")
     print(f"wrote {quantile_csv}")
-    return 0
+    return "tags_report.json", report
 
 
-def cmd_register(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    voxel = _resolve(args, "voxel", register.DEFAULT_VOXEL, float)
+def cmd_register(args, out_dir):
+    voxel = _resolve(args, "voxel")
     src = ply.read_ply(args.source_ply)
     tgt = ply.read_ply(args.target_ply)
     source = register.PointCloud(points=src["points"], colors=src.get("colors"))
@@ -285,7 +303,6 @@ def cmd_register(args):
         "transform_row_major": matrix.reshape(-1),
         "aligned_ply": aligned_ply.name,
     }
-    _write_report(out_dir, "register_report.json", report)
     print("transform (row-major 4x4):")
     for row in matrix:
         print("  " + " ".join(f"{v: .6f}" for v in row))
@@ -293,12 +310,10 @@ def cmd_register(args):
     print(f"inlier_rmse: {res.inlier_rmse:.4f} m")
     print(f"inliers: {res.n_inliers}")
     print(f"wrote {aligned_ply}")
-    return 0
+    return "register_report.json", report
 
 
-def cmd_fixtures(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_fixtures(args, out_dir):
     mp4_path = out_dir / "fixture.mp4"
     fixtures.fixture_mp4(mp4_path, seed=args.seed)
     log_path = out_dir / "drift_loop_events.txt"
@@ -316,9 +331,14 @@ def cmd_fixtures(args):
                 ti = float(rng.uniform(t[0], t[-1]))
                 p = rng.uniform(-1, 1, size=3) + [0, 0, 2.0]
                 f.write(f"{ti:.6f},{tag},{p[0]:.6f},{p[1]:.6f},{p[2]:.6f}\n")
-    for p in (mp4_path, log_path, traj_path, tags_path):
+    files = (mp4_path, log_path, traj_path, tags_path)
+    for p in files:
         print(f"wrote {p}")
-    return 0
+    return "fixtures_report.json", {"files": [p.name for p in files]}
+
+
+def _add_option(parser, key, text):
+    parser.add_argument(f"--{key}", help=f"{text} (default {_OPTIONS[key][0]})")
 
 
 def build_parser():
@@ -337,18 +357,14 @@ def build_parser():
 
     p = sub.add_parser("extract", help="MP4 -> IMU CSV + frame-timestamp CSV")
     p.add_argument("mp4_path")
-    p.add_argument("--axis-order", default=None,
-                   help=f"device channel order of ACCL/GYRO "
-                        f"(default {DEFAULT_AXIS_ORDER})")
+    _add_option(p, "axis-order", "device channel order of ACCL/GYRO")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("allan", help="Allan deviation + noise parameter fit")
     p.add_argument("imu_csv")
     p.add_argument("--sensor", choices=("accel", "gyro"), default="accel")
-    p.add_argument("--white-window-max", type=float, default=None,
-                   help="upper tau bound (s) of the slope -1/2 fit (default 1)")
-    p.add_argument("--walk-window-min", type=float, default=None,
-                   help="lower tau bound (s) of the slope +1/2 fit (default 100)")
+    _add_option(p, "white-window-max", "upper tau bound (s) of the slope -1/2 fit")
+    _add_option(p, "walk-window-min", "lower tau bound (s) of the slope +1/2 fit")
     p.set_defaults(func=cmd_allan)
 
     p = sub.add_parser("map", help="replay a VIO event log into a fused PLY map")
@@ -360,21 +376,19 @@ def build_parser():
     p.add_argument("traj_est", help="estimated trajectory (TUM format)")
     p.add_argument("traj_ref", help="reference trajectory (TUM format)")
     p.add_argument("--mode", choices=("sim3", "se3"), default="sim3")
-    p.add_argument("--max-dt", type=float, default=None,
-                   help="association tolerance in seconds (default 0.02)")
+    _add_option(p, "max-dt", "association tolerance in seconds")
     p.set_defaults(func=cmd_eval_ate)
 
     p = sub.add_parser("eval-tags", help="tag displacement statistics")
     p.add_argument("traj", help="trajectory (TUM format)")
     p.add_argument("detections_csv", help="CSV t,tag_id,px,py,pz")
-    p.add_argument("--max-dt", type=float, default=None)
+    _add_option(p, "max-dt", "association tolerance in seconds")
     p.set_defaults(func=cmd_eval_tags)
 
     p = sub.add_parser("register", help="global + ICP registration of two PLY maps")
     p.add_argument("source_ply")
     p.add_argument("target_ply")
-    p.add_argument("--voxel", type=float, default=None,
-                   help="voxel size in meters (default 0.10)")
+    _add_option(p, "voxel", "voxel size in meters")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("fixtures", help="emit synthetic test fixture files")
@@ -383,19 +397,29 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args.config_values = load_config(args.config) if args.config else {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return args.func(args)
-    except UwvioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Runs one subcommand: makes the output directory, writes the report the
+    command returns with the warnings raised while it ran, and logs each of
+    them, also when the command fails. Returns the exit code."""
+    args = build_parser().parse_args(argv)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args.config_values = load_config(args.config) if args.config else {}
+            out_dir = Path(args.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            name, report = args.func(args, out_dir)
+            report["warnings"] = [str(w.message) for w in caught]
+            _write_report(out_dir, name, report)
+        except (UwvioError, OSError) as exc:
+            error = exc
+        finally:
+            for w in caught:
+                _log(args, f"warning: {w.message}")
+    if error is None:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code if isinstance(error, UwvioError) else 2
 
 
 if __name__ == "__main__":

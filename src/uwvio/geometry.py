@@ -18,7 +18,8 @@ def _row_dot(a, b):
 def quat_normalize(q):
     """Each quaternion of a (..., 4) array scaled to unit norm."""
     q = np.asarray(q, dtype=float)
-    sq = _row_dot(q, q)
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        sq = _row_dot(q, q)
     ok = (sq > 0) & (sq < np.inf)
     if not ok.all():
         # a square sum that underflows to 0 or overflows: divide the row by

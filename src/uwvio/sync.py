@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gpmf
-from .errors import (CountMismatch, MissingStream, NonMonotonicPayloads,
-                     StreamNotFound, ZeroCount)
+from .errors import (CountMismatch, InputError, MissingStream,
+                     NonMonotonicPayloads, StreamNotFound, ZeroCount)
 from .table import read_table
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
@@ -212,9 +212,13 @@ def export_frames_csv(dataset, path):
 
 
 def load_imu_csv(path):
-    """Read an exported IMU CSV back into (t, accel, gyro) arrays."""
+    """Read an exported IMU CSV back into (t, accel, gyro) arrays; the
+    timestamps must strictly increase."""
     row = np.dtype([("t", float), ("accel", float, 3), ("gyro", float, 3)])
-    return read_table(path, row, delimiter=",", header="t,")
+    t, accel, gyro = read_table(path, row, delimiter=",", header="t,")
+    if np.any(np.diff(t) <= 0):
+        raise InputError(f"{path}: IMU timestamps must be strictly increasing")
+    return t, accel, gyro
 
 
 def export_manifest(dataset, path):

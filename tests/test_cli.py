@@ -73,6 +73,9 @@ def test_extract_missing_file_exit_code_2(tmp_path):
     assert run(["--out-dir", tmp_path, "extract", tmp_path / "nope.mp4"]) == 2
 
 
+SHORT_DATA = "only 12 min of data; noise fits below 1 h are unreliable"
+
+
 def _write_noise_csv(path, duration=700.0, rate=20.0, seed=0):
     from uwvio.allan import simulate_imu_noise
     x = simulate_imu_noise(2e-3, 1e-4, rate, duration, seed=seed, axes=3)
@@ -89,12 +92,37 @@ def test_allan_subcommand(tmp_path, capsys):
     assert run(["--out-dir", out, "allan", csv, "--sensor", "accel",
                 "--walk-window-min", "30"]) == 0
     report = read_json(out / "allan_accel_report.json")
+    assert report["warnings"] == [SHORT_DATA]
+    assert capsys.readouterr().err == f"warning: {SHORT_DATA}\n"
     assert report["sensor"] == "accel"
     assert report["rate_hz"] == pytest.approx(20.0)
     assert report["sigma_w_avg"] == pytest.approx(2e-3, rel=0.15)
     assert (out / "allan_accel.csv").exists()
     curve = np.loadtxt(out / "allan_accel.csv", delimiter=",", skiprows=1)
     assert curve.shape[1] == 5  # tau, 3 axes, average
+
+
+def test_allan_quiet_run_and_hour_long_run(tmp_path, capsys):
+    short = _write_noise_csv(tmp_path / "short.csv")
+    assert run(["-q", "--out-dir", tmp_path / "q", "allan", short,
+                "--walk-window-min", "30"]) == 0
+    assert read_json(tmp_path / "q" / "allan_accel_report.json")["warnings"] == [SHORT_DATA]
+    assert capsys.readouterr().err == ""
+    hour = _write_noise_csv(tmp_path / "hour.csv", duration=3601.0)
+    assert run(["--out-dir", tmp_path / "h", "allan", hour]) == 0
+    assert read_json(tmp_path / "h" / "allan_accel_report.json")["warnings"] == []
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("stamps", [np.zeros(10), np.repeat(np.arange(14_000) / 20.0, 2)],
+                         ids=["all-zero", "each-repeated"])
+def test_allan_non_increasing_timestamps_exit_code_2(tmp_path, capsys, stamps):
+    csv = tmp_path / "imu.csv"
+    np.savetxt(csv, np.column_stack([stamps] + [np.zeros(len(stamps))] * 6),
+               delimiter=",", fmt="%.6f", header="t,ax,ay,az,gx,gy,gz", comments="")
+    assert run(["--out-dir", tmp_path, "allan", csv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: IMU timestamps must be strictly increasing\n")
 
 
 def test_allan_too_short_exit_code_1(tmp_path):
@@ -122,6 +150,7 @@ def test_map_subcommand(tmp_path, capsys):
     assert report["obs_lines"] == 85
     assert report["replaced"] == 5
     assert report["fused_points"] == 20
+    assert report["warnings"] == []
     cloud = ply.read_ply(out / "fused_map.ply")
     assert len(cloud["points"]) == 20
 
@@ -161,6 +190,7 @@ def test_eval_ate_subcommand(tmp_path):
     assert report["n_pairs"] == 100
     assert report["ate_rmse_m"] < 1e-6
     assert report["scale"] == pytest.approx(1 / 1.5, rel=1e-6)
+    assert report["warnings"] == []
     # SE(3) mode cannot absorb the scale difference
     assert run(["--out-dir", out, "eval-ate", est_path, ref_path,
                 "--mode", "se3"]) == 0
@@ -183,19 +213,34 @@ def test_eval_tags_subcommand(tmp_path):
             R = rotation_about_z(2 * np.pi * t[i] / 60.0)
             p_cm = R.T @ (world - pos[i])
             f.write(f"{t[i]:.9f},7,{p_cm[0]:.12f},{p_cm[1]:.12f},{p_cm[2]:.12f}\n")
-        # one detection a second past the trajectory end has no pose
-        f.write(f"{t[-1] + 1.0:.9f},7,0.0,0.0,1.0\n")
     out = tmp_path / "out"
+    assert run(["--out-dir", out, "eval-tags", traj_path, csv]) == 0
+    assert read_json(out / "tags_report.json")["warnings"] == []
+    # one detection a second past the trajectory end has no pose
+    with open(csv, "a") as f:
+        f.write(f"{t[-1] + 1.0:.9f},7,0.0,0.0,1.0\n")
     assert run(["--out-dir", out, "eval-tags", traj_path, csv]) == 0
     report = read_json(out / "tags_report.json")
     assert report["n_detections"] == 20
     assert report["avg_dist_error"] < 1e-6  # noiseless => zero displacement
     assert report["n_unmatched"] == 1
     assert report["unmatched"] == [[pytest.approx(t[-1] + 1.0), 7]]
+    assert report["warnings"] == [f"detection of tag 7 at t={t[-1] + 1.0:.3f} "
+                                  "has no trajectory pose within tolerance"]
     assert (out / "tag_quantiles.csv").exists()
 
 
 TUM_POSES = "0.0 0 0 0 0 0 0 1\n0.1 1 0 0 0 0 0 1\n0.2 2 0 0 0 0 0 1\n"
+
+
+def test_warnings_logged_when_command_fails(tmp_path, capsys):
+    traj_path, tags_path = tmp_path / "traj.txt", tmp_path / "tags.csv"
+    traj_path.write_text(TUM_POSES)
+    tags_path.write_text("t,tag_id,px,py,pz\n5,1,0,0,1\n")
+    assert run(["--out-dir", tmp_path, "eval-tags", traj_path, tags_path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: detection of tag 1 at t=5.000 has no trajectory pose within tolerance",
+        "error: no tag detection has a trajectory pose"]
 
 
 def _one_error_line(capsys):
@@ -271,6 +316,44 @@ def test_non_numeric_config_value_exit_code_2(tmp_path, capsys):
     assert err.startswith("error: ") and "voxel" in err and "'abc'" in err
 
 
+OPTION_RULES = {
+    "axis-order": "a permutation of xyz",
+    "white-window-max": "a finite number > 0",
+    "walk-window-min": "a finite number > 0",
+    "max-dt": "a finite number >= 0",
+    "voxel": "a finite number > 0",
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("extract", "axis-order", "abc"),
+    ("extract", "axis-order", "xxy"),
+    ("allan", "white-window-max", "0"),
+    ("allan", "white-window-max", "inf"),
+    ("allan", "walk-window-min", "-5"),
+    ("allan", "walk-window-min", "nan"),
+    ("eval-ate", "max-dt", "-1"),
+    ("eval-ate", "max-dt", "nan"),
+    ("eval-tags", "max-dt", "-1"),
+    ("register", "voxel", "0"),
+    ("register", "voxel", "-0.1"),
+    ("register", "voxel", "nan"),
+])
+def test_bad_option_value_exit_code_2(tmp_path, capsys, source, command, key, value):
+    # options are read before any input file, so the inputs need not exist
+    inputs = [tmp_path / "a", tmp_path / "b"][:1 if command in ("extract", "allan") else 2]
+    if source == "flag":
+        argv, where = [command, *inputs, f"--{key}", value], f"--{key}"
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key}: {value}\n")
+        argv, where = ["--config", cfg, command, *inputs], f"{cfg}: {key}"
+    assert run(["--out-dir", tmp_path / "out", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}: expected {OPTION_RULES[key]}, got {value!r}\n")
+
+
 def test_register_subcommand(tmp_path):
     base = fixtures.structured_scene(n_points=8000, extent=10.0, seed=0)
     T = RigidTransform.from_matrix(rotation_about_z(0.3), np.array([1.0, 0.5, 0.1]))
@@ -291,6 +374,7 @@ def test_register_subcommand(tmp_path):
         cloud = register.PointCloud(points=ply.read_ply(path)["points"])
         assert report[key] == len(register.voxel_downsample(cloud, 0.3))
     assert report["isolated_points"] == [1, 0]
+    assert report["warnings"] == []
     # RANSAC ran at least the hypotheses its best consensus calls for
     n, inliers = report["n_putative"], report["ransac_inliers"]
     assert register.MIN_INLIER_RATIO * n <= inliers <= n
@@ -316,9 +400,10 @@ def test_register_malformed_ply_exit_code_2(tmp_path, capsys, header):
 def test_fixtures_subcommand(tmp_path):
     out = tmp_path / "fx"
     assert run(["--out-dir", out, "fixtures"]) == 0
-    for name in ("fixture.mp4", "drift_loop_events.txt", "circle_traj.txt",
-                 "tags.csv"):
+    names = ["fixture.mp4", "drift_loop_events.txt", "circle_traj.txt", "tags.csv"]
+    for name in names:
         assert (out / name).exists()
+    assert read_json(out / "fixtures_report.json") == {"files": names, "warnings": []}
 
 
 def test_config_file_and_flag_override(tmp_path):

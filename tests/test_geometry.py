@@ -101,7 +101,6 @@ def test_quat_normalize():
     assert np.allclose(q, [0, 0, 0, 1])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
 def test_quat_normalize_extreme_magnitudes(scale):
     # squares that overflow or underflow must not give (0, 0, 0, 0) or a

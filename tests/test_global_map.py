@@ -171,7 +171,6 @@ def test_replay_log_minimal():
     assert np.allclose(fused.p_w, [1.0, 2.0, 4.0])  # shifted by the update
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_replay_log_quaternion_beyond_float_squares():
     # the squared norm overflows; the keyframe still turns 90 deg about x
     m = replay_log(["KF 0 0 0 0 1e200 0 0 1e200"])

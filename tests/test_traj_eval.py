@@ -97,7 +97,6 @@ def test_tum_rejects_bad_values(tmp_path, line, reason):
         load_tum(path)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_tum_quaternion_beyond_float_squares(tmp_path):
     path = tmp_path / "traj.txt"
     path.write_text("0 1 2 3 1e200 0 0 1e200\n1 1 2 3 1e-200 0 0 1e-200\n")
