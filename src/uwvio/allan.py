@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitRegionEmpty, NonPositiveTau, SeriesTooShort
+from .errors import UwvioError
 
 POINTS_PER_DECADE = 30
 
@@ -50,7 +50,7 @@ def default_taus(n_samples, rate):
     lo = 2.0 / rate
     hi = n_samples / (2.0 * rate)
     if hi <= lo:
-        raise SeriesTooShort(f"{n_samples} samples support no tau range")
+        raise UwvioError(f"{n_samples} samples support no tau range")
     n_pts = max(int(np.ceil(np.log10(hi / lo) * POINTS_PER_DECADE)), 2)
     return np.logspace(np.log10(lo), np.log10(hi), n_pts)
 
@@ -67,17 +67,17 @@ def allan_deviation(samples, rate, taus=None):
         x = x[:, None]
     n = x.shape[0]
     if n < 6:
-        raise SeriesTooShort(f"need at least 6 samples, got {n}")
+        raise UwvioError(f"need at least 6 samples, got {n}")
     if taus is None:
         taus = default_taus(n, rate)
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0):
-        raise NonPositiveTau("all taus must be positive")
+        raise UwvioError("all taus must be positive")
 
     ms = np.unique(np.clip(np.round(taus * rate).astype(int), 1, None))
     ms = ms[n - 2 * ms >= 1]
     if ms.size == 0:
-        raise SeriesTooShort("series too short for every requested tau")
+        raise UwvioError("series too short for every requested tau")
 
     # one axis at a time: a contiguous prefix sum gives cluster means in
     # O(1) per cluster, and every cluster size reuses one difference buffer
@@ -106,7 +106,7 @@ def _fixed_slope_value(taus, adev, window, slope, at_tau):
     hi = window[1] if window[1] is not None else taus[-1]
     mask = (taus >= lo) & (taus <= hi) & (adev > 0)
     if not np.any(mask):
-        raise FitRegionEmpty(f"no usable taus in [{lo:g}, {hi:g}] s")
+        raise UwvioError(f"no usable taus in [{lo:g}, {hi:g}] s")
     log_tau = np.log(taus[mask])
     log_adev = np.log(adev[mask])
     intercept = np.mean(log_adev - slope * log_tau)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import allan as allan_mod
 from . import fixtures, global_map, mp4, ply, register, sync, traj_eval
-from .errors import InputError, SeriesTooShort, UwvioError
+from .errors import InputError, UwvioError
 
 # device channel order of ACCL/GYRO relative to the camera (x, y, z) frame;
 # Hero-family firmware delivers z, x, y first
@@ -32,7 +32,8 @@ def _log(args, message):
 
 
 def load_config(path):
-    """Simple `key: value` config file; '#' starts a comment line."""
+    """Simple `key: value` config file; '#' starts a comment line. A key
+    that no subcommand reads is an `InputError` naming its line."""
     config = {}
     try:
         with open(path) as f:
@@ -45,8 +46,10 @@ def load_config(path):
             continue
         if ":" not in text:
             raise InputError(f"{path}:{line_no}: expected 'key: value'")
-        key, _, value = text.partition(":")
-        config[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in text.partition(":"))
+        if key not in _OPTIONS:
+            raise InputError(f"{path}:{line_no}: unknown key {key!r}")
+        config[key] = value
     return config
 
 
@@ -157,11 +160,11 @@ def cmd_allan(args, out_dir):
     walk_lo = _resolve(args, "walk-window-min")
     t, accel, gyro = sync.load_imu_csv(args.imu_csv)
     if len(t) < 2:
-        raise SeriesTooShort("IMU log holds fewer than 2 samples")
+        raise UwvioError("IMU log holds fewer than 2 samples")
     rate = 1.0 / float(np.median(np.diff(t)))
     duration = t[-1] - t[0]
     if duration < 600:
-        raise SeriesTooShort(
+        raise UwvioError(
             f"{duration:.0f} s of data; at least 10 minutes required")
     if duration < 3600:
         warnings.warn(f"only {duration / 60:.0f} min of data; "

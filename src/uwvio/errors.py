@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all uwvio modules.
+"""The exceptions that uwvio raises, one per CLI exit code.
 
 Every error carries an ``exit_code`` used by the CLI: 2 for input/parse
-problems, 1 for computational failures.
+problems (`InputError`), 1 for computational failures (`UwvioError`).
+The message says what went wrong; no caller needs to tell two failures of
+the same family apart by type.
 """
 
 
 class UwvioError(Exception):
+    """A computation that cannot finish; the base of every uwvio error."""
     exit_code = 1
 
 
@@ -14,139 +17,9 @@ class InputError(UwvioError):
     exit_code = 2
 
 
-# --- MP4 demuxing ---
-
-class NotMp4(InputError):
-    pass
-
-
-class TruncatedFile(InputError):
-    pass
-
-
-class MalformedBox(InputError):
-    pass
-
-
-class NoTelemetryTrack(InputError):
-    pass
-
-
-class InconsistentSampleTable(InputError):
-    pass
-
-
-class AlignmentError(InputError):
-    pass
-
-
-# --- GPMF / KLV parsing ---
-
-class TruncatedKlv(InputError):
-    pass
-
-
-class BadTypeCode(InputError):
-    pass
-
-
-class StreamNotFound(InputError):
-    pass
-
-
-class ScaleMismatch(InputError):
-    pass
-
-
-# --- synchronization ---
-
-class NonMonotonicPayloads(InputError):
-    pass
-
-
-class ZeroCount(InputError):
-    pass
-
-
-class MissingStream(InputError):
-    pass
-
-
-class CountMismatch(InputError):
-    pass
-
-
-# --- Allan analysis ---
-
-class SeriesTooShort(UwvioError):
-    pass
-
-
-class NonPositiveTau(UwvioError):
-    pass
-
-
-class FitRegionEmpty(UwvioError):
-    pass
-
-
-# --- global map ---
-
-class DuplicateKeyframe(UwvioError):
-    pass
-
-
-class UnknownKeyframe(UwvioError):
-    pass
-
-
-class InvalidQuality(UwvioError):
-    pass
-
-
-class UnknownLandmark(UwvioError):
-    pass
-
-
 class EventLogError(InputError):
     """Malformed event-log line; carries the 1-based line number."""
 
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-# --- trajectory evaluation ---
-
-class NoMatches(UwvioError):
-    pass
-
-
-class DegenerateConfiguration(UwvioError):
-    pass
-
-
-class EmptyPairs(UwvioError):
-    pass
-
-
-class InsufficientDetections(UwvioError):
-    pass
-
-
-# --- point-cloud registration ---
-
-class EmptyCloud(UwvioError):
-    pass
-
-
-class TooFewPoints(UwvioError):
-    pass
-
-
-class ConsensusFailure(UwvioError):
-    pass
-
-
-class NoOverlap(UwvioError):
-    pass

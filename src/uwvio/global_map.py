@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ply
-from .errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
-                     UnknownKeyframe, UnknownLandmark, UwvioError)
+from .errors import EventLogError, UwvioError
 from .geometry import RigidTransform
 
 # rows transformed per step, and OBS lines parsed per block, so the gathered
@@ -79,7 +78,7 @@ class GlobalMap:
 
     def add_keyframe(self, kf_id, pose):
         if kf_id in self.keyframes:
-            raise DuplicateKeyframe(f"keyframe {kf_id} already present")
+            raise UwvioError(f"keyframe {kf_id} already present")
         slot = len(self._kf_slot)
         if slot == len(self._R):
             self._R, self._t = _grow(self._R), _grow(self._t)
@@ -96,9 +95,9 @@ class GlobalMap:
         """
         pose = self.keyframes.get(kf_id)
         if pose is None:
-            raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+            raise UwvioError(f"keyframe {kf_id} not in map")
         if not 0.0 <= quality <= 1.0:
-            raise InvalidQuality(f"quality {quality} outside [0, 1]")
+            raise UwvioError(f"quality {quality} outside [0, 1]")
         p_f = pose.R.T @ (np.asarray(p_w_obs, dtype=float) - pose.t)
         rows = self.landmarks.get(landmark_id)
         if rows is None:
@@ -143,8 +142,8 @@ class GlobalMap:
         if bad.any():
             i = int(bad.argmax())
             if kf_slot[i] < 0:
-                raise UnknownKeyframe(f"keyframe {kf[i]} not in map")
-            raise InvalidQuality(f"quality {quality[i]} outside [0, 1]")
+                raise UwvioError(f"keyframe {kf[i]} not in map")
+            raise UwvioError(f"quality {quality[i]} outside [0, 1]")
         # (landmark, keyframe) -> index of its last row, in first-occurrence order
         last = dict(zip(zip(lm.tolist(), kf.tolist()), range(len(lm))))
         landmarks, lm_slot = self.landmarks, self._lm_slot
@@ -189,7 +188,7 @@ class GlobalMap:
         """
         for kf_id in updates:
             if kf_id not in self.keyframes:
-                raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+                raise UwvioError(f"keyframe {kf_id} not in map")
         self.keyframes.update(updates)
         for kf_id, pose in updates.items():
             slot = self._kf_slot[kf_id]
@@ -207,10 +206,12 @@ class GlobalMap:
             groups = self._lm[rows]                       # landmark slot of each row
             order = np.argsort(self._lm_ids[:n_lm])       # slot of each output
             ids = self._lm_ids[order]
+            if not self.n_observations:  # np.bincount of no rows sums to int64
+                return ids, np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, int)
         else:
             obs = self.landmarks.get(landmark_id)
             if not obs:
-                raise UnknownLandmark(f"landmark {landmark_id} has no observations")
+                raise UwvioError(f"landmark {landmark_id} has no observations")
             n_lm = 1
             rows = np.fromiter(obs.values(), dtype=np.intp, count=len(obs))
             groups = np.zeros(len(obs), dtype=np.intp)
@@ -326,7 +327,7 @@ def replay_log(lines):
                     raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
                 kf_id = int(fields[1])
                 if kf_id not in gmap.keyframes:
-                    raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+                    raise UwvioError(f"keyframe {kf_id} not in map")
                 pending_updates[kf_id] = _parse_pose(fields[2:9])
             else:
                 raise EventLogError(line_no, f"unknown event {tag!r}")

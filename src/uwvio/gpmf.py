@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadTypeCode, ScaleMismatch, StreamNotFound, TruncatedKlv
+from .errors import InputError
 
 # type letter -> big-endian scalar dtype
 SCALAR_TYPES = {letter: np.dtype(code) for letter, code in (
@@ -71,14 +71,14 @@ class KlvNode:
 
         Numeric types come back as a numpy array of shape (repeat, channels)
         where channels = item_size // scalar size. Text types come back as a
-        list of strings. Unknown type letters raise BadTypeCode.
+        list of strings. Unknown type letters raise InputError.
         """
         letter = chr(self.header.type_code)
         if letter in SCALAR_TYPES:
             dtype = SCALAR_TYPES[letter]
             channels, rest = divmod(self.header.item_size, dtype.itemsize)
             if rest:
-                raise BadTypeCode(
+                raise InputError(
                     f"{self.key}: item size {self.header.item_size} not a "
                     f"multiple of {dtype.itemsize} for type '{letter}'")
             flat = np.frombuffer(self.raw, dtype, self.header.repeat * channels)
@@ -89,7 +89,7 @@ class KlvNode:
                 chunk = self.raw[i * self.header.item_size:(i + 1) * self.header.item_size]
                 out.append(chunk.split(b"\x00")[0].decode("ascii", errors="replace"))
             return out
-        raise BadTypeCode(f"{self.key}: unsupported type letter {letter!r}")
+        raise InputError(f"{self.key}: unsupported type letter {letter!r}")
 
 
 def parse_klv(data):
@@ -109,16 +109,16 @@ def _parse_nodes(data):
     total = len(data)
     while pos < total:
         if total - pos < 8:
-            raise TruncatedKlv(f"trailing {total - pos} bytes, need 8 for a header")
+            raise InputError(f"trailing {total - pos} bytes, need 8 for a header")
         key_raw = data[pos:pos + 4]
         if not all(0x20 <= b < 0x7F for b in key_raw):
-            raise TruncatedKlv(f"non-ASCII key at offset {pos}: {key_raw!r}")
+            raise InputError(f"non-ASCII key at offset {pos}: {key_raw!r}")
         type_code, item_size, repeat = struct.unpack(">BBH", data[pos + 4:pos + 8])
         header = KlvHeader(key=key_raw.decode("ascii"), type_code=type_code,
                            item_size=item_size, repeat=repeat)
         pos += 8
         if pos + header.padded_len > total:
-            raise TruncatedKlv(
+            raise InputError(
                 f"{header.key}: declares {header.padded_len} payload bytes, "
                 f"{total - pos} remain")
         payload = data[pos:pos + header.padded_len]
@@ -165,7 +165,7 @@ def make_leaf(key, letter, values, channels=1):
         raw = b"".join(v.encode("ascii").ljust(item_size, b"\x00") for v in values)
         repeat = len(values)
     else:
-        raise BadTypeCode(f"unsupported fixture type {letter!r}")
+        raise InputError(f"unsupported fixture type {letter!r}")
     raw += b"\x00" * (-len(raw) % 4)
     header = KlvHeader(key=key, type_code=ord(letter), item_size=item_size, repeat=repeat)
     return KlvNode(header=header, raw=raw)
@@ -192,7 +192,7 @@ def _iter_streams(root):
 def _numeric(node, key):
     values = node.values()
     if not isinstance(values, np.ndarray):
-        raise BadTypeCode(f"{key}: {node.key} is not numeric")
+        raise InputError(f"{key}: {node.key} is not numeric")
     return values
 
 
@@ -203,10 +203,10 @@ def extract_stream(root, key, axis_order=None):
     Concatenates, in order, every STRM container under ``root`` holding
     ``key`` (multiple payload trees are handled by the caller), divides raw
     values element-wise by the sibling SCAL divisors (a divisor that is
-    zero or not finite is a `ScaleMismatch`), and optionally
+    zero or not finite is an `InputError`), and optionally
     re-orders 3-channel device axes into (x, y, z) output order.
     ``axis_order`` names the device channel order, e.g. "zxy" means device
-    channel 0 carries z.
+    channel 0 carries z. Returns None when no STRM holds ``key``.
     """
     chunks = []
     for strm in _iter_streams(root):
@@ -216,7 +216,7 @@ def extract_stream(root, key, axis_order=None):
         raw = _numeric(data, key)
         expected = SENSOR_CHANNELS.get(key)
         if expected is not None and raw.shape[1] != expected:
-            raise ScaleMismatch(
+            raise InputError(
                 f"{key}: expected {expected} channels, got {raw.shape[1]}")
         scal = strm.find("SCAL")
         if scal is not None:
@@ -224,17 +224,17 @@ def extract_stream(root, key, axis_order=None):
             if divisors.size == 1:
                 divisors = np.full(raw.shape[1], divisors[0])
             elif divisors.size != raw.shape[1]:
-                raise ScaleMismatch(
+                raise InputError(
                     f"{key}: SCAL has {divisors.size} divisors for "
                     f"{raw.shape[1]} channels")
             bad = divisors[~np.isfinite(divisors) | (divisors == 0)]
             if bad.size:
-                raise ScaleMismatch(f"{key}: SCAL divisor {bad[0]:g} is zero or not finite")
+                raise InputError(f"{key}: SCAL divisor {bad[0]:g} is zero or not finite")
         else:
             divisors = np.ones(raw.shape[1])
         chunks.append(raw / divisors)
     if not chunks:
-        raise StreamNotFound(f"no STRM containing {key}")
+        return None
     values = np.vstack(chunks)
     if axis_order is not None and values.shape[1] == 3:
         values = values[:, [axis_order.index(a) for a in "xyz"]]

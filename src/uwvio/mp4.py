@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AlignmentError, InconsistentSampleTable, MalformedBox,
-                     NotMp4, NoTelemetryTrack, TruncatedFile)
+from .errors import InputError
 
 CONTAINER_BOXES = {
     "moov", "trak", "mdia", "minf", "stbl", "edts", "dinf", "udta",
@@ -82,14 +81,14 @@ def parse_box_tree(f):
     """
     file_len = _file_length(f)
     if file_len < 8:
-        raise NotMp4(f"file too short for any box ({file_len} bytes)")
+        raise InputError(f"file too short for any box ({file_len} bytes)")
     f.seek(4)
     first_fourcc = f.read(4)
     if first_fourcc.decode("ascii", errors="replace") not in TOP_LEVEL_STARTERS:
-        raise NotMp4(f"unexpected leading box {first_fourcc!r}")
+        raise InputError(f"unexpected leading box {first_fourcc!r}")
     boxes = _parse_boxes(f, 0, file_len, top_level=True)
     if not any(b.fourcc in ("ftyp", "moov") for b in boxes):
-        raise NotMp4("no ftyp/moov box found")
+        raise InputError("no ftyp/moov box found")
     return boxes
 
 
@@ -100,30 +99,30 @@ def _parse_boxes(f, start, end, top_level=False):
         f.seek(pos)
         raw = f.read(8)
         if len(raw) < 8:
-            raise TruncatedFile(f"short read at offset {pos}")
+            raise InputError(f"short read at offset {pos}")
         size32, fourcc_raw = struct.unpack(">I4s", raw)
         if not all(0x20 <= b < 0x7F for b in fourcc_raw):
-            raise MalformedBox(f"non-ASCII fourcc at offset {pos}: {fourcc_raw!r}")
+            raise InputError(f"non-ASCII fourcc at offset {pos}: {fourcc_raw!r}")
         fourcc = fourcc_raw.decode("ascii")
         header_len = 8
         if size32 == 1:
             ext = f.read(8)
             if len(ext) < 8:
-                raise TruncatedFile(f"short extended size at offset {pos}")
+                raise InputError(f"short extended size at offset {pos}")
             size = struct.unpack(">Q", ext)[0]
             header_len = 16
         elif size32 == 0:
             if not top_level:
-                raise MalformedBox(
+                raise InputError(
                     f"{fourcc} at offset {pos}: size 0 only valid at top level")
             size = end - pos
         else:
             size = size32
         if size < header_len:
-            raise MalformedBox(
+            raise InputError(
                 f"{fourcc} at offset {pos}: size {size} < header {header_len}")
         if pos + size > end:
-            raise TruncatedFile(
+            raise InputError(
                 f"{fourcc} at offset {pos}: declared size {size} exceeds "
                 f"available {end - pos} bytes")
         box = BoxHeader(fourcc=fourcc, size=size, offset=pos, header_len=header_len)
@@ -132,7 +131,7 @@ def _parse_boxes(f, start, end, top_level=False):
         boxes.append(box)
         pos += size
     if pos != end:
-        raise TruncatedFile(f"{end - pos} stray bytes at offset {pos}")
+        raise InputError(f"{end - pos} stray bytes at offset {pos}")
     return boxes
 
 
@@ -140,20 +139,20 @@ def _read_payload(f, box):
     f.seek(box.payload_offset)
     data = f.read(box.payload_size)
     if len(data) < box.payload_size:
-        raise TruncatedFile(f"{box.fourcc}: short payload read")
+        raise InputError(f"{box.fourcc}: short payload read")
     return data
 
 
 def _require(box, fourcc):
     child = box.find(fourcc)
     if child is None:
-        raise InconsistentSampleTable(f"missing {fourcc} under {box.fourcc}")
+        raise InputError(f"missing {fourcc} under {box.fourcc}")
     return child
 
 
 def _u32(body, at, fourcc):
     if len(body) < at + 4:
-        raise InconsistentSampleTable(
+        raise InputError(
             f"{fourcc}: {len(body)} bytes, need {at + 4}")
     return int.from_bytes(body[at:at + 4], "big")
 
@@ -171,7 +170,7 @@ def _entries(body, fourcc, fields, at=4):
     dtype = np.dtype(">u8" if fourcc == "co64" else ">u4")
     room = (len(body) - at) // (fields * dtype.itemsize)
     if count > room:
-        raise InconsistentSampleTable(
+        raise InputError(
             f"{fourcc} declares {count} entries, its box holds {room}")
     return np.frombuffer(body, dtype, count * fields, at).reshape(count, fields)
 
@@ -184,12 +183,12 @@ def find_gpmf_track(tree, f):
     """
     moov = next((b for b in tree if b.fourcc == "moov"), None)
     if moov is None:
-        raise NoTelemetryTrack("no moov box")
+        raise InputError("no moov box")
     for trak in moov.children:
         table = _track_table(trak, f) if trak.fourcc == "trak" else None
         if table is not None:
             return table
-    raise NoTelemetryTrack("no track with sample format gpmd")
+    raise InputError("no track with sample format gpmd")
 
 
 def _track_table(trak, f):
@@ -206,7 +205,7 @@ def _track_table(trak, f):
     version, body = _full_box(f, _require(mdia, "mdhd"))
     timescale = _u32(body, 16 if version == 1 else 8, "mdhd")
     if timescale == 0:
-        raise InconsistentSampleTable("mdhd timescale is 0")
+        raise InputError("mdhd timescale is 0")
     file_len = _file_length(f)
 
     # time-to-sample runs: (count, delta)
@@ -217,7 +216,7 @@ def _track_table(trak, f):
     uniform, count = _u32(body, 0, "stsz"), _u32(body, 4, "stsz")
     if uniform:
         if count * uniform > file_len:
-            raise InconsistentSampleTable(
+            raise InputError(
                 f"stsz declares {count} samples of {uniform} bytes, "
                 f"file holds {file_len}")
         sizes = np.full(count, uniform, dtype=np.int64)
@@ -225,13 +224,13 @@ def _track_table(trak, f):
         sizes = _entries(body, "stsz", 1, at=8)[:, 0].astype(np.int64)
 
     if stts[:, 0].sum() != count:
-        raise InconsistentSampleTable(
+        raise InputError(
             f"stts declares {stts[:, 0].sum()} samples, stsz {count}")
     durations = np.repeat(stts[:, 1], stts[:, 0])
 
     co = stbl.find("stco") or stbl.find("co64")
     if co is None:
-        raise InconsistentSampleTable("no stco/co64 chunk offsets")
+        raise InputError("no stco/co64 chunk offsets")
     # an offset past the file end stays past it, and fits in int64
     chunks = np.minimum(_entries(_full_box(f, co)[1], co.fourcc, 1)[:, 0],
                         file_len + 1).astype(np.int64)
@@ -239,14 +238,14 @@ def _track_table(trak, f):
     # sample-to-chunk runs: (first_chunk, samples_per_chunk, description)
     stsc = _entries(_full_box(f, _require(stbl, "stsc"))[1], "stsc", 3).astype(np.int64)
     if np.any(np.diff(stsc[:, 0]) <= 0):
-        raise InconsistentSampleTable("stsc first_chunk does not increase")
+        raise InputError("stsc first_chunk does not increase")
     # a chunk takes the last run starting at or before its 1-based number,
     # and no samples before the first run; the size table caps the total
     run = np.searchsorted(stsc[:, 0], np.arange(1, len(chunks) + 1), side="right")
     ends = np.minimum(np.cumsum(np.append(0, stsc[:, 1])[run]), count)
     placed = int(ends[-1]) if len(ends) else 0
     if placed != count:
-        raise InconsistentSampleTable(
+        raise InputError(
             f"chunk layout yields {placed} samples, size table {count}")
     per_chunk = np.diff(ends, prepend=0)
 
@@ -256,7 +255,7 @@ def _track_table(trak, f):
     past = np.flatnonzero(offsets + sizes > file_len)
     if past.size:
         i = past[0]
-        raise InconsistentSampleTable(
+        raise InputError(
             f"sample at {offsets[i]} (+{sizes[i]}) exceeds file end {file_len}")
 
     return TrackSampleTable(timescale=timescale, offsets=offsets, sizes=sizes,
@@ -274,9 +273,9 @@ def extract_payloads(table, f):
         f.seek(offset)
         data = f.read(size)
         if len(data) < size:
-            raise TruncatedFile(f"short payload read at offset {offset}")
+            raise InputError(f"short payload read at offset {offset}")
         if size % 4 != 0:
-            raise AlignmentError(
+            raise InputError(
                 f"payload at offset {offset} is {size} bytes, not 32-bit aligned")
         payloads.append(RawPayload(data=data, start_time=start, duration=duration))
     return payloads

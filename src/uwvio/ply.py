@@ -85,8 +85,8 @@ def read_ply(path):
     """Read a vertex-only PLY file into a dict of named arrays.
 
     Always contains "points" (n, 3); may contain "colors", "normals",
-    "quality". Any malformed header or vertex data is an `InputError`
-    naming the file.
+    "quality". Any malformed header or vertex data, a non-finite x/y/z
+    among it, is an `InputError` naming the file.
     """
     with open(path, "rb") as f:
         if f.readline().strip() != b"ply":
@@ -118,6 +118,8 @@ def read_ply(path):
                 raise InputError(f"{path}: bad vertex data: {exc}") from None
 
     out = {"points": np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(float)}
+    if not np.isfinite(out["points"]).all():
+        raise InputError(f"{path}: non-finite vertex coordinate")
     if {"red", "green", "blue"} <= props.keys():
         out["colors"] = np.column_stack([rec["red"], rec["green"], rec["blue"]])
     if {"nx", "ny", "nz"} <= props.keys():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConsensusFailure, EmptyCloud, NoOverlap, TooFewPoints)
+from .errors import InputError, UwvioError
 from .geometry import RigidTransform, rigid_fit
 from .gridindex import GridIndex
 
@@ -59,11 +59,18 @@ class RegistrationResult:
 
 
 def voxel_downsample(cloud, voxel):
-    """One output point per occupied voxel: the centroid of its members."""
+    """One output point per occupied voxel: the centroid of its members.
+
+    A coordinate whose voxel index does not fit in int64, or that is not
+    finite, is an `InputError`."""
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
-        raise EmptyCloud("cannot downsample an empty cloud")
+        raise UwvioError("cannot downsample an empty cloud")
+    extent = np.abs(cloud.points).max()
+    if not extent / voxel < 2.0 ** 63:
+        raise InputError(f"coordinate magnitude {extent:g} over voxel {voxel:g} "
+                         "overflows an int64 cell index")
     cells = np.floor(cloud.points / voxel).astype(np.int64)
     _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
                                    return_counts=True)
@@ -89,7 +96,7 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     pts = cloud.points
     n = len(pts)
     if n < k_neighbors + 1:
-        raise TooFewPoints(f"need >= {k_neighbors + 1} points, got {n}")
+        raise UwvioError(f"need >= {k_neighbors + 1} points, got {n}")
     index = GridIndex(pts, _density_cell(pts, k_neighbors))
     viewpoint = np.asarray(viewpoint, dtype=float)
 
@@ -196,7 +203,7 @@ def compute_fpfh(cloud, radius):
     normals = cloud.normals
     n = len(pts)
     if n == 0:
-        raise EmptyCloud("cannot describe an empty cloud")
+        raise UwvioError("cannot describe an empty cloud")
     offsets, nbrs = GridIndex(pts, radius).radius_neighbors(pts, radius)
     rows = np.repeat(np.arange(n), np.diff(offsets))
     keep = nbrs != rows
@@ -238,7 +245,7 @@ def match_descriptors(desc_a, desc_b, mutual=True):
     a = np.asarray(desc_a.values if hasattr(desc_a, "values") else desc_a, dtype=float)
     b = np.asarray(desc_b.values if hasattr(desc_b, "values") else desc_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
-        raise EmptyCloud("empty descriptor set")
+        raise UwvioError("empty descriptor set")
     fwd = _nn_indices(a, b)
     if not mutual:
         return np.column_stack([np.arange(len(a)), fwd])
@@ -284,7 +291,7 @@ def robust_global_registration(correspondences, points_a, points_b,
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     n = len(corr)
     if n < 3:
-        raise ConsensusFailure(f"need >= 3 correspondences, got {n}")
+        raise UwvioError(f"need >= 3 correspondences, got {n}")
     a = np.asarray(points_a, dtype=float)[corr[:, 0]]
     b = np.asarray(points_b, dtype=float)[corr[:, 1]]
     rng = np.random.default_rng(seed)
@@ -331,7 +338,7 @@ def robust_global_registration(correspondences, points_a, points_b,
 
     minimum = max(3, int(np.ceil(MIN_INLIER_RATIO * n)))
     if best_inliers is None or best_count < minimum:
-        raise ConsensusFailure(
+        raise UwvioError(
             f"best consensus {best_count}/{n} below minimum {minimum}")
     R, t = rigid_fit(a[best_inliers], b[best_inliers])
     return RansacResult(transform=RigidTransform.from_matrix(R, t),
@@ -362,7 +369,7 @@ def icp_refine(source, target, init, threshold):
     src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
     tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
     if len(src) == 0 or len(tgt) == 0:
-        raise EmptyCloud("empty cloud in ICP")
+        raise UwvioError("empty cloud in ICP")
     index = GridIndex(tgt, threshold)
     transform = init
     prev_rmse = np.inf
@@ -371,7 +378,7 @@ def icp_refine(source, target, init, threshold):
         nearest, dists = index.nearest_within(moved, threshold)
         hit = nearest >= 0
         if not hit.any():
-            raise NoOverlap("no point associations within threshold")
+            raise UwvioError("no point associations within threshold")
         rmse = float(np.sqrt(np.mean(dists[hit] ** 2)))
         if rmse > prev_rmse:
             break
@@ -397,7 +404,7 @@ def score_registration(source, target, transform, threshold):
     src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
     tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
     if len(src) == 0 or len(tgt) == 0:
-        raise EmptyCloud("empty cloud in scoring")
+        raise UwvioError("empty cloud in scoring")
     index = GridIndex(tgt, threshold)
     moved = transform.apply(src)
     nearest, dists = index.nearest_within(moved, threshold)

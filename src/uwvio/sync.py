@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gpmf
-from .errors import (CountMismatch, InputError, MissingStream,
-                     NonMonotonicPayloads, StreamNotFound, ZeroCount)
+from .errors import InputError
 from .table import read_table
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
@@ -57,17 +56,11 @@ def payload_streams_from_klv(raw_payloads, axis_order="xyz"):
     out = []
     for rp in raw_payloads:
         root = gpmf.parse_klv(rp.data)
-        streams = {}
-        for key in ("ACCL", "GYRO", "SHUT"):
-            try:
-                order = axis_order if key in ("ACCL", "GYRO") else None
-                streams[key] = gpmf.extract_stream(root, key, axis_order=order)
-            except StreamNotFound:
-                streams[key] = None
-        shutter = streams["SHUT"]
+        accel = gpmf.extract_stream(root, "ACCL", axis_order=axis_order)
+        gyro = gpmf.extract_stream(root, "GYRO", axis_order=axis_order)
+        shutter = gpmf.extract_stream(root, "SHUT")
         out.append(PayloadStreams(
-            start=rp.start_time, duration=rp.duration,
-            accel=streams["ACCL"], gyro=streams["GYRO"],
+            start=rp.start_time, duration=rp.duration, accel=accel, gyro=gyro,
             shutter=None if shutter is None else shutter[:, 0],
         ))
     return out
@@ -84,9 +77,9 @@ def interpolate_sample_times(bounds, counts):
     if len(bounds) != len(counts) + 1:
         raise ValueError("bounds must have len(counts) + 1 entries")
     if np.any(np.diff(bounds) <= 0):
-        raise NonMonotonicPayloads("payload start times are not strictly increasing")
+        raise InputError("payload start times are not strictly increasing")
     if np.any(counts < 1):
-        raise ZeroCount(f"payload {np.argmax(counts < 1)} has zero samples")
+        raise InputError(f"payload {np.argmax(counts < 1)} has zero samples")
     payload = np.repeat(np.arange(len(counts)), counts)
     j = np.arange(len(payload)) - np.repeat(np.cumsum(counts) - counts, counts)
     t0, t1 = bounds[:-1][payload], bounds[1:][payload]
@@ -110,17 +103,17 @@ def build_dataset(payloads, meta=None, axis_order="xyz"):
     """
     payloads = list(payloads)
     if not payloads:
-        raise MissingStream("no payloads")
+        raise InputError("no payloads")
     # (payload, stream) sample counts; an absent stream counts 0
     counts = np.array([[0 if s is None else len(s) for s in (p.accel, p.gyro, p.shutter)]
                        for p in payloads], dtype=np.int64)
     never = [key for key, n in zip(("ACCL", "GYRO", "SHUT"), counts.max(axis=0)) if n == 0]
     if never:
-        raise MissingStream(f"streams never seen: {', '.join(never)}")
+        raise InputError(f"streams never seen: {', '.join(never)}")
     mismatch = np.flatnonzero(np.abs(counts[:, 0] - counts[:, 1]) > COUNT_TOLERANCE)
     if mismatch.size:
         i = mismatch[0]
-        raise CountMismatch(
+        raise InputError(
             f"payload {i}: ACCL count {counts[i, 0]} vs GYRO count {counts[i, 1]} "
             f"differ by more than {COUNT_TOLERANCE}")
 

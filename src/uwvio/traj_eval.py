@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, EmptyPairs, InputError,
-                     InsufficientDetections, NoMatches)
+from .errors import InputError, UwvioError
 from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
 from .table import read_table
 
@@ -74,7 +73,7 @@ def associate(t_a, t_b, max_dt=DEFAULT_MAX_DT):
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     if len(t_a) == 0 or len(t_b) == 0:
-        raise NoMatches("empty trajectory")
+        raise UwvioError("empty trajectory")
     # candidates: the poses of t_b on either side of each t_a, nearest first
     j = np.searchsorted(t_b, t_a)[:, None] + [-1, 0]
     dt = np.abs(t_a[:, None] - t_b[np.clip(j, 0, len(t_b) - 1)])
@@ -87,7 +86,7 @@ def associate(t_a, t_b, max_dt=DEFAULT_MAX_DT):
             match[a] = b
             used_b.add(b)
     if not match:
-        raise NoMatches(f"no timestamp pairs within {max_dt} s")
+        raise UwvioError(f"no timestamp pairs within {max_dt} s")
     return np.array(sorted(match.items()))
 
 
@@ -101,7 +100,7 @@ def umeyama_sim3(source, target, fix_scale=False):
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
     n = len(src)
     if n < 3 or len(dst) != n:
-        raise DegenerateConfiguration(f"need >= 3 point pairs, got {n}")
+        raise UwvioError(f"need >= 3 point pairs, got {n}")
     mu_s = src.mean(axis=0)
     mu_d = dst.mean(axis=0)
     ds = src - mu_s
@@ -110,7 +109,7 @@ def umeyama_sim3(source, target, fix_scale=False):
     var_s = np.mean(np.sum(ds * ds, axis=1))
     U, D, Vt = np.linalg.svd(cov)
     if var_s < 1e-24 or D[1] <= max(D[0] * 1e-9, 1e-24):
-        raise DegenerateConfiguration("points are coincident or collinear")
+        raise UwvioError("points are coincident or collinear")
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
         S[2, 2] = -1.0
@@ -126,7 +125,7 @@ def ate_rmse(reference, estimated, transform=None):
     ref = np.asarray(reference, dtype=float).reshape(-1, 3)
     est = np.asarray(estimated, dtype=float).reshape(-1, 3)
     if len(ref) == 0 or len(ref) != len(est):
-        raise EmptyPairs("need at least one matched pair")
+        raise UwvioError("need at least one matched pair")
     if transform is not None:
         est = transform.apply(est)
     residuals = ref - est
@@ -157,7 +156,7 @@ def tag_world_positions(traj, detections, max_dt=DEFAULT_MAX_DT):
     array per tag id in detection order, and the poseless `TagDetections`."""
     n = len(traj)
     if n == 0:
-        raise NoMatches("empty trajectory")
+        raise UwvioError("empty trajectory")
     t = detections.t
     k = np.searchsorted(traj.t, t)
     inside = (k > 0) & (k < n)
@@ -194,13 +193,13 @@ def tag_statistics(positions_by_tag):
     are (min, Q1, median, Q3, max) of the distance errors.
     """
     if not positions_by_tag:
-        raise InsufficientDetections("no tag detection has a trajectory pose")
+        raise UwvioError("no tag detection has a trajectory pose")
     per_tag = {}
     all_devs = []
     for tag, pts in sorted(positions_by_tag.items()):
         pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         if len(pts) < 2:
-            raise InsufficientDetections(f"tag {tag}: need >= 2 detections")
+            raise UwvioError(f"tag {tag}: need >= 2 detections")
         mean = pts.mean(axis=0)
         devs = pts - mean
         dists = np.linalg.norm(devs, axis=1)

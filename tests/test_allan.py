@@ -4,7 +4,7 @@ import pytest
 from uwvio.allan import (BLOCK, AllanCurve, allan_deviation, default_taus,
                          export_curve_csv, fit_noise_params,
                          simulate_imu_noise)
-from uwvio.errors import FitRegionEmpty, NonPositiveTau, SeriesTooShort
+from uwvio.errors import UwvioError
 
 
 def oracle_overlapping_adev(x, m):
@@ -127,20 +127,23 @@ def test_too_large_taus_dropped():
 
 
 def test_short_series_rejected():
-    with pytest.raises(SeriesTooShort):
+    with pytest.raises(UwvioError, match="^need at least 6 samples, got 5$") as exc:
         allan_deviation(np.ones(5), 1.0)
+    assert exc.value.exit_code == 1
 
 
 def test_non_positive_tau_rejected():
-    with pytest.raises(NonPositiveTau):
+    with pytest.raises(UwvioError, match="^all taus must be positive$") as exc:
         allan_deviation(np.ones(100), 1.0, taus=[-1.0])
+    assert exc.value.exit_code == 1
 
 
 def test_empty_fit_region():
     x = np.random.default_rng(0).standard_normal(100)
     curve = allan_deviation(x, 1.0)
-    with pytest.raises(FitRegionEmpty):
+    with pytest.raises(UwvioError, match=r"^no usable taus in \[1e\+06, 1e\+07\] s$") as exc:
         fit_noise_params(curve, white_window=(1e6, 1e7))
+    assert exc.value.exit_code == 1
 
 
 def test_default_tau_grid():

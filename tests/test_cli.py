@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
-from uwvio import fixtures, mp4, ply, register, sync, traj_eval
+import uwvio
+from uwvio import errors, fixtures, mp4, ply, register, sync, traj_eval
 from uwvio.cli import load_config, main
 from uwvio.geometry import rotation_about_z, RigidTransform
 
@@ -153,6 +156,16 @@ def test_map_subcommand(tmp_path, capsys):
     assert report["warnings"] == []
     cloud = ply.read_ply(out / "fused_map.ply")
     assert len(cloud["points"]) == 20
+
+
+@pytest.mark.parametrize("log", ["", "KF 0 0 0 0 0 0 0 1\n"], ids=["empty", "keyframe-only"])
+def test_map_without_observations(tmp_path, log):
+    path = tmp_path / "events.txt"
+    path.write_text(log)
+    out = tmp_path / "out"
+    assert run(["-q", "--out-dir", out, "map", path]) == 0
+    assert read_json(out / "map_report.json")["fused_points"] == 0
+    assert ply.read_ply(out / "fused_map.ply")["points"].shape == (0, 3)
 
 
 def test_map_bad_log_exit_code_2(tmp_path):
@@ -307,6 +320,25 @@ def test_unreadable_config_exit_code_2(tmp_path, capsys, content):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("lines, error", [
+    ("voxle: 0\n", ":1: unknown key 'voxle'"),
+    ("max-dt: 0.05\nmax_dt: -1\n", ":2: unknown key 'max_dt'"),
+    ("# keys of other commands\nvoxel: 0.3\naxis-order: xyz\n", None),
+], ids=["misspelt", "underscore", "other-commands"])
+def test_config_keys(tmp_path, capsys, lines, error):
+    fx = tmp_path / "fx"
+    assert run(["-q", "--out-dir", fx, "fixtures"]) == 0
+    cfg = tmp_path / "cfg"
+    cfg.write_text(lines)
+    code = run(["-q", "--out-dir", tmp_path / "out", "--config", cfg, "eval-tags",
+                fx / "circle_traj.txt", fx / "tags.csv"])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}{error}\n"
+
+
 def test_non_numeric_config_value_exit_code_2(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("voxel: abc\n")
@@ -395,6 +427,27 @@ def test_register_malformed_ply_exit_code_2(tmp_path, capsys, header):
     ply.write_ply(good, np.zeros((1, 3)))
     assert run(["-q", "--out-dir", tmp_path, "register", bad, good]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_register_huge_coordinate_exit_code_2(tmp_path, capsys):
+    # 3e38 / 0.3 has no int64 voxel index
+    huge, good = tmp_path / "huge.ply", tmp_path / "good.ply"
+    points = np.random.default_rng(0).uniform(-1, 1, size=(100, 3))
+    ply.write_ply(good, points)
+    points[0, 0] = 3e38
+    ply.write_ply(huge, points)
+    assert run(["-q", "--out-dir", tmp_path, "register", huge, good, "--voxel", "0.3"]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_only_errors_module_defines_exceptions():
+    """Every error is an `InputError` (exit 2) or a `UwvioError` (exit 1)."""
+    defined = {name for info in pkgutil.iter_modules(uwvio.__path__)
+               for name, obj in vars(importlib.import_module(f"uwvio.{info.name}")).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"uwvio.{info.name}"}
+    assert defined == {"UwvioError", "InputError", "EventLogError"}
+    assert {errors.UwvioError.exit_code, errors.InputError.exit_code} == {1, 2}
 
 
 def test_fixtures_subcommand(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from uwvio import ply
-from uwvio.errors import (DuplicateKeyframe, EventLogError, InvalidQuality,
-                          UnknownKeyframe, UnknownLandmark, UwvioError)
+from uwvio.errors import EventLogError, UwvioError
 from uwvio.fixtures import drift_loop_scene, write_drift_loop_log
 from uwvio.geometry import RigidTransform, matrix_to_quat, random_rotation, rotation_about_z
 from uwvio.global_map import (_CHUNK, GlobalMap, _finite, _parse_pose, replay_log,
@@ -123,16 +122,24 @@ def test_fused_point_inside_convex_hull():
 def test_errors():
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())
-    with pytest.raises(DuplicateKeyframe):
-        m.add_keyframe(0, identity_pose())
-    with pytest.raises(UnknownKeyframe):
-        m.add_observation(0, 99, [0, 0, 0], 0.5)
-    with pytest.raises(InvalidQuality):
-        m.add_observation(0, 0, [0, 0, 0], 1.5)
-    with pytest.raises(UnknownLandmark):
-        m.fuse_landmark(123)
-    with pytest.raises(UnknownKeyframe):
-        m.update_keyframe_poses({99: identity_pose()})
+    cases = [("^keyframe 0 already present$", m.add_keyframe, 0, identity_pose()),
+             ("^keyframe 99 not in map$", m.add_observation, 0, 99, [0, 0, 0], 0.5),
+             (r"^quality 1.5 outside \[0, 1\]$", m.add_observation, 0, 0, [0, 0, 0], 1.5),
+             ("^landmark 123 has no observations$", m.fuse_landmark, 123),
+             ("^keyframe 99 not in map$", m.update_keyframe_poses, {99: identity_pose()})]
+    for message, call, *args in cases:
+        with pytest.raises(UwvioError, match=message) as exc:
+            call(*args)
+        assert exc.value.exit_code == 1
+
+
+def test_empty_map_fuses_to_nothing(tmp_path):
+    m = GlobalMap()
+    assert m.fuse_all() == {}
+    m.add_keyframe(0, identity_pose())
+    assert m.fuse_all() == {}
+    assert m.export_fused_cloud(tmp_path / "empty.ply") == 0
+    assert ply.read_ply(tmp_path / "empty.ply")["points"].shape == (0, 3)
 
 
 def test_fuse_all_sorted():
@@ -417,7 +424,7 @@ def _outcome(replay, lines):
         m = replay(lines)
     except EventLogError as exc:
         return exc.line_no, str(exc)
-    fused = m._fuse() if m.landmarks else ()
+    fused = m._fuse()
     return ([(lm, list(rows.items())) for lm, rows in m.landmarks.items()],
             m.n_observations, [(a.dtype, a.shape, a.tobytes()) for a in fused])
 
@@ -559,10 +566,12 @@ def test_add_observations_matches_one_call_per_row():
         assert a.tobytes() == b.tobytes()
     # a bad row stores nothing, and the first bad row names the error
     before = many.n_observations, many.n_replaced, len(many.landmarks)
-    with pytest.raises(UnknownKeyframe, match="keyframe 9 "):
+    with pytest.raises(UwvioError, match="^keyframe 9 not in map$") as exc:
         many.add_observations([1000, 1001, 1002], [0, 9, 1], np.zeros((3, 3)),
                               [0.5, 0.5, 2.0], np.zeros((3, 3)))
-    with pytest.raises(InvalidQuality, match="quality 2.0 "):
+    assert exc.value.exit_code == 1
+    with pytest.raises(UwvioError, match=r"^quality 2.0 outside \[0, 1\]$") as exc:
         many.add_observations([1000, 1001, 1002], [0, 1, 1], np.zeros((3, 3)),
                               [0.5, 2.0, np.nan], np.zeros((3, 3)))
+    assert exc.value.exit_code == 1
     assert (many.n_observations, many.n_replaced, len(many.landmarks)) == before

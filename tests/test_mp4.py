@@ -6,8 +6,7 @@ import pytest
 
 from uwvio import fixtures, mp4
 from uwvio.cli import main
-from uwvio.errors import (AlignmentError, InconsistentSampleTable, MalformedBox,
-                          NoTelemetryTrack, NotMp4, TruncatedFile)
+from uwvio.errors import InputError
 
 
 def box_bytes(fourcc, payload=b""):
@@ -41,26 +40,26 @@ def test_minimal_ftyp_moov_tree():
 
 
 def test_empty_file_is_not_mp4():
-    with pytest.raises(NotMp4):
+    with pytest.raises(InputError, match=r"^file too short for any box \(0 bytes\)$"):
         mp4.parse_box_tree(io.BytesIO(b""))
 
 
 def test_garbage_file_is_not_mp4():
-    with pytest.raises(NotMp4):
+    with pytest.raises(InputError, match="^unexpected leading box b'o wo'$"):
         mp4.parse_box_tree(io.BytesIO(b"hello world, this is not a movie"))
 
 
 def test_oversized_box_is_truncated():
     data = box_bytes("ftyp", b"isom" + b"\x00" * 12)
     data += struct.pack(">I4s", 0xFFFFFFFF, b"moov")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(InputError, match="^moov at offset 24: declared size 4294967295 exceeds"):
         mp4.parse_box_tree(io.BytesIO(data))
 
 
 def test_box_smaller_than_header_is_malformed():
     data = box_bytes("ftyp", b"isom" + b"\x00" * 12)
     data += struct.pack(">I4s", 4, b"free")
-    with pytest.raises(MalformedBox):
+    with pytest.raises(InputError, match="^free at offset 24: size 4 < header 8$"):
         mp4.parse_box_tree(io.BytesIO(data))
 
 
@@ -75,7 +74,7 @@ def test_size_zero_box_extends_to_eof_at_top_level():
 def test_size_zero_nested_is_malformed():
     inner = struct.pack(">I4s", 0, b"trak") + b"\x00" * 8
     data = box_bytes("ftyp", b"isom" + b"\x00" * 12) + box_bytes("moov", inner)
-    with pytest.raises(MalformedBox):
+    with pytest.raises(InputError, match="^trak at offset 32: size 0 only valid at top level$"):
         mp4.parse_box_tree(io.BytesIO(data))
 
 
@@ -107,7 +106,7 @@ def test_no_gpmd_track(tmp_path):
     mp4.write_fixture_mp4(path, [b"\x00" * 8], gpmd=False)
     with open(path, "rb") as f:
         tree = mp4.parse_box_tree(f)
-        with pytest.raises(NoTelemetryTrack):
+        with pytest.raises(InputError, match="^no track with sample format gpmd$"):
             mp4.find_gpmf_track(tree, f)
 
 
@@ -139,7 +138,7 @@ def test_unaligned_payload_rejected(tmp_path):
     mp4.write_fixture_mp4(path, [b"\x00" * 7], durations=[500])
     with open(path, "rb") as f:
         table = mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(InputError, match="^payload at offset .* is 7 bytes, not 32-bit"):
             mp4.extract_payloads(table, f)
 
 
@@ -226,7 +225,7 @@ def test_malformed_sample_table(tmp_path, capsys, case):
                                 gyro_count=8, shut_count=2)
     path.write_bytes(MALFORMED[case](path.read_bytes()))
     with open(path, "rb") as f:
-        with pytest.raises(InconsistentSampleTable):
+        with pytest.raises(InputError, match="^(mdhd|stco|stsc|stsz|stts)[: ]"):
             mp4.find_gpmf_track(mp4.parse_box_tree(f), f)
     assert main(["-q", "--out-dir", str(tmp_path / "out"), "extract", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -64,9 +64,12 @@ XYZ = "property float x\nproperty float y\nproperty float z\n"
     (f"format ascii 1.0\nelement vertex {10 ** 12}\n{XYZ}", b"1 2 3\n"),
     (f"format binary_little_endian 1.0\nelement face 1\nproperty uchar flag\n"
      f"element vertex 1\n{XYZ}", bytes(13)),
+    (f"format binary_little_endian 1.0\nelement vertex 1\n{XYZ}",
+     np.array([np.nan, 0, 0], "<f4").tobytes()),
+    (f"format ascii 1.0\nelement vertex 2\n{XYZ}", b"1 2 3\n0 -inf 0\n"),
 ], ids=["count-1.5", "field-q", "short-row", "bare-format", "count--1",
         "repeated-property", "count-1e12", "truncated", "ascii-count-1e12",
-        "face-before-vertex"])
+        "face-before-vertex", "binary-nan", "ascii-inf"])
 def test_malformed_ply_is_input_error(tmp_path, header, data):
     path = tmp_path / "bad.ply"
     path.write_bytes(f"ply\n{header}end_header\n".encode() + data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uwvio import register
-from uwvio.errors import ConsensusFailure, EmptyCloud, NoOverlap, TooFewPoints
+from uwvio.errors import UwvioError
 from uwvio.fixtures import structured_scene
 from uwvio.geometry import (RigidTransform, random_rotation, rigid_fit,
                             rotation_about_z, rotation_angle)
@@ -105,8 +105,9 @@ def test_downsample_monotone_in_voxel():
 
 
 def test_downsample_empty_cloud():
-    with pytest.raises(EmptyCloud):
+    with pytest.raises(UwvioError, match="^cannot downsample an empty cloud$") as exc:
         voxel_downsample(PointCloud(points=np.empty((0, 3))), 0.1)
+    assert exc.value.exit_code == 1
 
 
 def test_downsample_averages_colors():
@@ -144,8 +145,9 @@ def test_tilted_plane_normals():
 
 
 def test_too_few_points_for_normals():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(UwvioError, match="^need >= 31 points, got 5$") as exc:
         estimate_normals(PointCloud(points=np.zeros((5, 3))), k_neighbors=30)
+    assert exc.value.exit_code == 1
 
 
 # --- FPFH -----------------------------------------------------------------
@@ -352,8 +354,9 @@ def test_ransac_all_outliers_fails():
     a = rng.uniform(size=(100, 3)) * 10
     b = rng.uniform(size=(100, 3)) * 10
     corr = np.column_stack([np.arange(100)] * 2)
-    with pytest.raises(ConsensusFailure):
+    with pytest.raises(UwvioError, match=r"^best consensus \d+/100 below minimum 5$") as exc:
         robust_global_registration(corr, a, b, inlier_threshold=1e-6, seed=0)
+    assert exc.value.exit_code == 1
 
 
 def test_ransac_three_exact_correspondences():
@@ -478,8 +481,9 @@ def test_icp_converges_from_small_offset():
 def test_icp_no_overlap():
     src = np.zeros((10, 3))
     tgt = np.full((10, 3), 100.0)
-    with pytest.raises(NoOverlap):
+    with pytest.raises(UwvioError, match="^no point associations within threshold$") as exc:
         icp_refine(src, tgt, RigidTransform.identity(), threshold=0.5)
+    assert exc.value.exit_code == 1
 
 
 # --- scoring ------------------------------------------------------------------

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from uwvio.errors import (DegenerateConfiguration, InputError,
-                          InsufficientDetections, NoMatches)
+from uwvio.errors import InputError, UwvioError
 from uwvio.fixtures import circle_trajectory
 from uwvio.geometry import (Sim3Transform, matrix_to_quat, quat_slerp,
                             quat_to_matrix, random_rotation, rotation_about_z)
@@ -137,8 +136,9 @@ def test_associate_each_pose_used_once():
 
 
 def test_associate_respects_max_dt():
-    with pytest.raises(NoMatches):
+    with pytest.raises(UwvioError, match="^no timestamp pairs within 0.02 s$") as exc:
         associate([0.0], [1.0], max_dt=0.02)
+    assert exc.value.exit_code == 1
 
 
 def test_associate_dense_offset():
@@ -218,10 +218,18 @@ def test_umeyama_reflection_guard():
     assert np.linalg.det(T.R) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_ref, n_est", [(0, 0), (3, 2)], ids=["empty", "mismatched"])
+def test_ate_rmse_needs_matched_pairs(n_ref, n_est):
+    with pytest.raises(UwvioError, match="^need at least one matched pair$") as exc:
+        ate_rmse(np.zeros((n_ref, 3)), np.zeros((n_est, 3)))
+    assert exc.value.exit_code == 1
+
+
 def test_umeyama_degenerate_collinear():
     src = np.outer(np.arange(5, dtype=float), [1.0, 0, 0])
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(UwvioError, match="^points are coincident or collinear$") as exc:
         umeyama_sim3(src, src)
+    assert exc.value.exit_code == 1
 
 
 def test_umeyama_translation_equivariance():
@@ -365,16 +373,19 @@ def test_tag_statistics_oracle():
 
 
 def test_tag_statistics_requires_two_detections():
-    with pytest.raises(InsufficientDetections):
+    with pytest.raises(UwvioError, match="^tag 0: need >= 2 detections$") as exc:
         tag_statistics({0: np.zeros((1, 3))})
-    with pytest.raises(InsufficientDetections):
+    assert exc.value.exit_code == 1
+    with pytest.raises(UwvioError, match="^no tag detection has a trajectory pose$") as exc:
         tag_statistics({})
+    assert exc.value.exit_code == 1
 
 
 def test_tag_world_positions_empty_trajectory():
     traj = make_traj(np.zeros(0), np.zeros((0, 3)))
-    with pytest.raises(NoMatches):
+    with pytest.raises(UwvioError, match="^empty trajectory$") as exc:
         tag_world_positions(traj, TagDetections(t=[0.5], tag_id=[1], p_cm=[[0.0, 0, 1]]))
+    assert exc.value.exit_code == 1
 
 
 def test_tag_csv(tmp_path):
