@@ -158,7 +158,7 @@ def cmd_extract(args, out_dir):
 def cmd_allan(args, out_dir):
     white_hi = _resolve(args, "white-window-max")
     walk_lo = _resolve(args, "walk-window-min")
-    t, accel, gyro = sync.load_imu_csv(args.imu_csv)
+    t, series = sync.load_imu_csv(args.imu_csv, args.sensor)
     if len(t) < 2:
         raise UwvioError("IMU log holds fewer than 2 samples")
     rate = 1.0 / float(np.median(np.diff(t)))
@@ -169,7 +169,6 @@ def cmd_allan(args, out_dir):
     if duration < 3600:
         warnings.warn(f"only {duration / 60:.0f} min of data; "
                       "noise fits below 1 h are unreliable")
-    series = {"accel": accel, "gyro": gyro}[args.sensor]
     curve = allan_mod.allan_deviation(series, rate)
     params = allan_mod.fit_noise_params(
         curve, white_window=(None, white_hi), walk_window=(walk_lo, None))
@@ -285,6 +284,11 @@ def cmd_register(args, out_dir):
     tgt = ply.read_ply(args.target_ply)
     source = register.PointCloud(points=src["points"], colors=src.get("colors"))
     target = register.PointCloud(points=tgt["points"], colors=tgt.get("colors"))
+    for path, cloud in ((args.source_ply, source), (args.target_ply, target)):
+        try:
+            register.check_voxel_grid(cloud, voxel)
+        except UwvioError as exc:
+            raise InputError(f"{path}: {exc}") from None
     out = register.register_pipeline(source, target, voxel=voxel,
                                      seed=args.seed)
     res = out.result
@@ -303,6 +307,8 @@ def cmd_register(args, out_dir):
         "isolated_points": list(out.isolated_points),
         "ransac_iterations": out.coarse.iterations,
         "ransac_inliers": out.coarse.n_inliers,
+        "icp_iterations": out.icp.iterations,
+        "icp_stop": out.icp.stop,
         "transform_row_major": matrix.reshape(-1),
         "aligned_ply": aligned_ply.name,
     }
@@ -365,7 +371,7 @@ def build_parser():
 
     p = sub.add_parser("allan", help="Allan deviation + noise parameter fit")
     p.add_argument("imu_csv")
-    p.add_argument("--sensor", choices=("accel", "gyro"), default="accel")
+    p.add_argument("--sensor", choices=sync.IMU_SENSORS, default="accel")
     _add_option(p, "white-window-max", "upper tau bound (s) of the slope -1/2 fit")
     _add_option(p, "walk-window-min", "lower tau bound (s) of the slope +1/2 fit")
     p.set_defaults(func=cmd_allan)

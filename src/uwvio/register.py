@@ -58,11 +58,10 @@ class RegistrationResult:
     n_inliers: int
 
 
-def voxel_downsample(cloud, voxel):
-    """One output point per occupied voxel: the centroid of its members.
-
-    A coordinate whose voxel index does not fit in int64, or that is not
-    finite, is an `InputError`."""
+def check_voxel_grid(cloud, voxel):
+    """Raise unless ``cloud`` can be voxelized at ``voxel``: an empty cloud
+    is a `UwvioError`; a coordinate whose voxel index does not fit in
+    int64, or that is not finite, is an `InputError`."""
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
@@ -71,6 +70,12 @@ def voxel_downsample(cloud, voxel):
     if not extent / voxel < 2.0 ** 63:
         raise InputError(f"coordinate magnitude {extent:g} over voxel {voxel:g} "
                          "overflows an int64 cell index")
+
+
+def voxel_downsample(cloud, voxel):
+    """One output point per occupied voxel: the centroid of its members.
+    Fails as `check_voxel_grid` does."""
+    check_voxel_grid(cloud, voxel)
     cells = np.floor(cloud.points / voxel).astype(np.int64)
     _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
                                    return_counts=True)
@@ -358,13 +363,21 @@ def _distinct_triples(rng, n, m):
     return s
 
 
+@dataclass
+class IcpResult:
+    transform: RigidTransform
+    iterations: int             # association passes run
+    stop: str                   # "tolerance", "rmse_rise" or "max_iter"
+
+
 def icp_refine(source, target, init, threshold):
     """Point-to-point ICP from the given initial guess.
 
     Alternates nearest-neighbor association (within ``threshold``) with a
     closed-form rigid fit. Stops when the transform change drops below
-    ``ICP_TOL``, the association RMSE stops improving, or after
-    ``ICP_MAX_ITER`` iterations.
+    ``ICP_TOL`` (``"tolerance"``), when the association RMSE rises
+    (``"rmse_rise"``, keeping the transform before that pass), or after
+    ``ICP_MAX_ITER`` passes (``"max_iter"``).
     """
     src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
     tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
@@ -373,7 +386,7 @@ def icp_refine(source, target, init, threshold):
     index = GridIndex(tgt, threshold)
     transform = init
     prev_rmse = np.inf
-    for _ in range(ICP_MAX_ITER):
+    for it in range(1, ICP_MAX_ITER + 1):
         moved = transform.apply(src)
         nearest, dists = index.nearest_within(moved, threshold)
         hit = nearest >= 0
@@ -381,15 +394,15 @@ def icp_refine(source, target, init, threshold):
             raise UwvioError("no point associations within threshold")
         rmse = float(np.sqrt(np.mean(dists[hit] ** 2)))
         if rmse > prev_rmse:
-            break
+            return IcpResult(transform, it, "rmse_rise")
         R, t = rigid_fit(src[hit], tgt[nearest[hit]])
         new_transform = RigidTransform.from_matrix(R, t)
         delta = np.abs(new_transform.matrix() - transform.matrix()).max()
         transform = new_transform
         prev_rmse = rmse
         if delta < ICP_TOL:
-            break
-    return transform
+            return IcpResult(transform, it, "tolerance")
+    return IcpResult(transform, ICP_MAX_ITER, "max_iter")
 
 
 def score_registration(source, target, transform, threshold):
@@ -420,6 +433,7 @@ def score_registration(source, target, transform, threshold):
 class PipelineResult:
     result: RegistrationResult
     coarse: RansacResult
+    icp: IcpResult
     n_putative: int
     n_source_down: int = 0
     n_target_down: int = 0
@@ -439,9 +453,9 @@ def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
     corr = match_descriptors(desc_s, desc_t)
     coarse = robust_global_registration(corr, src_d.points, tgt_d.points,
                                         inlier_threshold=voxel, seed=seed)
-    refined = icp_refine(source, target, coarse.transform, threshold=voxel)
-    result = score_registration(source, target, refined, threshold=voxel)
-    return PipelineResult(result=result, coarse=coarse,
+    icp = icp_refine(source, target, coarse.transform, threshold=voxel)
+    result = score_registration(source, target, icp.transform, threshold=voxel)
+    return PipelineResult(result=result, coarse=coarse, icp=icp,
                           n_putative=len(corr),
                           n_source_down=len(src_d), n_target_down=len(tgt_d),
                           isolated_points=(int(desc_s.isolated.sum()),

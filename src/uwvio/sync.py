@@ -18,6 +18,7 @@ from .errors import InputError
 from .table import read_table
 
 IMU_CSV_HEADER = "t,ax,ay,az,gx,gy,gz"
+IMU_SENSORS = ("accel", "gyro")           # the IMU CSV's cell triples, in order
 FRAMES_CSV_HEADER = "index,t,exposure"
 
 # accelerometer/gyroscope count disagreement tolerated inside one payload
@@ -204,14 +205,22 @@ def export_frames_csv(dataset, path):
                 len(dataset.frame_t), columns)
 
 
-def load_imu_csv(path):
-    """Read an exported IMU CSV back into (t, accel, gyro) arrays; the
+def load_imu_csv(path, sensor):
+    """The timestamps ``t`` and the ``(n, 3)`` samples of ``sensor``
+    (``"accel"`` or ``"gyro"``) of an exported IMU CSV.
+
+    Every line must hold all 7 fields, but only ``t`` and the three cells
+    of ``sensor`` are parsed and checked: the other sensor's cells are read
+    as one-character placeholders, so they may hold any text. The
     timestamps must strictly increase."""
-    row = np.dtype([("t", float), ("accel", float, 3), ("gyro", float, 3)])
-    t, accel, gyro = read_table(path, row, delimiter=",", header="t,")
+    if sensor not in IMU_SENSORS:
+        raise ValueError(f"unknown IMU sensor {sensor!r}")
+    row = np.dtype([("t", float)] + [(name, float if name == sensor else "U1", 3)
+                                     for name in IMU_SENSORS])
+    t, *series = read_table(path, row, delimiter=",", header="t,")
     if np.any(np.diff(t) <= 0):
         raise InputError(f"{path}: IMU timestamps must be strictly increasing")
-    return t, accel, gyro
+    return t, series[IMU_SENSORS.index(sensor)]
 
 
 def export_manifest(dataset, path):

@@ -2,7 +2,9 @@
 trajectories and tag detection CSVs. numpy parses the file by its path;
 only a CSV with a whitespace-only line is parsed again from its stripped
 lines, and only a table that still fails gets one Python pass over its
-numbered lines to name the first line at fault.
+numbered lines to name the first line at fault. A field of a text dtype
+(``"U1"``) is a placeholder: it counts towards the line's fields, but its
+text is neither parsed nor checked.
 """
 
 import math
@@ -27,7 +29,8 @@ def read_table(path, row, delimiter=None, header=None):
     structured ``row`` dtype and one ``row`` per data line; `#` starts a
     comment and a first line starting with ``header`` is skipped. A table
     that is not UTF-8 or has a bad field count, an unparsable field or a
-    non-finite value is an `InputError` naming the file and the line."""
+    non-finite value is an `InputError` naming the file and the line; the
+    cells of a placeholder field are only counted."""
     error = "non-finite value"
     try:
         with open(path, encoding="utf-8") as f:
@@ -39,12 +42,18 @@ def read_table(path, row, delimiter=None, header=None):
             with open(path, encoding="utf-8") as f:
                 rows = np.loadtxt(_data_lines(f, header), dtype=row,
                                   delimiter=delimiter, ndmin=1)
-        if all(np.isfinite(rows[name]).all() for name in row.names):
+        if all(np.isfinite(rows[name]).all() for name in row.names
+               if not _placeholder(row[name])):
             return tuple(rows[name] for name in row.names)
     except ValueError as exc:  # UnicodeDecodeError is one
         error = exc
     raise InputError(_bad_line(path, row, delimiter, header)
                      or f"{path}: {error}") from None
+
+
+def _placeholder(field):
+    """Whether ``field`` of a row dtype is only counted, not parsed."""
+    return field.base.kind == "U"
 
 
 def _bad_line(path, row, delimiter, header):
@@ -61,6 +70,8 @@ def _bad_line(path, row, delimiter, header):
                 if len(fields) != len(kinds):
                     return f"{path}:{no}: expected {len(kinds)} fields, got {len(fields)}"
                 for col, (field, kind) in enumerate(zip(fields, kinds), start=1):
+                    if _placeholder(kind):
+                        continue
                     try:
                         value = kind.type(field)
                     except (ValueError, OverflowError):

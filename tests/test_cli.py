@@ -82,8 +82,9 @@ SHORT_DATA = "only 12 min of data; noise fits below 1 h are unreliable"
 def _write_noise_csv(path, duration=700.0, rate=20.0, seed=0):
     from uwvio.allan import simulate_imu_noise
     x = simulate_imu_noise(2e-3, 1e-4, rate, duration, seed=seed, axes=3)
+    g = simulate_imu_noise(1e-3, 5e-5, rate, duration, seed=seed + 1, axes=3)
     t = np.arange(len(x)) / rate
-    data = np.column_stack([t, x, np.zeros_like(x)])
+    data = np.column_stack([t, x, g])
     np.savetxt(path, data, delimiter=",", fmt="%.9f",
                header="t,ax,ay,az,gx,gy,gz", comments="")
     return path
@@ -126,6 +127,28 @@ def test_allan_non_increasing_timestamps_exit_code_2(tmp_path, capsys, stamps):
     assert run(["--out-dir", tmp_path, "allan", csv]) == 2
     assert capsys.readouterr().err == (
         f"error: {csv}: IMU timestamps must be strictly increasing\n")
+
+
+@pytest.mark.parametrize("cell, error", [("nan", "non-finite value"),
+                                         ("x", "could not convert string 'x' to float64")])
+@pytest.mark.parametrize("bad, other", [("accel", "gyro"), ("gyro", "accel")])
+def test_allan_reads_only_its_sensor(tmp_path, capsys, bad, other, cell, error):
+    csv = _write_noise_csv(tmp_path / "imu.csv")
+    assert run(["-q", "--out-dir", tmp_path / "clean", "allan", csv, "--sensor", other]) == 0
+    lines = csv.read_text().splitlines()
+    fields = lines[5].split(",")
+    col = {"accel": 3, "gyro": 6}[bad]
+    fields[col - 1] = cell
+    lines[5] = ",".join(fields)
+    csv.write_text("\n".join(lines) + "\n")
+    # a bad cell of the other sensor is not read ...
+    assert run(["-q", "--out-dir", tmp_path / "out", "allan", csv, "--sensor", other]) == 0
+    for name in (f"allan_{other}.csv", f"allan_{other}_report.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    capsys.readouterr()
+    # ... but fails the sensor it belongs to, naming its line
+    assert run(["-q", "--out-dir", tmp_path / "out", "allan", csv, "--sensor", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {csv}:6: {error}")
 
 
 def test_allan_too_short_exit_code_1(tmp_path):
@@ -412,6 +435,8 @@ def test_register_subcommand(tmp_path):
     assert register.MIN_INLIER_RATIO * n <= inliers <= n
     needed = np.log(1 - register.RANSAC_CONFIDENCE) / np.log1p(-(inliers / n) ** 3)
     assert np.ceil(needed) <= report["ransac_iterations"] <= register.RANSAC_MAX_ITER
+    assert 1 <= report["icp_iterations"] <= register.ICP_MAX_ITER
+    assert report["icp_stop"] in ("tolerance", "rmse_rise", "max_iter")
     assert (out / "aligned_source.ply").exists()
 
 
@@ -429,15 +454,30 @@ def test_register_malformed_ply_exit_code_2(tmp_path, capsys, header):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def _register_both_ways(tmp_path, capsys, bad_points):
+    """The stderr of `register` with the bad cloud as source, then as target."""
+    bad, good = tmp_path / "bad.ply", tmp_path / "good.ply"
+    ply.write_ply(good, np.random.default_rng(0).uniform(-1, 1, size=(100, 3)))
+    ply.write_ply(bad, bad_points)
+    errs = []
+    for pair in ([bad, good], [good, bad]):
+        assert run(["-q", "--out-dir", tmp_path, "register", *pair, "--voxel", "0.3"]) == 2
+        errs.append(capsys.readouterr().err)
+    return bad, errs
+
+
 def test_register_huge_coordinate_exit_code_2(tmp_path, capsys):
     # 3e38 / 0.3 has no int64 voxel index
-    huge, good = tmp_path / "huge.ply", tmp_path / "good.ply"
     points = np.random.default_rng(0).uniform(-1, 1, size=(100, 3))
-    ply.write_ply(good, points)
     points[0, 0] = 3e38
-    ply.write_ply(huge, points)
-    assert run(["-q", "--out-dir", tmp_path, "register", huge, good, "--voxel", "0.3"]) == 2
-    assert _one_error_line(capsys)
+    bad, errs = _register_both_ways(tmp_path, capsys, points)
+    assert errs == [f"error: {bad}: coordinate magnitude 3e+38 over voxel 0.3 "
+                    "overflows an int64 cell index\n"] * 2
+
+
+def test_register_empty_ply_exit_code_2(tmp_path, capsys):
+    bad, errs = _register_both_ways(tmp_path, capsys, np.zeros((0, 3)))
+    assert errs == [f"error: {bad}: cannot downsample an empty cloud\n"] * 2
 
 
 def test_only_errors_module_defines_exceptions():

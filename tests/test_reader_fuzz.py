@@ -20,6 +20,13 @@ from uwvio.ply import read_ply  # noqa: E402
 from uwvio.sync import load_imu_csv  # noqa: E402
 from uwvio.traj_eval import load_tag_csv, load_tum  # noqa: E402
 
+
+def _load_imu_both(path):
+    """What `allan` reads for each ``--sensor``."""
+    for sensor in sync.IMU_SENSORS:
+        load_imu_csv(path, sensor)
+
+
 VALID = {
     "tum": (load_tum, b"# t tx ty tz qx qy qz qw\n"
                       b"0.000000000 1.0 2.0 3.0 0.0 0.0 0.0 1.0\n"
@@ -29,7 +36,7 @@ VALID = {
                            b"0.010000,3,0.5,-0.2,2.0\n"
                            b"0.060000,3,0.4,-0.1,2.1\n"
                            b"0.090000,7,-1.0,0.3,1.8\n"),
-    "imu": (load_imu_csv, b"t,ax,ay,az,gx,gy,gz\n"
+    "imu": (_load_imu_both, b"t,ax,ay,az,gx,gy,gz\n"
                           b"0.000000000,0.1,0.2,9.8,0.01,0.02,0.03\n"
                           b"0.005000000,0.1,0.2,9.8,0.01,0.02,0.03\n"
                           b"0.010000000,0.1,0.2,9.8,0.01,0.02,0.03\n"),

@@ -472,10 +472,36 @@ def test_icp_converges_from_small_offset():
     T_true = RigidTransform.from_matrix(rotation_about_z(0.05),
                                         np.array([0.08, -0.05, 0.02]))
     src = T_true.inverse().apply(tgt)
-    T = icp_refine(src, tgt, RigidTransform.identity(), threshold=0.3)
+    icp = icp_refine(src, tgt, RigidTransform.identity(), threshold=0.3)
+    T = icp.transform
     err_R = rotation_angle(T.R @ T_true.R.T)
     assert err_R < 1e-6
     assert np.linalg.norm(T.t - T_true.t) < 1e-6
+    assert icp.stop == "tolerance"
+    assert 1 < icp.iterations < register.ICP_MAX_ITER
+
+
+def test_icp_stops_at_max_iter(monkeypatch):
+    tgt = structured_scene(n_points=3000, extent=8.0, seed=12)
+    T_true = RigidTransform.from_matrix(rotation_about_z(0.05),
+                                        np.array([0.08, -0.05, 0.02]))
+    src = T_true.inverse().apply(tgt)
+    full = icp_refine(src, tgt, RigidTransform.identity(), threshold=0.3)
+    monkeypatch.setattr(register, "ICP_MAX_ITER", 2)
+    icp = icp_refine(src, tgt, RigidTransform.identity(), threshold=0.3)
+    assert (icp.iterations, icp.stop) == (2, "max_iter")
+    assert not np.array_equal(icp.transform.matrix(), full.transform.matrix())
+
+
+def test_icp_stops_when_rmse_rises():
+    # the first fit shifts every point by 0.1 in x; that brings the last
+    # point within 0.5 of its target, at 0.41, so the second pass's RMSE rises
+    src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5.0, 0.0, 0.0]])
+    tgt = np.array([[0.1, 0.0, 0.0], [1.1, 0.0, 0.0], [0.1, 1.0, 0.0], [5.5, 0.1, 0.0]])
+    icp = icp_refine(src, tgt, RigidTransform.identity(), threshold=0.5)
+    assert (icp.iterations, icp.stop) == (2, "rmse_rise")
+    assert np.allclose(icp.transform.matrix(), [[1, 0, 0, 0.1], [0, 1, 0, 0],
+                                                [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_icp_no_overlap():

@@ -8,6 +8,7 @@ from uwvio.errors import InputError
 from uwvio.fixtures import fixture_mp4
 from uwvio.sync import (PayloadStreams, build_dataset,
                         interpolate_sample_times, load_imu_csv)
+from uwvio.table import read_table
 
 
 def test_uniform_placement_single_payload():
@@ -142,10 +143,15 @@ def test_csv_round_trip(tmp_path):
     ds = build_dataset(payloads)
     csv = tmp_path / "imu.csv"
     sync.export_imu_csv(ds, csv)
-    t, accel, gyro = load_imu_csv(csv)
-    assert np.allclose(t, ds.imu_t, atol=5e-10)
-    assert np.array_equal(accel, ds.accel)  # exact round-trip of values
-    assert np.array_equal(gyro, ds.gyro)
+    # the whole-row parse that the one-sensor reads must match bit for bit
+    row = np.dtype([("t", float), ("accel", float, 3), ("gyro", float, 3)])
+    t_all, *series_all = read_table(csv, row, delimiter=",", header="t,")
+    assert np.allclose(t_all, ds.imu_t, atol=5e-10)
+    for sensor, want, parsed in zip(sync.IMU_SENSORS, (ds.accel, ds.gyro), series_all):
+        t, series = load_imu_csv(csv, sensor)
+        assert t.tobytes() == t_all.tobytes()
+        assert series.tobytes() == parsed.tobytes()
+        assert np.array_equal(series, want)  # exact round-trip of values
 
     frames = tmp_path / "frames.csv"
     sync.export_frames_csv(ds, frames)
@@ -208,18 +214,61 @@ def test_csv_writers_match_per_row_writer_at_chunk_edges(tmp_path, n_rows):
     _assert_csvs_match_per_row(dataset, tmp_path)
 
 
+def _imu_csv(path, cell, col, lines="t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n"):
+    """An IMU CSV of ``lines`` and then one row whose column ``col`` is ``cell``."""
+    fields = ["1", "1", "2", "3", "4", "5", "6"]
+    fields[col - 1] = cell
+    path.write_text(lines + ",".join(fields) + "\n", encoding="utf-8")
+    return path
+
+
+# the second cell of each sensor
+SENSOR_COLUMN = {"accel": 3, "gyro": 6}
+
+
 @pytest.mark.parametrize("cell, message", [
     ("nan", "non-finite value"),
     ("-inf", "non-finite value"),
-    ("x", "could not convert string 'x' to float64 in column 3"),
+    ("x", "could not convert string 'x' to float64 in column {col}"),
     ("2,9", "expected 7 fields, got 8"),
 ])
 def test_imu_csv_errors_name_file_line(tmp_path, cell, message):
+    for sensor, col in SENSOR_COLUMN.items():
+        # line 3 holds only whitespace: skipped, and counted
+        path = _imu_csv(tmp_path / f"{sensor}.csv", cell, col,
+                        "t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n \t\n# c\n")
+        want = re.escape(f"{path}:5: {message.format(col=col)}")
+        with pytest.raises(InputError, match=f"^{want}$"):
+            load_imu_csv(path, sensor)
+
+
+@pytest.mark.parametrize("sensor", sync.IMU_SENSORS)
+@pytest.mark.parametrize("row, n_fields", [("1,1,2,3,4,5", 6), ("1,1,2,3,4,5,6,", 8),
+                                           ("1", 1)])
+def test_imu_csv_field_count_names_line(tmp_path, sensor, row, n_fields):
     path = tmp_path / "imu.csv"
-    # line 3 holds only whitespace: skipped, and counted
-    path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n \t\n# c\n1,1,{cell},3,4,5,6\n")
-    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:5: {message}$"):
-        load_imu_csv(path)
+    path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n{row}\n2,1,2,3,4,5,6\n")
+    want = re.escape(f"{path}:3: expected 7 fields, got {n_fields}")
+    with pytest.raises(InputError, match=f"^{want}$"):
+        load_imu_csv(path, sensor)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "x", "", "1e999", "\u20ac\u20ac"])
+@pytest.mark.parametrize("bad, other", [("accel", "gyro"), ("gyro", "accel")])
+def test_imu_csv_unread_cells_are_not_checked(tmp_path, bad, other, cell):
+    """A cell of the sensor not asked for is only counted: any text loads."""
+    path = _imu_csv(tmp_path / "imu.csv", cell, SENSOR_COLUMN[bad])
+    t, series = load_imu_csv(path, other)
+    assert np.array_equal(t, [0.0, 1.0])
+    want = [1, 2, 3] if other == "accel" else [4, 5, 6]
+    assert np.array_equal(series, [want, want])
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: "):
+        load_imu_csv(path, bad)
+
+
+def test_imu_csv_unknown_sensor():
+    with pytest.raises(ValueError, match="unknown IMU sensor 'mag'"):
+        load_imu_csv("imu.csv", "mag")
 
 
 def test_end_to_end_fixture(tmp_path):
