@@ -305,6 +305,7 @@ def cmd_register(args, out_dir):
         "n_source_down": out.n_source_down,
         "n_target_down": out.n_target_down,
         "isolated_points": list(out.isolated_points),
+        "degenerate_normals": list(out.degenerate_normals),
         "ransac_iterations": out.coarse.iterations,
         "ransac_inliers": out.coarse.n_inliers,
         "icp_iterations": out.icp.iterations,

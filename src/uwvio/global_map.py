@@ -11,11 +11,21 @@ Observations live in one table of column arrays with a row per
 position ``p_f``, quality and colour. ``landmarks`` maps each
 landmark id to ``{keyframe id: row}``, so a repeated observation overwrites
 its row. Keyframe poses sit in slot-indexed rotation and translation
-arrays. One kernel fuses any set of landmarks: it moves the rows into the
-world frame chunk by chunk, sums each weighted channel per landmark slot
-with ``np.bincount``, puts the sums in landmark-id order, and costs time
-linear in the number of observations. An event log's runs of ``OBS`` lines
-are parsed by numpy and stored block by block through `add_observations`.
+arrays.
+
+Writes convert world points to keyframe-local ones in one place, a stacked
+``np.matmul`` over many rows. `add_observations` converts its rows at once;
+`add_observation` stores its row's world point, quality and colour as given
+and stages the row. The staged rows are converted before any other write or
+read, at the end of `replay_log`, and whenever `_CHUNK` rows are staged, so
+a staged observation keeps the pose of its call and a fused export converts
+fewer than `_CHUNK` staged rows. One kernel fuses any set of landmarks: it
+moves the rows into the world frame chunk by chunk, sums each weighted
+channel per landmark slot with ``np.bincount``, puts the sums in landmark-id
+order, and costs time linear in the number of observations. The fusion of
+every landmark is kept until the next write; fused reads of it return
+copies. An event log's runs of ``OBS`` lines are parsed by numpy and stored
+block by block through `add_observations`.
 """
 
 import math
@@ -27,8 +37,9 @@ from . import ply
 from .errors import EventLogError, UwvioError
 from .geometry import RigidTransform
 
-# rows transformed per step, and OBS lines parsed per block, so the gathered
-# (rows, 3, 3) rotations stay in cache and a block's memory stays bounded
+# rows transformed per step, OBS lines parsed per block and observations
+# staged at most, so the gathered (rows, 3, 3) rotations stay in cache and a
+# block's memory stays bounded
 _CHUNK = 16_384
 
 # the 12 whitespace-separated fields of an event-log OBS line
@@ -58,7 +69,12 @@ def _grow(a, rows=0):
 
 
 class GlobalMap:
-    """Single-writer map state; fuse/export are read-only."""
+    """Single-writer map state.
+
+    Reads store the staged observations first and keep the fusion of every
+    landmark until the next write; what they return never shares memory
+    with the kept fusion.
+    """
 
     def __init__(self):
         self.keyframes = {}      # id -> RigidTransform (T_wf)
@@ -75,6 +91,8 @@ class GlobalMap:
         self._p_f = np.empty((0, 3))
         self._quality = np.empty(0)
         self._color = np.empty((0, 3))
+        self._staged = []        # rows whose p_f holds a world point, in call order
+        self._fused = None       # _fuse() of every landmark, until the next write
 
     def add_keyframe(self, kf_id, pose):
         if kf_id in self.keyframes:
@@ -88,17 +106,33 @@ class GlobalMap:
 
     def add_observation(self, landmark_id, kf_id, p_w_obs, quality,
                         color=(0, 0, 0)):
-        """Cache a world-frame observation in keyframe-local coordinates.
+        """Stage a world-frame observation, to be cached in keyframe-local
+        coordinates at the keyframe's pose of this call.
 
         A repeated observation from the same keyframe replaces the old one.
-        Landmark ids must fit in a signed 64-bit integer.
+        The point and the colour hold 3 numbers each, and landmark ids must
+        fit in a signed 64-bit integer. A call that raises changes nothing.
         """
-        pose = self.keyframes.get(kf_id)
-        if pose is None:
+        kf_slot = self._kf_slot.get(kf_id)
+        if kf_slot is None:
             raise UwvioError(f"keyframe {kf_id} not in map")
         if not 0.0 <= quality <= 1.0:
             raise UwvioError(f"quality {quality} outside [0, 1]")
-        p_f = pose.R.T @ (np.asarray(p_w_obs, dtype=float) - pose.t)
+        # the values go first to the next free row, so values that fail to
+        # convert leave every row in use as it was
+        new = self.n_observations
+        if new == len(self._kf):
+            self._kf, self._lm, self._p_f, self._quality, self._color = map(
+                _grow, (self._kf, self._lm, self._p_f, self._quality, self._color))
+        try:
+            if len(p_w_obs) != 3 or len(color) != 3:
+                raise ValueError
+            self._p_f[new] = p_w_obs
+            self._color[new] = color
+            self._quality[new] = quality
+        except (TypeError, ValueError):
+            raise UwvioError("an observation's point and colour must hold 3 numbers "
+                             f"each, got {p_w_obs!r} and {color!r}") from None
         rows = self.landmarks.get(landmark_id)
         if rows is None:
             slot = len(self._lm_slot)
@@ -109,32 +143,45 @@ class GlobalMap:
             rows = self.landmarks[landmark_id] = {}
         row = rows.get(kf_id)
         if row is None:
-            row = rows[kf_id] = self.n_observations
+            row = rows[kf_id] = new
             self.n_observations += 1
-            if row == len(self._kf):
-                self._kf, self._lm, self._p_f, self._quality, self._color = map(
-                    _grow, (self._kf, self._lm, self._p_f, self._quality, self._color))
-            self._kf[row] = self._kf_slot[kf_id]
+            self._kf[row] = kf_slot
             self._lm[row] = self._lm_slot[landmark_id]
         else:
             self.n_replaced += 1
-        self._p_f[row] = p_f
-        self._quality[row] = quality
-        self._color[row] = color
+            self._p_f[row] = self._p_f[new]
+            self._quality[row] = self._quality[new]
+            self._color[row] = self._color[new]
+        self._staged.append(row)
+        self._fused = None
+        if len(self._staged) == _CHUNK:
+            self._flush()
 
     def add_observations(self, lm, kf, p_w, quality, color):
         """`add_observation` for each row of the arrays, in order.
 
-        ``lm`` and ``kf`` are ids, ``p_w`` and ``color`` hold 3 columns. Every
-        row is checked before anything is stored, and the first row at fault
-        raises `add_observation`'s error. The last row of a repeated
-        (landmark, keyframe) pair wins; new rows and landmark slots follow the
-        order of first occurrence, so the map is the one that one call per
-        row builds.
+        ``lm``, ``kf`` and ``quality`` hold n values, ``p_w`` and ``color``
+        are (n, 3). The shapes and every row are checked before anything is
+        stored, and the first row at fault raises `add_observation`'s error.
+        The last row of a repeated (landmark, keyframe) pair wins; new rows
+        and landmark slots follow the order of first occurrence, so the map is
+        the one that one call per row builds.
         """
-        lm = np.asarray(lm, dtype=np.int64)
-        kf = np.asarray(kf, dtype=np.int64)
-        quality = np.asarray(quality, dtype=float)
+        try:
+            lm = np.asarray(lm, dtype=np.int64)
+            kf = np.asarray(kf, dtype=np.int64)
+            quality = np.asarray(quality, dtype=float)
+            p_w = np.asarray(p_w, dtype=float)
+            color = np.asarray(color, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UwvioError(f"observation arrays: {exc}") from None
+        n = len(lm) if lm.ndim == 1 else -1
+        if (n < 0 or kf.shape != (n,) or quality.shape != (n,)
+                or p_w.shape != (n, 3) or color.shape != (n, 3)):
+            raise UwvioError(
+                "observation arrays must be lm, kf and quality of n values and "
+                f"p_w and color of (n, 3); got shapes {lm.shape}, {kf.shape}, "
+                f"{quality.shape}, {p_w.shape} and {color.shape}")
         kf_ids, kf_row = np.unique(kf, return_inverse=True)
         kf_slot = np.array([self._kf_slot.get(k, -1) for k in kf_ids.tolist()],
                            dtype=np.intp)[kf_row]
@@ -144,8 +191,10 @@ class GlobalMap:
             if kf_slot[i] < 0:
                 raise UwvioError(f"keyframe {kf[i]} not in map")
             raise UwvioError(f"quality {quality[i]} outside [0, 1]")
+        self._flush()
+        self._fused = None
         # (landmark, keyframe) -> index of its last row, in first-occurrence order
-        last = dict(zip(zip(lm.tolist(), kf.tolist()), range(len(lm))))
+        last = dict(zip(zip(lm.tolist(), kf.tolist()), range(n)))
         landmarks, lm_slot = self.landmarks, self._lm_slot
         n_obs = self.n_observations
         rows, slots = [], []
@@ -160,7 +209,7 @@ class GlobalMap:
                 n_obs += 1
             rows.append(row)
             slots.append(lm_slot[lm_id])
-        self.n_replaced += len(lm) - (n_obs - self.n_observations)
+        self.n_replaced += n - (n_obs - self.n_observations)
         self.n_observations = n_obs
         rows, slots = np.array(rows, dtype=np.intp), np.array(slots, dtype=np.intp)
         if n_obs > len(self._kf):
@@ -170,25 +219,40 @@ class GlobalMap:
         if len(lm_slot) > len(self._lm_ids):
             self._lm_ids = _grow(self._lm_ids, len(lm_slot))
         src = np.fromiter(last.values(), dtype=np.intp, count=len(last))
-        kf_src = kf_slot[src]
-        p_f = np.matmul(self._R[kf_src].transpose(0, 2, 1),
-                        (np.asarray(p_w, dtype=float)[src] - self._t[kf_src])[:, :, None])
         self._lm_ids[slots] = lm[src]
-        self._kf[rows] = kf_src
+        self._kf[rows] = kf_slot[src]
         self._lm[rows] = slots
-        self._p_f[rows] = p_f[:, :, 0]
+        self._p_f[rows] = p_w[src]
         self._quality[rows] = quality[src]
-        self._color[rows] = np.asarray(color, dtype=float)[src]
+        self._color[rows] = color[src]
+        self._to_local(rows)
+
+    def _to_local(self, rows):
+        """Move the world points in table ``rows`` into their keyframes' frames
+        at the current poses. A repeated row holds one point, moved alike."""
+        k = self._kf[rows]
+        p_f = np.matmul(self._R[k].transpose(0, 2, 1),
+                        (self._p_f[rows] - self._t[k])[:, :, None])
+        self._p_f[rows] = p_f[:, :, 0]
+
+    def _flush(self):
+        """Store the staged observations."""
+        if self._staged:
+            self._to_local(np.array(self._staged, dtype=np.intp))
+            self._staged.clear()
 
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
 
         Stored local observations are untouched; the deformation shows up
-        in subsequent fusion.
+        in subsequent fusion. Observations staged before the call keep the
+        poses they were made at.
         """
         for kf_id in updates:
             if kf_id not in self.keyframes:
                 raise UwvioError(f"keyframe {kf_id} not in map")
+        self._flush()
+        self._fused = None
         self.keyframes.update(updates)
         for kf_id, pose in updates.items():
             slot = self._kf_slot[kf_id]
@@ -200,6 +264,7 @@ class GlobalMap:
         Returns landmark ids in ascending order with, per landmark, the
         world position, colour, mean quality and observation count.
         """
+        self._flush()
         if landmark_id is None:
             n_lm = len(self._lm_slot)
             rows = slice(0, self.n_observations)
@@ -209,9 +274,7 @@ class GlobalMap:
             if not self.n_observations:  # np.bincount of no rows sums to int64
                 return ids, np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, int)
         else:
-            obs = self.landmarks.get(landmark_id)
-            if not obs:
-                raise UwvioError(f"landmark {landmark_id} has no observations")
+            obs = self.landmarks[landmark_id]
             n_lm = 1
             rows = np.fromiter(obs.values(), dtype=np.intp, count=len(obs))
             groups = np.zeros(len(obs), dtype=np.intp)
@@ -245,21 +308,34 @@ class GlobalMap:
         np.clip(np.rint(color, out=color), 0, 255, out=color)
         return ids, mean[:3].T, color.T, (q_sum / count)[order], count[order]
 
+    def _fuse_all(self):
+        """`_fuse` of every landmark, kept until the next write."""
+        if self._fused is None:
+            self._fused = self._fuse()
+        return self._fused
+
     def fuse_landmark(self, landmark_id):
-        _, p_w, color, quality, count = self._fuse(landmark_id)
-        return FusedPoint(p_w=p_w[0], color=color[0], quality=float(quality[0]),
-                          n_obs=int(count[0]))
+        if not self.landmarks.get(landmark_id):
+            raise UwvioError(f"landmark {landmark_id} has no observations")
+        if self._fused is None:
+            _, p_w, color, quality, count = self._fuse(landmark_id)
+            i = 0
+        else:
+            ids, p_w, color, quality, count = self._fused
+            i = int(np.searchsorted(ids, self._lm_ids[self._lm_slot[landmark_id]]))
+        return FusedPoint(p_w=p_w[i].copy(), color=color[i].copy(),
+                          quality=float(quality[i]), n_obs=int(count[i]))
 
     def fuse_all(self):
         """Fused points for every landmark, in landmark-id order."""
-        ids, p_w, color, quality, count = self._fuse()
+        ids, p_w, color, quality, count = self._fuse_all()
         return {lm: FusedPoint(p_w=p, color=c, quality=q, n_obs=n)
-                for lm, p, c, q, n in zip(ids.tolist(), p_w, color,
+                for lm, p, c, q, n in zip(ids.tolist(), p_w.copy(), color.copy(),
                                           quality.tolist(), count.tolist())}
 
     def export_fused_cloud(self, path):
         """Write every fused landmark to a binary PLY; returns the count."""
-        _, p_w, color, quality, _ = self._fuse()
+        _, p_w, color, quality, _ = self._fuse_all()
         return ply.write_ply(path, p_w, colors=color, quality=quality)
 
 
@@ -363,6 +439,7 @@ def replay_log(lines):
     if run:
         apply_run(line_no)
     flush_updates()
+    gmap._flush()
     return gmap
 
 

@@ -38,6 +38,7 @@ class PointCloud:
     points: np.ndarray
     colors: np.ndarray | None = None
     normals: np.ndarray | None = None
+    degenerate: np.ndarray | None = None  # (n,) bool: normal is the fallback
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -96,7 +97,8 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
 
     The normal is the smallest-eigenvalue eigenvector, oriented toward the
     viewpoint. Rank-deficient neighborhoods get the deterministic fallback
-    normal (flagged by returning it unmodified). Returns a new cloud.
+    normal, also oriented, and are flagged in the ``degenerate`` mask.
+    Returns a new cloud.
     """
     pts = cloud.points
     n = len(pts)
@@ -130,7 +132,8 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     normals[degenerate] = DEGENERATE_NORMAL
     flip = np.einsum("ij,ij->i", normals, viewpoint - pts) < 0
     normals[flip] = -normals[flip]
-    return PointCloud(points=pts, colors=cloud.colors, normals=normals)
+    return PointCloud(points=pts, colors=cloud.colors, normals=normals,
+                      degenerate=degenerate)
 
 
 def _knn_covariances(points, block, k):
@@ -438,6 +441,7 @@ class PipelineResult:
     n_source_down: int = 0
     n_target_down: int = 0
     isolated_points: tuple = (0, 0)     # FPFH points with no neighbor: source, target
+    degenerate_normals: tuple = (0, 0)  # fallback normals: source, target
 
 
 def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
@@ -459,4 +463,6 @@ def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
                           n_putative=len(corr),
                           n_source_down=len(src_d), n_target_down=len(tgt_d),
                           isolated_points=(int(desc_s.isolated.sum()),
-                                           int(desc_t.isolated.sum())))
+                                           int(desc_t.isolated.sum())),
+                          degenerate_normals=(int(src_d.degenerate.sum()),
+                                              int(tgt_d.degenerate.sum())))

@@ -425,9 +425,13 @@ def test_register_subcommand(tmp_path):
     M = np.array(report["transform_row_major"]).reshape(4, 4)
     assert np.allclose(M[:3, :3], T.R, atol=1e-2)
     assert np.allclose(M[:3, 3], T.t, atol=0.05)
+    degenerate = []
     for key, path in (("n_source_down", src_path), ("n_target_down", tgt_path)):
         cloud = register.PointCloud(points=ply.read_ply(path)["points"])
-        assert report[key] == len(register.voxel_downsample(cloud, 0.3))
+        down = register.voxel_downsample(cloud, 0.3)
+        assert report[key] == len(down)
+        degenerate.append(int(register.estimate_normals(down).degenerate.sum()))
+    assert report["degenerate_normals"] == degenerate
     assert report["isolated_points"] == [1, 0]
     assert report["warnings"] == []
     # RANSAC ran at least the hypotheses its best consensus calls for

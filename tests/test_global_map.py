@@ -389,7 +389,7 @@ def _replay_line_by_line(lines):
                     raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
                 kf_id = int(fields[1])
                 if kf_id not in gmap.keyframes:
-                    raise UnknownKeyframe(f"keyframe {kf_id} not in map")
+                    raise UwvioError(f"keyframe {kf_id} not in map")
                 pending_updates[kf_id] = _parse_pose(fields[2:9])
             else:
                 raise EventLogError(line_no, f"unknown event {tag!r}")
@@ -575,3 +575,187 @@ def test_add_observations_matches_one_call_per_row():
                               [0.5, 2.0, np.nan], np.zeros((3, 3)))
     assert exc.value.exit_code == 1
     assert (many.n_observations, many.n_replaced, len(many.landmarks)) == before
+
+
+def _table_bytes(m):
+    """Everything a map stores, as bytes, after its staged rows are stored."""
+    fused = m._fuse()
+    n = m.n_observations
+    return ([(lm, list(rows.items())) for lm, rows in m.landmarks.items()],
+            n, m.n_replaced,
+            [a[:n].tobytes() for a in (m._kf, m._lm, m._p_f, m._quality, m._color)],
+            [a.tobytes() for a in fused])
+
+
+def _random_map(rng, n_kf=5):
+    m = GlobalMap()
+    for k in range(n_kf):
+        m.add_keyframe(k, pose(random_rotation(rng), rng.normal(size=3)))
+    return m
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_staged_runs_match_add_observations(n):
+    rng = np.random.default_rng(n)
+    staged, batch = _random_map(rng), GlobalMap()
+    for k, T in staged.keyframes.items():
+        batch.add_keyframe(k, T)
+    lm, kf = rng.integers(0, n // 3, n), rng.integers(0, 5, n)   # most pairs repeat
+    p_w, q = rng.normal(size=(n, 3)), rng.uniform(0, 1, n)
+    color = rng.integers(0, 256, (n, 3))
+    for i in range(n):
+        staged.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
+        assert len(staged._staged) < _CHUNK
+    batch.add_observations(lm, kf, p_w, q, color)
+    assert staged.n_replaced > 0
+    assert _table_bytes(staged) == _table_bytes(batch)
+
+
+def test_staged_observation_keeps_the_pose_of_its_call():
+    rng = np.random.default_rng(21)
+    staged = _random_map(rng, n_kf=2)
+    stored = GlobalMap()
+    for k, T in staged.keyframes.items():
+        stored.add_keyframe(k, T)
+    before = staged.keyframes[1]
+    p_w = np.array([1.0, -2.0, 0.5])
+    staged.add_observation(7, 1, p_w, 0.5)
+    stored.add_observations([7], [1], [p_w], [0.5], [(0, 0, 0)])
+    after = pose(random_rotation(rng), rng.normal(size=3))
+    for m in (staged, stored):
+        m.update_keyframe_poses({1: after})
+    assert _table_bytes(staged) == _table_bytes(stored)
+    expected = after.R @ (before.R.T @ (p_w - before.t)) + after.t
+    assert np.allclose(staged.fuse_landmark(7).p_w, expected, rtol=0, atol=1e-12)
+
+
+def test_add_observations_after_staged_rows_wins():
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(0, 0, [1.0, 0.0, 0.0], 0.5)
+    m.add_observation(1, 0, [2.0, 0.0, 0.0], 0.5)
+    m.add_observations([0], [0], [[3.0, 0.0, 0.0]], [1.0], [[0, 0, 0]])
+    assert m._staged == []
+    assert [f.p_w.tolist() for f in m.fuse_all().values()] == [[3.0, 0.0, 0.0],
+                                                               [2.0, 0.0, 0.0]]
+    assert m.n_replaced == 1
+
+
+def test_replay_stores_rows_applied_line_by_line():
+    """An indented OBS line is applied by `add_observation`; `replay_log`
+    stores it before returning."""
+    m = replay_log(["KF 0 0 0 0 0 0 0 1", "  OBS 1 0 1.5 2 3 0.5 1 2 3 4 5"])
+    assert m._staged == []
+    assert (m._p_f[0].tolist(), m._quality[0], m._color[0].tolist()) == (
+        [1.5, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0])
+
+
+def test_add_observation_copies_its_arguments():
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    p_w, color = np.array([1.0, 2.0, 3.0]), np.array([10, 20, 30])
+    m.add_observation(0, 0, p_w, 0.5, color=color)
+    p_w[:] = 99.0
+    color[:] = 0
+    fused = m.fuse_landmark(0)
+    assert fused.p_w.tolist() == [1.0, 2.0, 3.0]
+    assert fused.color.tolist() == [10, 20, 30]
+
+
+def test_kept_fusion_is_dropped_by_every_write(tmp_path):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_keyframe(1, identity_pose())
+    m.add_observation(0, 0, [1.0, 0.0, 0.0], 1.0)
+    assert m.fuse_all()[0].p_w.tolist() == [1.0, 0.0, 0.0]
+    assert m._fused is not None
+    m.add_observation(0, 1, [3.0, 0.0, 0.0], 1.0)
+    assert m._fused is None
+    assert m.fuse_landmark(0).p_w.tolist() == [2.0, 0.0, 0.0]
+    m.export_fused_cloud(tmp_path / "cloud.ply")
+    m.add_observations([0], [1], [[5.0, 0.0, 0.0]], [1.0], [[0, 0, 0]])
+    assert m._fused is None
+    assert m.fuse_all()[0].p_w.tolist() == [3.0, 0.0, 0.0]
+    m.update_keyframe_poses({1: pose(t=[0.0, 2.0, 0.0])})
+    assert m._fused is None
+    assert m.fuse_landmark(0).p_w.tolist() == [3.0, 1.0, 0.0]
+
+
+def test_fused_points_do_not_share_the_kept_fusion(tmp_path):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    for lm in range(3):
+        m.add_observation(lm, 0, [lm, 1.0, 2.0], 0.5, color=(lm, 5, 6))
+    m.export_fused_cloud(tmp_path / "before.ply")
+    for f in [m.fuse_landmark(1), *m.fuse_all().values()]:
+        f.p_w[:] = -1.0
+        f.color[:] = 0
+    assert m.fuse_landmark(1).p_w.tolist() == [1.0, 1.0, 2.0]
+    assert [f.color.tolist() for f in m.fuse_all().values()] == [[0, 5, 6], [1, 5, 6],
+                                                                 [2, 5, 6]]
+    m.export_fused_cloud(tmp_path / "after.ply")
+    assert (tmp_path / "after.ply").read_bytes() == (tmp_path / "before.ply").read_bytes()
+
+
+def test_fuse_landmark_equals_kept_fusion_bit_for_bit():
+    """One landmark's kernel run and the kept fusion of every landmark agree
+    to the bit, over rows spanning several transform chunks."""
+    rng = np.random.default_rng(22)
+    m = _random_map(rng, n_kf=9)
+    n = 2 * _CHUNK + 500
+    lm = rng.integers(-3000, 3000, n)
+    q = rng.uniform(0, 1, n)
+    q[lm == lm[0]] = 0.0                       # one all-zero-quality landmark
+    m.add_observations(lm, rng.integers(0, 9, n), rng.normal(size=(n, 3)) * 5, q,
+                       rng.integers(0, 256, (n, 3)))
+    def as_bytes(f):
+        return f.p_w.tobytes(), f.color.tobytes(), f.quality, f.n_obs
+    alone = {lm: as_bytes(m.fuse_landmark(lm)) for lm in m.landmarks}
+    assert m._fused is None
+    fused = {lm: as_bytes(f) for lm, f in m.fuse_all().items()}
+    assert m._fused is not None
+    assert fused == alone
+    assert {lm: as_bytes(m.fuse_landmark(lm)) for lm in m.landmarks} == alone
+
+
+@pytest.mark.parametrize("args", [
+    ([5, 6], [0, 0], np.zeros((2, 2)), [0.5, 0.5], np.zeros((2, 3))),
+    ([5, 6], [0, 0], np.zeros((2, 3)), [0.5, 0.5], np.zeros((2, 4))),
+    ([5, 6], [0, 0], np.zeros((3, 3)), [0.5, 0.5], np.zeros((2, 3))),
+    ([5, 6], [0], np.zeros((2, 3)), [0.5, 0.5], np.zeros((2, 3))),
+    ([5, 6], [0, 0], np.zeros((2, 3)), [0.5], np.zeros((2, 3))),
+    (5, 0, [1.0, 2.0, 3.0], 0.5, [0, 0, 0]),
+    ([5, 6], [0, 0], [[0, 0, 0], [0, 0]], [0.5, 0.5], np.zeros((2, 3))),
+    ([5, 6], [0, 0], np.zeros((2, 3)), [0.5, 0.5], [["a", "b", "c"]] * 2),
+])
+def test_add_observations_bad_shape_changes_nothing(args):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5)
+    before = _table_bytes(m)
+    with pytest.raises(UwvioError) as exc:
+        m.add_observations(*args)
+    assert exc.value.exit_code == 1
+    assert _table_bytes(m) == before
+    assert list(m.fuse_all()) == [1]
+
+
+@pytest.mark.parametrize("p_w, color", [
+    ([5], (1, 2, 3)), (5.0, (1, 2, 3)), ([1, 2, 3, 4], (1, 2, 3)), ([[1, 2, 3]], (1, 2, 3)),
+    (np.zeros((3, 1)), (1, 2, 3)), ("abc", (1, 2, 3)), ([1, 2, "x"], (1, 2, 3)),
+    ([1, 2, 3], (1, 2)), ([1, 2, 3], 7), ([1, 2, 3], ("r", "g", "b")),
+])
+@pytest.mark.parametrize("landmark", [1, 2])    # replaces a pair, or adds a landmark
+def test_add_observation_bad_values_change_nothing(p_w, color, landmark):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5, color=(4, 5, 6))
+    m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))   # staged again
+    assert m._staged == [0, 0]
+    with pytest.raises(UwvioError, match="point and colour must hold 3 numbers") as exc:
+        m.add_observation(landmark, 0, p_w, 0.75, color=color)
+    assert exc.value.exit_code == 1
+    assert m._staged == [0, 0]
+    assert (m.n_observations, m.n_replaced, list(m.landmarks)) == (1, 1, [1])
+    f = m.fuse_landmark(1)
+    assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)

@@ -144,6 +144,21 @@ def test_tilted_plane_normals():
     assert np.all(dots > 0.999999)
 
 
+def test_degenerate_normals_flagged():
+    """Points on a line far from a plane have rank-1 neighbourhoods: they get
+    the oriented fallback normal and the mask counts exactly them."""
+    rng = np.random.default_rng(5)
+    plane = np.column_stack([rng.uniform(0, 10, (600, 2)), np.zeros(600)])
+    line = np.zeros((40, 3))
+    line[:, 0] = 100.0 + np.linspace(0, 4, 40)
+    line[:, 2] = 3.0
+    cloud = estimate_normals(PointCloud(points=np.vstack([plane, line])), k_neighbors=10,
+                             viewpoint=(0, 0, 100.0))
+    assert cloud.degenerate.tolist() == [False] * 600 + [True] * 40
+    assert np.array_equal(cloud.normals[600:], np.tile(register.DEGENERATE_NORMAL, (40, 1)))
+    assert np.all(cloud.normals[:600, 2] > 0.999)
+
+
 def test_too_few_points_for_normals():
     with pytest.raises(UwvioError, match="^need >= 31 points, got 5$") as exc:
         estimate_normals(PointCloud(points=np.zeros((5, 3))), k_neighbors=30)
