@@ -68,6 +68,32 @@ def _grow(a, rows=0):
     return out
 
 
+def _landmark_id(value):
+    """``value`` as an int; `UwvioError` unless it is an integer that fits
+    in int64."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or not -2 ** 63 <= whole < 2 ** 63:
+        raise UwvioError(f"landmark id {value!r} is not an integer that fits in int64")
+    return whole
+
+
+def _landmark_ids(values):
+    """`_landmark_id` of every value, as an int64 array of the same shape."""
+    values = np.asarray(values)
+    if np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64)
+    if values.dtype.kind != "f":
+        return np.array([_landmark_id(v) for v in values.ravel().tolist()],
+                        dtype=np.int64).reshape(values.shape)
+    whole = (values == np.trunc(values)) & (values >= -2.0 ** 63) & (values < 2.0 ** 63)
+    if not whole.all():
+        _landmark_id(values[~whole].flat[0].item())
+    return values.astype(np.int64)
+
+
 class GlobalMap:
     """Single-writer map state.
 
@@ -110,8 +136,9 @@ class GlobalMap:
         coordinates at the keyframe's pose of this call.
 
         A repeated observation from the same keyframe replaces the old one.
-        The point and the colour hold 3 numbers each, and landmark ids must
-        fit in a signed 64-bit integer. A call that raises changes nothing.
+        The point and the colour hold 3 numbers each, and a landmark id must
+        be an integer that fits in a signed 64-bit integer. A call that
+        raises changes nothing.
         """
         kf_slot = self._kf_slot.get(kf_id)
         if kf_slot is None:
@@ -135,10 +162,11 @@ class GlobalMap:
                              f"each, got {p_w_obs!r} and {color!r}") from None
         rows = self.landmarks.get(landmark_id)
         if rows is None:
+            lm_id = _landmark_id(landmark_id)
             slot = len(self._lm_slot)
             if slot == len(self._lm_ids):
                 self._lm_ids = _grow(self._lm_ids)
-            self._lm_ids[slot] = landmark_id
+            self._lm_ids[slot] = lm_id
             self._lm_slot[landmark_id] = slot
             rows = self.landmarks[landmark_id] = {}
         row = rows.get(kf_id)
@@ -168,7 +196,7 @@ class GlobalMap:
         the one that one call per row builds.
         """
         try:
-            lm = np.asarray(lm, dtype=np.int64)
+            lm = _landmark_ids(lm)
             kf = np.asarray(kf, dtype=np.int64)
             quality = np.asarray(quality, dtype=float)
             p_w = np.asarray(p_w, dtype=float)

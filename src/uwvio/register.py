@@ -31,6 +31,9 @@ DEGENERATE_NORMAL = np.array([0.0, 0.0, 1.0])
 # pairs, or point x candidate entries, per pass of the batched kernels;
 # bounds their temporaries
 _CHUNK = 1 << 15
+# about this many pairs per pass of the FPFH weighted sum, whose (pairs, 33)
+# gathered block then fits in L2
+_PIECE = 1 << 12
 
 
 @dataclass
@@ -78,14 +81,17 @@ def voxel_downsample(cloud, voxel):
     Fails as `check_voxel_grid` does."""
     check_voxel_grid(cloud, voxel)
     cells = np.floor(cloud.points / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
-                                   return_counts=True)
-    n_out = len(counts)
+    # voxels in the lexicographic order of np.unique(cells, axis=0)
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells[order]
+    new = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    inverse = np.empty(len(cells), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(np.flatnonzero(new), len(cells)))
 
     def _mean(values):
-        out = np.zeros((n_out, values.shape[1]))
-        np.add.at(out, inverse, values)
-        return out / counts[:, None]
+        sums = [np.bincount(inverse, weights=v, minlength=len(counts)) for v in values.T]
+        return np.column_stack(sums) / counts[:, None]
 
     points = _mean(cloud.points)
     colors = _mean(cloud.colors) if cloud.colors is not None else None
@@ -165,11 +171,11 @@ class FpfhDescriptors:
 
 
 def _pair_features(d, u, nq):
-    """Angular features (alpha, phi, theta) of pairs (p, q) with offset
-    d = q - p, normal u at p and normal nq at q."""
+    """Distance and angular features (alpha, phi, theta) of pairs (p, q)
+    with offset d = q - p, normal u at p and normal nq at q."""
     dist = np.linalg.norm(d, axis=1)
     dn = d / np.where(dist > 0, dist, 1.0)[:, None]
-    v = np.cross(dn, u)
+    v = _cross(dn, u)
     v_norm = np.linalg.norm(v, axis=1)
     # connecting line parallel to the normal: pick any perpendicular frame
     deg = v_norm < 1e-12
@@ -180,11 +186,19 @@ def _pair_features(d, u, nq):
         v[deg] = alt
         v_norm = np.linalg.norm(v, axis=1)
     v = v / v_norm[:, None]
-    w = np.cross(u, v)
+    w = _cross(u, v)
     alpha = np.einsum("ij,ij->i", v, nq)
     phi = np.einsum("ij,ij->i", dn, u)
     theta = np.arctan2(np.einsum("ij,ij->i", w, nq), np.einsum("ij,ij->i", nq, u))
-    return alpha, phi, theta
+    return dist, alpha, phi, theta
+
+
+def _cross(a, b):
+    """Row-wise ``np.cross`` of two (m, 3) arrays, the same arithmetic
+    without its axis handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _histogram_bins(x, lo, hi):
@@ -219,23 +233,38 @@ def compute_fpfh(cloud, radius):
     n_nbrs = np.bincount(rows, minlength=n)
     isolated = n_nbrs == 0
 
-    # pair features binned into SPFH histograms, one chunk of pairs at a time
+    # pair features binned into SPFH histograms, one chunk of pairs at a
+    # time; each pair's 1/distance weight is kept for the second pass
     spfh = np.zeros(n * 33)
+    weights = np.empty(len(rows))
     for s in range(0, len(rows), _CHUNK):
         i, j = rows[s:s + _CHUNK], nbrs[s:s + _CHUNK]
-        features = _pair_features(pts[j] - pts[i], normals[i], normals[j])
+        # take(axis=0) gathers rows several times faster than fancy indexing
+        dist, *features = _pair_features(pts.take(j, axis=0) - pts.take(i, axis=0),
+                                         normals.take(i, axis=0), normals.take(j, axis=0))
+        weights[s:s + _CHUNK] = 1.0 / np.maximum(dist, 1e-12)
+        bins = []
         for lo, x, span in zip((0, 11, 22), features, (1.0, 1.0, np.pi)):
             b = _histogram_bins(x, -span, span)
-            spfh += np.bincount(i[b >= 0] * 33 + lo + b[b >= 0], minlength=n * 33)
+            bins.append(i[b >= 0] * 33 + lo + b[b >= 0])
+        spfh += np.bincount(np.concatenate(bins), minlength=n * 33)
     spfh = spfh.reshape(n, 33)
 
-    # 1/distance-weighted sum of the neighbors' SPFH; pairs are grouped by row
+    # 1/distance-weighted sum of the neighbors' SPFH, pairs grouped by row,
+    # in pieces that end at a row end or a multiple of _CHUNK: each row sums
+    # the same segments as with whole chunks, and a piece's gathered rows
+    # stay in cache
+    edges = np.append(np.arange(0, len(rows), _CHUNK), len(rows))
+    ends = np.union1d(np.cumsum(n_nbrs), edges)
+    cuts = np.union1d(ends[np.searchsorted(ends, np.arange(0, len(rows), _PIECE), "right") - 1],
+                      edges)
     weighted = np.zeros((n, 33))
-    for s in range(0, len(rows), _CHUNK):
-        i, j = rows[s:s + _CHUNK], nbrs[s:s + _CHUNK]
-        weights = 1.0 / np.maximum(np.linalg.norm(pts[j] - pts[i], axis=1), 1e-12)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        i = rows[a:b]
         first = np.flatnonzero(np.diff(i, prepend=-1))
-        weighted[i[first]] += np.add.reduceat(weights[:, None] * spfh[j], first)
+        block = spfh.take(nbrs[a:b], axis=0)
+        block *= weights[a:b, None]
+        weighted[i[first]] += np.add.reduceat(block, first)
     fpfh = spfh + weighted / np.maximum(n_nbrs, 1)[:, None]
     # percentage-normalize each 11-bin sub-histogram
     sub = fpfh.reshape(n, 3, 11)
@@ -373,6 +402,18 @@ class IcpResult:
     stop: str                   # "tolerance", "rmse_rise" or "max_iter"
 
 
+def _points(cloud):
+    return np.asarray(cloud.points if hasattr(cloud, "points") else cloud, dtype=float)
+
+
+def _target_index(target, threshold):
+    """The `GridIndex` that ICP and scoring search: ``target`` itself if it
+    is one, else its points indexed at ``threshold``."""
+    if isinstance(target, GridIndex):
+        return target
+    return GridIndex(_points(target), threshold)
+
+
 def icp_refine(source, target, init, threshold):
     """Point-to-point ICP from the given initial guess.
 
@@ -380,13 +421,13 @@ def icp_refine(source, target, init, threshold):
     closed-form rigid fit. Stops when the transform change drops below
     ``ICP_TOL`` (``"tolerance"``), when the association RMSE rises
     (``"rmse_rise"``, keeping the transform before that pass), or after
-    ``ICP_MAX_ITER`` passes (``"max_iter"``).
+    ``ICP_MAX_ITER`` passes (``"max_iter"``). ``target`` is a cloud, its
+    points, or a `GridIndex` of them.
     """
-    src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
-    tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
+    src, index = _points(source), _target_index(target, threshold)
+    tgt = index.points
     if len(src) == 0 or len(tgt) == 0:
         raise UwvioError("empty cloud in ICP")
-    index = GridIndex(tgt, threshold)
     transform = init
     prev_rmse = np.inf
     for it in range(1, ICP_MAX_ITER + 1):
@@ -413,15 +454,14 @@ def score_registration(source, target, transform, threshold):
 
     fitness = inliers / source points, where an inlier is a transformed
     source point with a target neighbor closer than ``threshold``;
-    inlier_rmse is the RMSE over those inlier distances.
+    inlier_rmse is the RMSE over those inlier distances. ``target`` is a
+    cloud, its points, or a `GridIndex` of them.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    src = np.asarray(source.points if hasattr(source, "points") else source, dtype=float)
-    tgt = np.asarray(target.points if hasattr(target, "points") else target, dtype=float)
-    if len(src) == 0 or len(tgt) == 0:
+    src, index = _points(source), _target_index(target, threshold)
+    if len(src) == 0 or len(index.points) == 0:
         raise UwvioError("empty cloud in scoring")
-    index = GridIndex(tgt, threshold)
     moved = transform.apply(src)
     nearest, dists = index.nearest_within(moved, threshold)
     dists = dists[nearest >= 0]
@@ -457,8 +497,11 @@ def register_pipeline(source, target, voxel=DEFAULT_VOXEL, seed=0):
     corr = match_descriptors(desc_s, desc_t)
     coarse = robust_global_registration(corr, src_d.points, tgt_d.points,
                                         inlier_threshold=voxel, seed=seed)
-    icp = icp_refine(source, target, coarse.transform, threshold=voxel)
-    result = score_registration(source, target, icp.transform, threshold=voxel)
+    # one index of the full target, and its neighbourhood table, serve
+    # every ICP pass and the scoring
+    target_index = GridIndex(target.points, voxel)
+    icp = icp_refine(source, target_index, coarse.transform, threshold=voxel)
+    result = score_registration(source, target_index, icp.transform, threshold=voxel)
     return PipelineResult(result=result, coarse=coarse, icp=icp,
                           n_putative=len(corr),
                           n_source_down=len(src_d), n_target_down=len(tgt_d),

@@ -759,3 +759,47 @@ def test_add_observation_bad_values_change_nothing(p_w, color, landmark):
     assert (m.n_observations, m.n_replaced, list(m.landmarks)) == (1, 1, [1])
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.float64(-0.5), float("nan"), float("inf"),
+                                 2 ** 63, -2 ** 63 - 1, "7", None])
+def test_add_observation_rejects_non_integral_landmark_id(bad):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5)
+    before = _table_bytes(m)
+    with pytest.raises(UwvioError, match="landmark id .* not an integer") as exc:
+        m.add_observation(bad, 0, [4.0, 5.0, 6.0], 0.5)
+    assert exc.value.exit_code == 1
+    assert _table_bytes(m) == before
+    assert list(m.landmarks) == [1]
+    assert list(m.fuse_all()) == [1]
+
+
+@pytest.mark.parametrize("bad", [[2, 1.5], [np.nan], [np.inf], [2.0 ** 63],
+                                 np.array([2 ** 64 - 1], dtype=np.uint64),
+                                 np.array([2, 2.5], dtype=object), ["a"]])
+def test_add_observations_rejects_non_integral_landmark_ids(bad):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5)
+    before = _table_bytes(m)
+    n = len(bad)
+    with pytest.raises(UwvioError, match="landmark id .* not an integer") as exc:
+        m.add_observations(bad, [0] * n, np.ones((n, 3)), [0.5] * n, np.zeros((n, 3)))
+    assert exc.value.exit_code == 1
+    assert _table_bytes(m) == before
+    assert list(m.fuse_all()) == [1]
+
+
+def test_integral_landmark_ids_of_any_type_are_one_landmark():
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_keyframe(1, identity_pose())
+    m.add_observation(3.0, 0, [1.0, 2.0, 3.0], 0.5)
+    m.add_observations(np.array([3.0, -2.0 ** 63]), [1, 1], np.ones((2, 3)), [0.5, 0.5],
+                       np.zeros((2, 3)))
+    m.add_observations(np.array([4], dtype=np.uint8), [0], np.ones((1, 3)), [0.5],
+                       np.zeros((1, 3)))
+    assert sorted(m.fuse_all()) == [-2 ** 63, 3, 4]
+    assert m.fuse_landmark(3).n_obs == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uwvio import register
+from uwvio import gridindex, register
 from uwvio.errors import UwvioError
 from uwvio.fixtures import structured_scene
 from uwvio.geometry import (RigidTransform, random_rotation, rigid_fit,
@@ -58,8 +58,10 @@ def test_grid_index_queries_outside_and_empty():
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 5, size=(300, 3))
     queries = np.array([[-3.0, -3.0, -3.0], [100.0, 2.0, 2.0], [2.5, 2.5, -0.6],
-                        [5.3, 5.3, 5.3], [2.0, 2.0, 2.0]])
-    _assert_grid_matches_brute_force(pts, 0.5, queries, 0.7)
+                        [5.3, 5.3, 5.3], [2.0, 2.0, 2.0], [np.nan, 2.0, 2.0],
+                        [2.0, np.inf, 2.0], [1e300, 2.0, 2.0]])
+    with np.errstate(over="ignore"):    # the brute force squares 1e300
+        _assert_grid_matches_brute_force(pts, 0.5, queries, 0.7)
     offsets, _ = GridIndex(pts, 0.5).radius_neighbors(queries[:2], 0.7)
     assert offsets.tolist() == [0, 0, 0]
     nearest, dist = GridIndex(pts, 0.5).nearest_within(queries[:2], 0.7)
@@ -83,6 +85,98 @@ def test_grid_index_far_outlier():
                      rng.uniform(0, 2, size=(100, 3))])
     queries = np.vstack([rng.uniform(0, 2, size=(20, 3)), [[1e9, 1e9, 1e9 + 0.05]]])
     _assert_grid_matches_brute_force(pts, 0.1, queries, 0.25)
+    # cells near the int64 limits, whose box of cells would overflow
+    pts[300], pts[301] = [9e17, 1, 1], [-9e17, 1, 1]
+    queries[-1] = [9e17, 1, 1.05]
+    _assert_grid_matches_brute_force(pts, 0.1, queries, 0.25)
+
+
+def _brute_nearest(pts, queries, radius):
+    """Nearest point within radius by the index's own squared distance,
+    ties to the lowest index; (-1, inf) for a miss."""
+    index, dist = np.full(len(queries), -1), np.full(len(queries), np.inf)
+    for i, q in enumerate(queries):
+        with np.errstate(over="ignore", invalid="ignore"):   # far and non-finite queries
+            d2 = sum((pts[:, a] - q[a]) ** 2 for a in range(3))
+        if len(pts) and d2.min() <= radius * radius:
+            index[i] = np.argmin(d2)
+            dist[i] = np.sqrt(d2[index[i]])
+    return index, dist
+
+
+def _random_grid_case(rng):
+    n = int(rng.integers(1, 300))
+    kind = rng.integers(3)
+    if kind == 0:
+        pts = rng.uniform(0, 3, size=(n, 3))
+    elif kind == 1:     # lattice: many queries tie between points
+        pts = rng.integers(0, 6, size=(n, 3)) * 0.5
+    else:               # planar, with a far outlier
+        pts = np.column_stack([rng.uniform(0, 3, size=(n, 2)), np.ones(n)])
+        pts[0] = [1e3, -1e3, 1e3]
+    cell = float(rng.choice([0.25, 0.5, 1.0]))
+    radius = cell * float(rng.choice([0.5, 1.0, 1.7, 2.5]))    # reach 1 to 3
+    queries = np.vstack([rng.uniform(-1, 4, size=(40, 3)),
+                         rng.integers(0, 6, size=(20, 3)) * 0.5 + 0.25,
+                         pts[:5] + rng.normal(size=(min(n, 5), 3)) * 0.1,
+                         [[1e5, 1.0, 1.0], [-1e12, 0, 0], [1e300, 0, 0],
+                          [np.nan, 1.0, 1.0], [np.inf, 0, 0], [0, -np.inf, 0]]])
+    return pts, cell, radius, queries
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_within_matches_brute_force(seed, monkeypatch):
+    # the neighbourhood table, and the scan it falls back to, answer alike
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(25):
+        pts, cell, radius, queries = _random_grid_case(rng)
+        want = _brute_nearest(pts, queries, radius)
+        got = GridIndex(pts, cell).nearest_within(queries, radius)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with monkeypatch.context() as m:
+            m.setattr(gridindex, "_TABLE_MAX", 0)
+            index = GridIndex(pts, cell)
+            got = index.nearest_within(queries, radius)
+            assert index._table(int(np.ceil(radius / cell))) is None
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_nearest_within_empty_index():
+    queries = [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]
+    nearest, dist = GridIndex(np.empty((0, 3)), 0.5).nearest_within(queries, 0.5)
+    assert nearest.tolist() == [-1, -1]
+    assert np.all(np.isinf(dist))
+
+
+def test_nearest_within_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0, 2, size=(3000, 3))
+    queries = rng.uniform(-0.2, 2.2, size=(2000, 3))
+    index = GridIndex(pts, 0.2)
+    whole = index.nearest_within(queries, 0.2)
+    table = index._table(1)
+    assert len(list(index._table_distances(queries, table))) == 1
+    monkeypatch.setattr(gridindex, "_CHUNK", 500)
+    assert len(list(index._table_distances(queries, table))) > 10
+    chunked = index.nearest_within(queries, 0.2)
+    assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+    monkeypatch.setattr(gridindex, "_CHUNK", 1)     # every row longer than a chunk
+    single = index.nearest_within(queries, 0.2)
+    assert np.array_equal(single[0], whole[0]) and np.array_equal(single[1], whole[1])
+
+
+def test_table_rows_follow_the_scan_order():
+    rng = np.random.default_rng(8)
+    index = GridIndex(rng.uniform(0, 3, size=(500, 3)), 0.4)
+    queries = rng.uniform(-1, 4, size=(300, 3))
+    for reach in (1, 2):
+        table = index._table(reach)
+        start, count = index._rows(queries, table)
+        offsets, cand = index.cube(queries, reach)
+        assert np.array_equal(count, np.diff(offsets))
+        for i in range(len(queries)):
+            row = table[-1][start[i]:start[i] + count[i]]
+            assert np.array_equal(index._order[row], cand[offsets[i]:offsets[i + 1]])
 
 
 # --- voxel downsample ---------------------------------------------------------
@@ -282,6 +376,23 @@ def test_fpfh_matches_per_point_reference():
     assert np.array_equal(desc.isolated, isolated)
     assert isolated.sum() == 1
     np.testing.assert_allclose(desc.values, want, rtol=0, atol=1e-12)
+
+
+def test_fpfh_pieces_across_chunk_edges(monkeypatch):
+    # enough pairs to cross two _CHUNK edges, some rows straddling them
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0, 2, size=(1100, 3))
+    normals = rng.normal(size=(1100, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(points=pts, normals=normals)
+    offsets, _ = GridIndex(pts, 0.55).radius_neighbors(pts, 0.55)
+    assert offsets[-1] - len(pts) > 2 * register._CHUNK
+    want = compute_fpfh(cloud, radius=0.55).values
+    for piece in (1, 37, register._CHUNK):
+        monkeypatch.setattr(register, "_PIECE", piece)
+        assert np.array_equal(compute_fpfh(cloud, radius=0.55).values, want)
+    reference, _ = _reference_fpfh(pts, normals, 0.55)
+    np.testing.assert_allclose(want, reference, rtol=0, atol=1e-12)
 
 
 def test_histogram_bins_match_numpy():
@@ -494,6 +605,9 @@ def test_icp_converges_from_small_offset():
     assert np.linalg.norm(T.t - T_true.t) < 1e-6
     assert icp.stop == "tolerance"
     assert 1 < icp.iterations < register.ICP_MAX_ITER
+    again = icp_refine(src, GridIndex(tgt, 0.3), RigidTransform.identity(), threshold=0.3)
+    assert (again.iterations, again.stop) == (icp.iterations, icp.stop)
+    assert np.array_equal(again.transform.matrix(), T.matrix())
 
 
 def test_icp_stops_at_max_iter(monkeypatch):
@@ -541,6 +655,9 @@ def test_score_against_brute_force():
     inl = d < thr
     assert res.fitness == pytest.approx(inl.sum() / len(src))
     assert res.inlier_rmse == pytest.approx(np.sqrt(np.mean(d[inl] ** 2)), rel=1e-9)
+    # a prebuilt index of the target, of any cell size, scores alike
+    for cell in (thr, 0.1):
+        assert score_registration(src, GridIndex(tgt, cell), T, thr) == res
 
 
 def test_fitness_monotone_in_threshold():
@@ -576,3 +693,20 @@ def test_pipeline_small_scene():
     assert out.result.fitness > 0.95  # full overlap
     assert out.result.inlier_rmse < 0.05
     assert out.n_putative >= 3
+
+
+def test_pipeline_outcome_pinned():
+    # integer outcomes of a fixed partial-overlap pair: a neighbour search,
+    # descriptor or RANSAC change that moves any of them changes the result
+    base = structured_scene(n_points=6000, extent=8.0, seed=21)
+    T = RigidTransform.from_matrix(rotation_about_z(np.deg2rad(20)), np.array([1.0, -0.5, 0.2]))
+    source = PointCloud(points=T.apply(base[base[:, 0] <= 5.5]))
+    target = PointCloud(points=base[base[:, 0] >= 2.0])
+    out = register_pipeline(source, target, voxel=0.2, seed=3)
+    assert (out.n_source_down, out.n_target_down, out.n_putative) == (1571, 2057, 456)
+    assert (out.coarse.iterations, out.coarse.n_inliers) == (27, 279)
+    assert (out.icp.iterations, out.icp.stop) == (5, "tolerance")
+    assert out.result.n_inliers == 2879
+    T_est, T_true = out.result.transform, T.inverse()
+    assert rotation_angle(T_est.R @ T_true.R.T) < np.deg2rad(0.5)
+    assert np.linalg.norm(T_est.t - T_true.t) < 0.05
