@@ -203,7 +203,7 @@ def cmd_map(args, out_dir):
     count = gmap.export_fused_cloud(out_ply)
     report = {
         "keyframes": len(gmap.keyframes),
-        "landmarks": len(gmap.landmarks),
+        "landmarks": gmap.n_landmarks,
         "observations": gmap.n_observations,
         "obs_lines": gmap.n_observations + gmap.n_replaced,
         "replaced": gmap.n_replaced,

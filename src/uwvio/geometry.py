@@ -164,6 +164,24 @@ class RigidTransform:
         return M
 
 
+def rigid_transforms(q, t):
+    """One `RigidTransform` per row of (n, 4) quaternions and (n, 3)
+    translations, normalised and turned into matrices in one stacked pass.
+
+    Each equals ``RigidTransform(q=q[i], t=t[i])`` bit for bit; a zero
+    quaternion in any row is a ValueError.
+    """
+    q = quat_normalize(np.array(q, dtype=float))   # contiguous, as a single row is
+    t = np.array(t, dtype=float)
+    poses = []
+    for row in zip(q, t, quat_to_matrix(q)):
+        pose = object.__new__(RigidTransform)
+        for name, value in zip(("q", "t", "R"), row):
+            object.__setattr__(pose, name, value)
+        poses.append(pose)
+    return poses
+
+
 @dataclass(frozen=True)
 class Sim3Transform:
     """Similarity transform p -> s * R @ p + t."""

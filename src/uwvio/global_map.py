@@ -8,24 +8,31 @@ landmark.
 
 Observations live in one table of column arrays with a row per
 (landmark, keyframe) pair: keyframe slot, landmark slot, keyframe-local
-position ``p_f``, quality and colour. ``landmarks`` maps each
-landmark id to ``{keyframe id: row}``, so a repeated observation overwrites
-its row. Keyframe poses sit in slot-indexed rotation and translation
-arrays.
+position ``p_f``, quality and colour. Keyframe poses sit in slot-indexed
+rotation and translation arrays. Two sorted int64 tables index the rows:
+landmark id -> landmark slot, and the packed (landmark slot, keyframe slot)
+key -> row. Every write resolves its observations through them in one numpy
+kernel: the last observation of a pair wins, and new rows and landmark
+slots follow the order of first occurrence, so a repeated observation
+overwrites its pair's row. ``landmarks`` (landmark id -> {keyframe id:
+row}), ``n_observations`` and ``n_replaced`` are views of the columns, read
+after the staged observations are stored.
 
-Writes convert world points to keyframe-local ones in one place, a stacked
-``np.matmul`` over many rows. `add_observations` converts its rows at once;
-`add_observation` stores its row's world point, quality and colour as given
-and stages the row. The staged rows are converted before any other write or
-read, at the end of `replay_log`, and whenever `_CHUNK` rows are staged, so
-a staged observation keeps the pose of its call and a fused export converts
-fewer than `_CHUNK` staged rows. One kernel fuses any set of landmarks: it
-moves the rows into the world frame chunk by chunk, sums each weighted
-channel per landmark slot with ``np.bincount``, puts the sums in landmark-id
-order, and costs time linear in the number of observations. The fusion of
-every landmark is kept until the next write; fused reads of it return
-copies. An event log's runs of ``OBS`` lines are parsed by numpy and stored
-block by block through `add_observations`.
+`add_observations` stores its rows at once. `add_observation` checks its
+observation and stages it: the world point, quality and colour go to the
+free table rows in call order, the landmark id and keyframe slot to two
+lists. The same kernel stores the staged observations before any other
+write or read, at the end of `replay_log`, and whenever `_CHUNK` are
+staged, so a staged observation keeps the pose of its call. Storing moves
+world points into keyframe frames with one stacked ``np.matmul``.
+
+One kernel fuses any set of landmarks: it moves the rows into the world
+frame chunk by chunk, sums each weighted channel per landmark slot with
+``np.bincount`` and puts the sums in landmark-id order, which the landmark
+table holds, so its time is linear in the number of observations. The
+fusion of every landmark is kept until the next write; fused reads of it
+return copies. An event log's runs of ``KF``, ``OBS`` and ``UPD`` lines are
+parsed by numpy and applied a block at a time.
 """
 
 import math
@@ -35,9 +42,9 @@ import numpy as np
 
 from . import ply
 from .errors import EventLogError, UwvioError
-from .geometry import RigidTransform
+from .geometry import RigidTransform, rigid_transforms
 
-# rows transformed per step, OBS lines parsed per block and observations
+# rows transformed per step, event-log lines parsed per block and observations
 # staged at most, so the gathered (rows, 3, 3) rotations stay in cache and a
 # block's memory stays bounded
 _CHUNK = 16_384
@@ -46,10 +53,14 @@ _CHUNK = 16_384
 _OBS_ROW = np.dtype([("tag", "U3"), ("lm", np.int64), ("kf", np.int64),
                      ("p_w", float, 3), ("quality", float), ("color", float, 3),
                      ("uv", np.int64, 2)])
-# how a line of a run starts: numpy drops trailing NULs of a string field, so
-# the tag is checked here rather than by its parsed value; other OBS lines
-# (indented, or a tab after the tag) are applied line by line
-_OBS_START = ("OBS ", b"OBS ")
+# the 9 fields of a KF or UPD line
+_POSE_ROW = np.dtype([("tag", "U3"), ("id", np.int64), ("t", float, 3), ("q", float, 4)])
+# how a line of a run starts, and the run's kind: numpy drops trailing NULs of
+# a string field, so the tag is checked here rather than by its parsed value;
+# other KF, OBS and UPD lines (indented, or a tab after the tag) are applied
+# line by line
+_RUN_START = {"KF ": "KF", b"KF ": "KF", "OBS ": "OBS", b"OBS ": "OBS",
+              "UPD ": "UPD", b"UPD ": "UPD"}
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,50 @@ def _landmark_ids(values):
     return values.astype(np.int64)
 
 
+def _not_finite(p_w, color):
+    return UwvioError(f"an observation's point and colour must be finite, got {p_w!r} "
+                      f"and {color!r}")
+
+
+def _distinct(values):
+    """The distinct values of an int64 array, ascending; the place of each
+    element's value among them; and masks of the elements that are the
+    first and the last occurrence of their value."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    ends = np.ones(len(values), dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.zeros(len(values), dtype=bool)
+    first[order[starts]] = True
+    last = np.zeros(len(values), dtype=bool)
+    last[order[ends]] = True
+    return ordered[starts], inverse, first, last
+
+
+def _resolve(keys, values, wanted, inverse, first, start):
+    """Look a block's distinct keys up in the sorted table ``keys`` ->
+    ``values``; ``wanted``, ``inverse`` and ``first`` are the block's
+    `_distinct`. Missing keys get ``start``, ``start + 1``, ... in order of
+    first occurrence. Returns every wanted key's value, the table with the
+    missing keys merged in, and their number."""
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    out = np.empty(len(wanted), dtype=values.dtype)
+    out[found] = values[at[found]]
+    added = inverse[first & ~found[inverse]]      # in order of first occurrence
+    if len(added):
+        out[added] = np.arange(start, start + len(added))
+        missing = ~found
+        keys = np.insert(keys, at[missing], wanted[missing])
+        values = np.insert(values, at[missing], out[missing])
+    return out, keys, values, len(added)
+
+
 class GlobalMap:
     """Single-writer map state.
 
@@ -104,20 +159,27 @@ class GlobalMap:
 
     def __init__(self):
         self.keyframes = {}      # id -> RigidTransform (T_wf)
-        self.landmarks = {}      # landmark id -> {keyframe id: table row}
         self._kf_slot = {}       # keyframe id -> index into _R, _t
-        self._lm_slot = {}       # landmark id -> index into _lm_ids
         self._R = np.empty((0, 3, 3))
         self._t = np.empty((0, 3))
-        self._lm_ids = np.empty(0, dtype=np.int64)
-        self.n_observations = 0  # rows in use
-        self.n_replaced = 0      # observations that overwrote their pair's row
+        # landmark id -> landmark slot, and (landmark slot << 32 | keyframe
+        # slot) -> table row; keys ascending
+        self._lm_keys = np.empty(0, dtype=np.int64)
+        self._lm_slots = np.empty(0, dtype=np.intp)
+        self._pair_keys = np.empty(0, dtype=np.int64)
+        self._pair_rows = np.empty(0, dtype=np.intp)
+        self._n_obs = 0          # rows in use
+        self._n_replaced = 0     # stored observations that overwrote their pair's row
         self._kf = np.empty(0, dtype=np.intp)
         self._lm = np.empty(0, dtype=np.intp)
         self._p_f = np.empty((0, 3))
         self._quality = np.empty(0)
         self._color = np.empty((0, 3))
-        self._staged = []        # rows whose p_f holds a world point, in call order
+        # landmark id and keyframe slot of each staged observation, in call
+        # order; its world point, quality and colour sit in the rows after
+        # the ones in use
+        self._staged_lm = []
+        self._staged_kf = []
         self._fused = None       # _fuse() of every landmark, until the next write
 
     def add_keyframe(self, kf_id, pose):
@@ -136,53 +198,42 @@ class GlobalMap:
         coordinates at the keyframe's pose of this call.
 
         A repeated observation from the same keyframe replaces the old one.
-        The point and the colour hold 3 numbers each, and a landmark id must
-        be an integer that fits in a signed 64-bit integer. A call that
-        raises changes nothing.
+        The point and the colour hold 3 finite numbers each, and a landmark
+        id must be an integer that fits in a signed 64-bit integer. A call
+        that raises changes nothing.
         """
         kf_slot = self._kf_slot.get(kf_id)
         if kf_slot is None:
             raise UwvioError(f"keyframe {kf_id} not in map")
         if not 0.0 <= quality <= 1.0:
             raise UwvioError(f"quality {quality} outside [0, 1]")
-        # the values go first to the next free row, so values that fail to
-        # convert leave every row in use as it was
-        new = self.n_observations
+        # the values go to the next free row, which is not in use or staged
+        new = self._n_obs + len(self._staged_lm)
         if new == len(self._kf):
             self._kf, self._lm, self._p_f, self._quality, self._color = map(
                 _grow, (self._kf, self._lm, self._p_f, self._quality, self._color))
+        p, c = self._p_f[new], self._color[new]
         try:
             if len(p_w_obs) != 3 or len(color) != 3:
                 raise ValueError
-            self._p_f[new] = p_w_obs
-            self._color[new] = color
-            self._quality[new] = quality
+            p[...] = p_w_obs
+            c[...] = color
         except (TypeError, ValueError):
             raise UwvioError("an observation's point and colour must hold 3 numbers "
                              f"each, got {p_w_obs!r} and {color!r}") from None
-        rows = self.landmarks.get(landmark_id)
-        if rows is None:
-            lm_id = _landmark_id(landmark_id)
-            slot = len(self._lm_slot)
-            if slot == len(self._lm_ids):
-                self._lm_ids = _grow(self._lm_ids)
-            self._lm_ids[slot] = lm_id
-            self._lm_slot[landmark_id] = slot
-            rows = self.landmarks[landmark_id] = {}
-        row = rows.get(kf_id)
-        if row is None:
-            row = rows[kf_id] = new
-            self.n_observations += 1
-            self._kf[row] = kf_slot
-            self._lm[row] = self._lm_slot[landmark_id]
-        else:
-            self.n_replaced += 1
-            self._p_f[row] = self._p_f[new]
-            self._quality[row] = self._quality[new]
-            self._color[row] = self._color[new]
-        self._staged.append(row)
+        x, y, z = p.tolist()
+        r, g, b = c.tolist()
+        isfinite = math.isfinite
+        if not (isfinite(x) and isfinite(y) and isfinite(z)
+                and isfinite(r) and isfinite(g) and isfinite(b)):
+            raise _not_finite(p_w_obs, color)
+        if type(landmark_id) is not int or not -2 ** 63 <= landmark_id < 2 ** 63:
+            landmark_id = _landmark_id(landmark_id)
+        self._staged_lm.append(landmark_id)
+        self._staged_kf.append(kf_slot)
+        self._quality[new] = quality
         self._fused = None
-        if len(self._staged) == _CHUNK:
+        if len(self._staged_lm) == _CHUNK:
             self._flush()
 
     def add_observations(self, lm, kf, p_w, quality, color):
@@ -191,9 +242,6 @@ class GlobalMap:
         ``lm``, ``kf`` and ``quality`` hold n values, ``p_w`` and ``color``
         are (n, 3). The shapes and every row are checked before anything is
         stored, and the first row at fault raises `add_observation`'s error.
-        The last row of a repeated (landmark, keyframe) pair wins; new rows
-        and landmark slots follow the order of first occurrence, so the map is
-        the one that one call per row builds.
         """
         try:
             lm = _landmark_ids(lm)
@@ -213,51 +261,52 @@ class GlobalMap:
         kf_ids, kf_row = np.unique(kf, return_inverse=True)
         kf_slot = np.array([self._kf_slot.get(k, -1) for k in kf_ids.tolist()],
                            dtype=np.intp)[kf_row]
-        bad = (kf_slot < 0) | ~((quality >= 0.0) & (quality <= 1.0))
+        in_range = (quality >= 0.0) & (quality <= 1.0)
+        finite = np.isfinite(p_w).all(axis=1) & np.isfinite(color).all(axis=1)
+        bad = (kf_slot < 0) | ~in_range | ~finite
         if bad.any():
             i = int(bad.argmax())
             if kf_slot[i] < 0:
                 raise UwvioError(f"keyframe {kf[i]} not in map")
-            raise UwvioError(f"quality {quality[i]} outside [0, 1]")
+            if not in_range[i]:
+                raise UwvioError(f"quality {quality[i]} outside [0, 1]")
+            raise _not_finite(p_w[i].tolist(), color[i].tolist())
         self._flush()
         self._fused = None
-        # (landmark, keyframe) -> index of its last row, in first-occurrence order
-        last = dict(zip(zip(lm.tolist(), kf.tolist()), range(n)))
-        landmarks, lm_slot = self.landmarks, self._lm_slot
-        n_obs = self.n_observations
-        rows, slots = [], []
-        for lm_id, kf_id in last:
-            obs = landmarks.get(lm_id)
-            if obs is None:
-                obs = landmarks[lm_id] = {}
-                lm_slot[lm_id] = len(lm_slot)
-            row = obs.get(kf_id)
-            if row is None:
-                row = obs[kf_id] = n_obs
-                n_obs += 1
-            rows.append(row)
-            slots.append(lm_slot[lm_id])
-        self.n_replaced += n - (n_obs - self.n_observations)
-        self.n_observations = n_obs
-        rows, slots = np.array(rows, dtype=np.intp), np.array(slots, dtype=np.intp)
-        if n_obs > len(self._kf):
+        self._store(lm, kf_slot, p_w, quality, color)
+
+    def _store(self, lm, kf, p_w, quality, color):
+        """Store checked observations, in order: int64 landmark ids ``lm``,
+        keyframe slots ``kf``, world points, qualities and colours."""
+        ids, inverse, first, _ = _distinct(lm)
+        slots, self._lm_keys, self._lm_slots, _ = _resolve(
+            self._lm_keys, self._lm_slots, ids, inverse, first, len(self._lm_keys))
+        slot = slots[inverse]
+        pairs, inverse, first, last = _distinct(slot.astype(np.int64) << 32 | kf)
+        rows, self._pair_keys, self._pair_rows, added = _resolve(
+            self._pair_keys, self._pair_rows, pairs, inverse, first, self._n_obs)
+        self._n_replaced += len(lm) - added
+        self._n_obs += added
+        if added == len(lm):   # all new pairs: their rows follow on in order
+            rows, last = slice(self._n_obs - added, self._n_obs), slice(None)
+        else:
+            rows = rows[inverse[last]]   # the row of each pair's last observation
+        if self._n_obs > len(self._kf):
             self._kf, self._lm, self._p_f, self._quality, self._color = (
-                _grow(a, n_obs) for a in (self._kf, self._lm, self._p_f,
-                                          self._quality, self._color))
-        if len(lm_slot) > len(self._lm_ids):
-            self._lm_ids = _grow(self._lm_ids, len(lm_slot))
-        src = np.fromiter(last.values(), dtype=np.intp, count=len(last))
-        self._lm_ids[slots] = lm[src]
-        self._kf[rows] = kf_slot[src]
-        self._lm[rows] = slots
-        self._p_f[rows] = p_w[src]
-        self._quality[rows] = quality[src]
-        self._color[rows] = color[src]
+                _grow(a, self._n_obs) for a in (self._kf, self._lm, self._p_f,
+                                                self._quality, self._color))
+        # each right-hand side is gathered, or is the very rows written,
+        # before its column is written, so the sources may be the staged rows
+        self._kf[rows] = kf[last]
+        self._lm[rows] = slot[last]
+        self._p_f[rows] = p_w[last]
+        self._quality[rows] = quality[last]
+        self._color[rows] = color[last]
         self._to_local(rows)
 
     def _to_local(self, rows):
         """Move the world points in table ``rows`` into their keyframes' frames
-        at the current poses. A repeated row holds one point, moved alike."""
+        at the current poses."""
         k = self._kf[rows]
         p_f = np.matmul(self._R[k].transpose(0, 2, 1),
                         (self._p_f[rows] - self._t[k])[:, :, None])
@@ -265,9 +314,48 @@ class GlobalMap:
 
     def _flush(self):
         """Store the staged observations."""
-        if self._staged:
-            self._to_local(np.array(self._staged, dtype=np.intp))
-            self._staged.clear()
+        if self._staged_lm:
+            k = len(self._staged_lm)
+            staged = slice(self._n_obs, self._n_obs + k)
+            lm = np.fromiter(self._staged_lm, dtype=np.int64, count=k)
+            kf = np.fromiter(self._staged_kf, dtype=np.intp, count=k)
+            self._staged_lm.clear()
+            self._staged_kf.clear()
+            self._store(lm, kf, self._p_f[staged], self._quality[staged],
+                        self._color[staged])
+
+    @property
+    def n_observations(self):
+        """Stored (landmark, keyframe) pairs."""
+        self._flush()
+        return self._n_obs
+
+    @property
+    def n_replaced(self):
+        """Observations that overwrote their pair's row."""
+        self._flush()
+        return self._n_replaced
+
+    @property
+    def n_landmarks(self):
+        """Landmarks with observations."""
+        self._flush()
+        return len(self._lm_keys)
+
+    @property
+    def landmarks(self):
+        """Landmark id -> {keyframe id: table row}, landmarks in slot order and
+        each one's keyframes in row order; built from the columns on each read."""
+        self._flush()
+        ids = np.empty_like(self._lm_keys)
+        ids[self._lm_slots] = self._lm_keys
+        kf_ids = list(self._kf_slot)
+        out = {lm: {} for lm in ids.tolist()}
+        by_slot = list(out.values())
+        n = self._n_obs
+        for row, (lm, kf) in enumerate(zip(self._lm[:n].tolist(), self._kf[:n].tolist())):
+            by_slot[lm][kf_ids[kf]] = row
+        return out
 
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
@@ -286,28 +374,40 @@ class GlobalMap:
             slot = self._kf_slot[kf_id]
             self._R[slot], self._t[slot] = pose.R, pose.t
 
-    def _fuse(self, landmark_id=None):
-        """Fuse one landmark, or every landmark when ``landmark_id`` is None.
+    def _landmark_at(self, landmark_id):
+        """Place of ``landmark_id`` in the landmark table, or None if it has
+        no observations."""
+        self._flush()
+        try:
+            lm = _landmark_id(landmark_id)
+        except UwvioError:
+            return None
+        at = int(np.searchsorted(self._lm_keys, lm))
+        return at if at < len(self._lm_keys) and self._lm_keys[at] == lm else None
+
+    def _fuse(self, at=None):
+        """Fuse the landmark at place ``at`` of the landmark table, or every
+        landmark when ``at`` is None.
 
         Returns landmark ids in ascending order with, per landmark, the
         world position, colour, mean quality and observation count.
         """
         self._flush()
-        if landmark_id is None:
-            n_lm = len(self._lm_slot)
-            rows = slice(0, self.n_observations)
+        if at is None:
+            ids, order = self._lm_keys, self._lm_slots    # slot of each output
+            n_lm = len(ids)
+            rows = slice(0, self._n_obs)
             groups = self._lm[rows]                       # landmark slot of each row
-            order = np.argsort(self._lm_ids[:n_lm])       # slot of each output
-            ids = self._lm_ids[order]
-            if not self.n_observations:  # np.bincount of no rows sums to int64
+            if not self._n_obs:  # np.bincount of no rows sums to int64
                 return ids, np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, int)
         else:
-            obs = self.landmarks[landmark_id]
+            slot = self._lm_slots[at]
+            lo, hi = np.searchsorted(self._pair_keys, [slot << 32, (slot + 1) << 32])
+            rows = np.sort(self._pair_rows[lo:hi])
             n_lm = 1
-            rows = np.fromiter(obs.values(), dtype=np.intp, count=len(obs))
-            groups = np.zeros(len(obs), dtype=np.intp)
+            groups = np.zeros(len(rows), dtype=np.intp)
             order = np.zeros(1, dtype=np.intp)
-            ids = self._lm_ids[[self._lm_slot[landmark_id]]]
+            ids = self._lm_keys[at:at + 1]
         kf, p_f = self._kf[rows], self._p_f[rows]
         quality, color = self._quality[rows], self._color[rows]
         count = np.bincount(groups, minlength=n_lm)
@@ -343,14 +443,15 @@ class GlobalMap:
         return self._fused
 
     def fuse_landmark(self, landmark_id):
-        if not self.landmarks.get(landmark_id):
+        at = self._landmark_at(landmark_id)
+        if at is None:
             raise UwvioError(f"landmark {landmark_id} has no observations")
         if self._fused is None:
-            _, p_w, color, quality, count = self._fuse(landmark_id)
+            _, p_w, color, quality, count = self._fuse(at)
             i = 0
         else:
-            ids, p_w, color, quality, count = self._fused
-            i = int(np.searchsorted(ids, self._lm_ids[self._lm_slot[landmark_id]]))
+            _, p_w, color, quality, count = self._fused
+            i = at
         return FusedPoint(p_w=p_w[i].copy(), color=color[i].copy(),
                           quality=float(quality[i]), n_obs=int(count[i]))
 
@@ -380,6 +481,81 @@ def _parse_pose(fields):
     return RigidTransform(q=np.array(values[3:]), t=np.array(values[:3]))
 
 
+def _flush_updates(gmap, pending):
+    if pending:
+        gmap.update_keyframe_poses(dict(pending))
+        pending.clear()
+
+
+def _apply_line(gmap, pending, line_no, line):
+    """Apply one event-log line: the reference semantics of `replay_log`,
+    which a block falls back to when numpy or a check rejects it.
+    ``pending`` collects the ``UPD`` poses not yet applied."""
+    try:
+        fields = (line if isinstance(line, str) else line.decode()).split()
+        if not fields or fields[0].startswith("#"):
+            return
+        tag = fields[0]
+        if tag == "KF":
+            _flush_updates(gmap, pending)
+            if len(fields) != 9:
+                raise EventLogError(line_no, f"KF expects 8 values, got {len(fields) - 1}")
+            gmap.add_keyframe(int(fields[1]), _parse_pose(fields[2:9]))
+        elif tag == "OBS":
+            _flush_updates(gmap, pending)
+            if len(fields) != 12:
+                raise EventLogError(line_no, f"OBS expects 11 values, got {len(fields) - 1}")
+            values = _finite(fields[3:10])
+            int(fields[10]), int(fields[11])  # u v: checked, not kept
+            gmap.add_observation(int(fields[1]), int(fields[2]), values[:3], values[3],
+                                 color=values[4:])
+        elif tag == "UPD":
+            if len(fields) != 9:
+                raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
+            kf_id = int(fields[1])
+            if kf_id not in gmap.keyframes:
+                raise UwvioError(f"keyframe {kf_id} not in map")
+            pending[kf_id] = _parse_pose(fields[2:9])
+        else:
+            raise EventLogError(line_no, f"unknown event {tag!r}")
+    except EventLogError:
+        raise
+    except (UwvioError, ValueError, OverflowError) as exc:  # UnicodeDecodeError is one
+        raise EventLogError(line_no, str(exc)) from exc
+
+
+def _apply_run(gmap, pending, kind, run, last_no):
+    """Apply ``run``, consecutive lines of one ``kind`` whose last line is
+    line ``last_no``, with one parse. Every check runs before the first
+    write; a run that numpy or a check rejects is applied line by line."""
+    try:
+        text = [line if isinstance(line, str) else line.decode() for line in run]
+        if kind == "OBS":
+            rows = np.loadtxt(text, dtype=_OBS_ROW, comments=None, ndmin=1)
+            _flush_updates(gmap, pending)
+            gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"], rows["quality"],
+                                  rows["color"])
+            return
+        rows = np.loadtxt(text, dtype=_POSE_ROW, comments=None, ndmin=1)
+        if not (np.isfinite(rows["t"]).all() and np.isfinite(rows["q"]).all()):
+            raise ValueError("non-finite value")
+        poses = rigid_transforms(rows["q"], rows["t"])   # a zero quaternion raises
+        ids = rows["id"].tolist()
+        if kind == "KF":
+            if len(set(ids)) < len(ids) or any(k in gmap.keyframes for k in ids):
+                raise UwvioError("keyframe already present")
+            _flush_updates(gmap, pending)
+            for kf_id, pose in zip(ids, poses):
+                gmap.add_keyframe(kf_id, pose)
+        else:
+            if not all(k in gmap.keyframes for k in ids):
+                raise UwvioError("keyframe not in map")
+            pending.update(zip(ids, poses))
+    except (UwvioError, ValueError):  # UnicodeDecodeError is one
+        for line_no, line in enumerate(run, start=last_no - len(run) + 1):
+            _apply_line(gmap, pending, line_no, line)
+
+
 def replay_log(lines):
     """Apply a recorded VIO event stream to a fresh map.
 
@@ -391,82 +567,32 @@ def replay_log(lines):
     A bad line, such as one with a non-finite number or an unknown
     keyframe, is an `EventLogError` carrying its line number.
 
-    Consecutive lines that start with ``OBS `` are parsed by numpy and
-    stored by one `GlobalMap.add_observations` call per block of at most
-    `_CHUNK` lines. A block that numpy or a check rejects is applied line by
-    line instead: its first bad line raises, and where numpy is only
-    stricter than Python (``1_000``, an id beyond int64) the block is
-    applied exactly as one line at a time applies it.
+    Consecutive lines that start with the same ``KF ``, ``OBS `` or ``UPD ``
+    form a run, parsed by numpy and applied a block of at most `_CHUNK`
+    lines at a time: a block of ``OBS`` lines through one
+    `GlobalMap.add_observations` call, one of ``KF`` or ``UPD`` lines with
+    one stacked quaternion normalisation. A block that numpy or a check
+    rejects is applied line by line instead (`_apply_line`): its first bad
+    line raises, and where numpy is only stricter than Python (``1_000``,
+    an id beyond int64) the block is applied exactly as one line at a time
+    applies it.
     """
     gmap = GlobalMap()
-    pending_updates = {}
-    run = []  # the lines of the current run of OBS lines
-
-    def flush_updates():
-        if pending_updates:
-            gmap.update_keyframe_poses(dict(pending_updates))
-            pending_updates.clear()
-
-    def apply_line(line_no, line):
-        try:
-            fields = (line if isinstance(line, str) else line.decode()).split()
-            if not fields or fields[0].startswith("#"):
-                return
-            tag = fields[0]
-            if tag == "KF":
-                flush_updates()
-                if len(fields) != 9:
-                    raise EventLogError(line_no, f"KF expects 8 values, got {len(fields) - 1}")
-                gmap.add_keyframe(int(fields[1]), _parse_pose(fields[2:9]))
-            elif tag == "OBS":
-                flush_updates()
-                if len(fields) != 12:
-                    raise EventLogError(line_no, f"OBS expects 11 values, got {len(fields) - 1}")
-                values = _finite(fields[3:10])
-                int(fields[10]), int(fields[11])  # u v: checked, not kept
-                gmap.add_observation(int(fields[1]), int(fields[2]), values[:3], values[3],
-                                     color=values[4:])
-            elif tag == "UPD":
-                if len(fields) != 9:
-                    raise EventLogError(line_no, f"UPD expects 8 values, got {len(fields) - 1}")
-                kf_id = int(fields[1])
-                if kf_id not in gmap.keyframes:
-                    raise UwvioError(f"keyframe {kf_id} not in map")
-                pending_updates[kf_id] = _parse_pose(fields[2:9])
-            else:
-                raise EventLogError(line_no, f"unknown event {tag!r}")
-        except EventLogError:
-            raise
-        except (UwvioError, ValueError, OverflowError) as exc:  # UnicodeDecodeError is one
-            raise EventLogError(line_no, str(exc)) from exc
-
-    def apply_run(last_no):
-        """Apply ``run``, whose last line is line ``last_no``."""
-        flush_updates()
-        try:
-            rows = np.loadtxt([line if isinstance(line, str) else line.decode()
-                               for line in run], dtype=_OBS_ROW, comments=None, ndmin=1)
-            if not all(np.isfinite(rows[name]).all() for name in ("p_w", "quality", "color")):
-                raise ValueError("non-finite value")
-            gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"], rows["quality"],
-                                  rows["color"])
-        except (UwvioError, ValueError):  # UnicodeDecodeError is one
-            for line_no, line in enumerate(run, start=last_no - len(run) + 1):
-                apply_line(line_no, line)
-        run.clear()
-
+    pending = {}   # UPD poses not yet applied
+    run, kind = [], None
     for line_no, line in enumerate(lines, start=1):
-        if line[:4] in _OBS_START:
+        start = _RUN_START.get(line[:4]) or _RUN_START.get(line[:3])
+        if run and (start != kind or len(run) == _CHUNK):
+            _apply_run(gmap, pending, kind, run, line_no - 1)
+            run.clear()
+        if start is None:
+            _apply_line(gmap, pending, line_no, line)
+        else:
             run.append(line)
-            if len(run) == _CHUNK:
-                apply_run(line_no)
-            continue
-        if run:
-            apply_run(line_no - 1)
-        apply_line(line_no, line)
+            kind = start
     if run:
-        apply_run(line_no)
-    flush_updates()
+        _apply_run(gmap, pending, kind, run, line_no)
+    _flush_updates(gmap, pending)
     gmap._flush()
     return gmap
 

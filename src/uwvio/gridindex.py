@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .errors import UwvioError
+
 _CHUNK = 1 << 18
 _TABLE_MAX = 1 << 23
 
@@ -47,7 +49,16 @@ class GridIndex:
         self._last_table = None     # (reach, table) of the last table built
 
     def _cells(self, points):
-        return np.floor(points / self.cell_size).astype(np.int64)
+        """Cell coordinates of indexed points; `UwvioError` unless every
+        point is finite and its cell fits in int64."""
+        with np.errstate(over="ignore"):   # an overflowing cell is rejected below
+            scaled = points / self.cell_size
+        if not max(scaled.max(initial=0.0), -scaled.min(initial=0.0)) < 2.0 ** 63:
+            if not np.isfinite(points).all():
+                raise UwvioError("grid index points must be finite")
+            raise UwvioError(f"a point over cell size {self.cell_size:g} overflows an "
+                             "int64 cell index")
+        return np.floor(scaled, out=scaled).astype(np.int64)
 
     def _query_cells(self, queries):
         """Cell coordinates of each query, as (3, m), and a mask of the queries

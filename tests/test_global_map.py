@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uwvio import ply
+from uwvio import global_map, ply
 from uwvio.errors import EventLogError, UwvioError
 from uwvio.fixtures import drift_loop_scene, write_drift_loop_log
 from uwvio.geometry import RigidTransform, matrix_to_quat, random_rotation, rotation_about_z
@@ -424,9 +425,9 @@ def _outcome(replay, lines):
         m = replay(lines)
     except EventLogError as exc:
         return exc.line_no, str(exc)
-    fused = m._fuse()
-    return ([(lm, list(rows.items())) for lm, rows in m.landmarks.items()],
-            m.n_observations, [(a.dtype, a.shape, a.tobytes()) for a in fused])
+    poses = [(k, p.q.tobytes(), p.t.tobytes(), p.R.tobytes()) for k, p in m.keyframes.items()]
+    return [poses, m._R[:len(poses)].tobytes(), m._t[:len(poses)].tobytes(),
+            *_table_bytes(m)]
 
 
 def _assert_replays_alike(tmp_path, lines, newline="\n", valid=True):
@@ -605,7 +606,7 @@ def test_staged_runs_match_add_observations(n):
     color = rng.integers(0, 256, (n, 3))
     for i in range(n):
         staged.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
-        assert len(staged._staged) < _CHUNK
+        assert len(staged._staged_lm) < _CHUNK
     batch.add_observations(lm, kf, p_w, q, color)
     assert staged.n_replaced > 0
     assert _table_bytes(staged) == _table_bytes(batch)
@@ -635,7 +636,7 @@ def test_add_observations_after_staged_rows_wins():
     m.add_observation(0, 0, [1.0, 0.0, 0.0], 0.5)
     m.add_observation(1, 0, [2.0, 0.0, 0.0], 0.5)
     m.add_observations([0], [0], [[3.0, 0.0, 0.0]], [1.0], [[0, 0, 0]])
-    assert m._staged == []
+    assert m._staged_lm == []
     assert [f.p_w.tolist() for f in m.fuse_all().values()] == [[3.0, 0.0, 0.0],
                                                                [2.0, 0.0, 0.0]]
     assert m.n_replaced == 1
@@ -645,7 +646,7 @@ def test_replay_stores_rows_applied_line_by_line():
     """An indented OBS line is applied by `add_observation`; `replay_log`
     stores it before returning."""
     m = replay_log(["KF 0 0 0 0 0 0 0 1", "  OBS 1 0 1.5 2 3 0.5 1 2 3 4 5"])
-    assert m._staged == []
+    assert m._staged_lm == []
     assert (m._p_f[0].tolist(), m._quality[0], m._color[0].tolist()) == (
         [1.5, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0])
 
@@ -751,11 +752,11 @@ def test_add_observation_bad_values_change_nothing(p_w, color, landmark):
     m.add_keyframe(0, identity_pose())
     m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5, color=(4, 5, 6))
     m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))   # staged again
-    assert m._staged == [0, 0]
+    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
     with pytest.raises(UwvioError, match="point and colour must hold 3 numbers") as exc:
         m.add_observation(landmark, 0, p_w, 0.75, color=color)
     assert exc.value.exit_code == 1
-    assert m._staged == [0, 0]
+    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
     assert (m.n_observations, m.n_replaced, list(m.landmarks)) == (1, 1, [1])
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
@@ -803,3 +804,145 @@ def test_integral_landmark_ids_of_any_type_are_one_landmark():
                        np.zeros((1, 3)))
     assert sorted(m.fuse_all()) == [-2 ** 63, 3, 4]
     assert m.fuse_landmark(3).n_obs == 2
+
+
+@pytest.mark.parametrize("p_w, color", [
+    ([1, 2, float("nan")], (0, 0, 0)), ((np.inf, 2.0, 3.0), (0, 0, 0)),
+    (np.array([1.0, -np.inf, 3.0]), (0, 0, 0)), ([1, 2, 3], (0, float("nan"), 0)),
+    ([1.0, 2.0, 3.0], np.array([255.0, 0.0, np.inf])),
+])
+@pytest.mark.parametrize("landmark", [1, 2])    # replaces a pair, or adds a landmark
+def test_add_observation_rejects_non_finite_values(p_w, color, landmark):
+    def staged_map():
+        m = GlobalMap()
+        m.add_keyframe(0, identity_pose())
+        m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5, color=(4, 5, 6))
+        m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))
+        return m
+    m = staged_map()
+    with pytest.raises(UwvioError, match="point and colour must be finite") as exc:
+        m.add_observation(landmark, 0, p_w, 0.75, color=color)
+    assert exc.value.exit_code == 1
+    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
+    assert _table_bytes(m) == _table_bytes(staged_map())
+    f = m.fuse_landmark(1)
+    assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
+
+
+@pytest.mark.parametrize("p_w, color, message", [
+    ([[0, 0, 0], [1, np.inf, 0], [0, 0, 0]], np.zeros((3, 3)), "must be finite"),
+    (np.zeros((3, 3)), [[0, 0, 0], [0, 0, 0], [np.nan, 0, 0]], "must be finite"),
+    # the first row at fault names the error
+    ([[0, 0, np.nan], [0, 0, 0], [0, 0, 0]], np.zeros((3, 3)), "must be finite"),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, np.nan]], np.zeros((3, 3)), "^keyframe 9 not in map$"),
+])
+def test_add_observations_rejects_non_finite_values(p_w, color, message):
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5)
+    before = _table_bytes(m)
+    kf = [0, 9, 0] if "keyframe" in message else [0, 0, 0]
+    with pytest.raises(UwvioError, match=message) as exc:
+        m.add_observations([1, 2, 3], kf, p_w, [0.5, 0.5, 0.5], color)
+    assert exc.value.exit_code == 1
+    assert _table_bytes(m) == before
+
+
+def _kf_lines(ids):
+    return [f"KF {k} {k}.5 -1 2 0 0 0.25 1" for k in ids]
+
+
+@pytest.mark.parametrize("bad, line_no, message", [
+    ("KF 3 0 0 0 0 0 0 1", 8, "keyframe 3 already present"),          # twice in a run
+    ("KF 1 0 0 0 0 0 0 1", 8, "keyframe 1 already present"),          # already in the map
+    ("KF 7 0 0 0 0 0 0 0", 8, "zero quaternion"),
+    ("KF 7 0 0 0 0 0 nan 1", 8, "non-finite value"),
+    ("KF 7 0 0 0 0 0 inf 1", 8, "non-finite value"),
+    ("UPD 9 0 0 0 0 0 0 1", 11, "keyframe 9 not in map"),             # mid-run
+    ("UPD 2 0 0 0 0 0 0 0", 11, "zero quaternion"),
+])
+def test_replay_pose_run_errors(tmp_path, bad, line_no, message):
+    rng = np.random.default_rng(13)
+    lines = _kf_lines([0, 1, 2]) + _obs_lines(rng, 3, n_kf=3) + _kf_lines([3])
+    if bad.startswith("KF"):
+        lines += [bad] + _kf_lines([4])
+    else:
+        lines += _kf_lines([4]) + _pose_lines(rng, "UPD", [0, 3]) + [bad]
+        lines += _pose_lines(rng, "UPD", [1])
+    _assert_replays_alike(tmp_path, lines, valid=False)
+    with pytest.raises(EventLogError, match=f"^line {line_no}: {message}$"):
+        replay_log(lines)
+
+
+def test_replay_pose_runs_longer_than_a_block(tmp_path):
+    rng = np.random.default_rng(14)
+    n = _CHUNK + 5
+    lines = _pose_lines(rng, "KF", range(n)) + _obs_lines(rng, 50, n_kf=n)
+    lines += _pose_lines(rng, "UPD", rng.integers(0, n, _CHUNK + 3).tolist())
+    _assert_replays_alike(tmp_path, lines)
+
+
+def test_clean_logs_never_apply_a_line_alone(tmp_path, monkeypatch):
+    """Logs of KF, OBS and UPD lines only are applied block by block: the
+    line-at-a-time path is a fallback for input that numpy or a check
+    rejects, not a route that clean input takes."""
+    def refuse(gmap, pending, line_no, line):
+        raise AssertionError(f"line {line_no} was applied alone: {line!r}")
+
+    rng = np.random.default_rng(15)
+    synthetic = tmp_path / "synthetic.txt"
+    lines = _pose_lines(rng, "KF", range(6)) + _obs_lines(rng, _CHUNK + 20)
+    lines += _pose_lines(rng, "UPD", [5, 0, 3]) + _pose_lines(rng, "KF", [6])
+    lines += _obs_lines(rng, 30, n_kf=7) + _pose_lines(rng, "UPD", range(7))
+    synthetic.write_text("\n".join(lines) + "\n")
+    fixture = write_drift_loop_log(tmp_path / "drift_loop_events.txt", seed=0)
+    expected = [_outcome(replay_log_file, path) for path in (fixture, synthetic)]
+    monkeypatch.setattr(global_map, "_apply_line", refuse)
+    assert [_outcome(replay_log_file, path) for path in (fixture, synthetic)] == expected
+    assert isinstance(_outcome(replay_log, lines), list)
+    with pytest.raises(AssertionError, match="line 2 was applied alone"):
+        replay_log(["KF 0 0 0 0 0 0 0 1", "# comment"])
+
+
+# lines that a check rejects, each with the kind of run it falls in
+_BAD_LINES = ["KF {kf} 0 0 0 0 0 0 1", "KF {new} 0 0 0 0 0 0 0", "KF {new} 0 0 0 nan 0 0 1",
+              "OBS 1 {missing} 1 2 3 0.5 1 2 3 4 5", "OBS 1 0 1 2 inf 0.5 1 2 3 4 5",
+              "OBS 1 0 1 2 3 1.5 1 2 3 4 5", "UPD {missing} 0 0 0 0 0 0 1",
+              "UPD {kf} 0 0 0 0 0 0 0", "UPD {kf} 1 2 3", "BAD 1 2 3"]
+
+
+@st.composite
+def _event_logs(draw):
+    """A log of KF, OBS and UPD runs, comments and blank lines, with at most
+    one line that a check rejects."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines, n_kf = _pose_lines(rng, "KF", range(2)), 2
+    for kind in draw(st.lists(st.sampled_from(["KF", "OBS", "UPD", "#", ""]), max_size=12)):
+        size = draw(st.integers(1, 25))
+        if kind == "KF":
+            lines += _pose_lines(rng, "KF", range(n_kf, n_kf + size))
+            n_kf += size
+        elif kind == "OBS":
+            lines += _obs_lines(rng, size, n_kf=n_kf)
+        elif kind == "UPD":
+            lines += _pose_lines(rng, "UPD", rng.integers(0, n_kf, size).tolist())
+        else:
+            lines.append(kind + " a comment" if kind else "")
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(_BAD_LINES)).format(
+            kf=int(rng.integers(0, n_kf)), new=n_kf + 1000, missing=n_kf + 2000)
+        # mostly inside or at the end of a run of its own kind
+        inside = [i for i in range(2, len(lines) + 1) if lines[i - 1][:3] == bad[:3]]
+        at = draw(st.sampled_from(inside) if inside and draw(st.booleans())
+                  else st.integers(2, len(lines)))
+        lines.insert(at, bad)
+    return lines
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_event_logs())
+def test_replay_runs_match_line_by_line(lines):
+    """Block-parsed runs give the map, fused bytes and error that applying
+    one line at a time gives, from bytes lines as from str lines."""
+    for events in (lines, [line.encode() + b"\n" for line in lines]):
+        assert _outcome(replay_log, events) == _outcome(_replay_line_by_line, events)

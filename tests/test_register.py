@@ -69,6 +69,27 @@ def test_grid_index_queries_outside_and_empty():
     assert np.all(np.isinf(dist))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 0.0, 0.0], "must be finite"), ([0.0, np.inf, 0.0], "must be finite"),
+    ([0.0, 0.0, -np.inf], "must be finite"), ([1e300, 0.0, 0.0], "overflows"),
+], ids=["nan", "inf", "-inf", "cell-overflow"])
+def test_grid_index_rejects_points_without_a_cell(bad, message):
+    """An indexed point that is not finite, or whose cell does not fit in
+    int64, is a `UwvioError`, also from ICP and scoring; queries like it
+    stay misses."""
+    pts = [[0.0, 0.0, 0.0], bad, [1.0, 1.0, 1.0]]
+    with np.errstate(all="raise"):
+        for call in (lambda: GridIndex(pts, 0.1),
+                     lambda: icp_refine(np.zeros((3, 3)), pts, RigidTransform.identity(), 0.1),
+                     lambda: score_registration(np.zeros((3, 3)), pts,
+                                                RigidTransform.identity(), 0.1)):
+            with pytest.raises(UwvioError, match=message) as exc:
+                call()
+            assert exc.value.exit_code == 1
+        nearest, dist = GridIndex(pts[::2], 0.1).nearest_within(np.array([bad]), 0.5)
+    assert nearest.tolist() == [-1] and np.isinf(dist).all()
+
+
 def test_grid_index_tie_goes_to_lowest_index():
     # both points are 2 m from the query; index 0 lies in the later cell of
     # the x, y, z scan, so scan order alone would pick index 1
