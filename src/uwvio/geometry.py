@@ -130,9 +130,27 @@ class RigidTransform:
 
     def __post_init__(self):
         q = quat_normalize(self.q)
+        self._set(q, np.asarray(self.t, dtype=float), quat_to_matrix(q))
+
+    def _set(self, q, t, R):
+        # the one place a transform's fields are written
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "R", quat_to_matrix(q))
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "R", R)
+
+    @classmethod
+    def from_arrays(cls, q, t):
+        """``[cls(q=q[i], t=t[i]) for i in range(n)]`` for (n, 4) quaternions
+        and (n, 3) translations, bit for bit, with the quaternions normalised
+        and turned into matrices in one stacked pass. Each transform holds
+        arrays of its own; a zero quaternion in any row is a ValueError."""
+        q = quat_normalize(np.array(q, dtype=float))   # contiguous, as a single row is
+        poses = []
+        for qi, ti, Ri in zip(q, np.asarray(t, dtype=float), quat_to_matrix(q)):
+            pose = object.__new__(cls)
+            pose._set(qi.copy(), ti.copy(), Ri.copy())
+            poses.append(pose)
+        return poses
 
     @classmethod
     def identity(cls):
@@ -162,24 +180,6 @@ class RigidTransform:
         M[:3, :3] = self.R
         M[:3, 3] = self.t
         return M
-
-
-def rigid_transforms(q, t):
-    """One `RigidTransform` per row of (n, 4) quaternions and (n, 3)
-    translations, normalised and turned into matrices in one stacked pass.
-
-    Each equals ``RigidTransform(q=q[i], t=t[i])`` bit for bit; a zero
-    quaternion in any row is a ValueError.
-    """
-    q = quat_normalize(np.array(q, dtype=float))   # contiguous, as a single row is
-    t = np.array(t, dtype=float)
-    poses = []
-    for row in zip(q, t, quat_to_matrix(q)):
-        pose = object.__new__(RigidTransform)
-        for name, value in zip(("q", "t", "R"), row):
-            object.__setattr__(pose, name, value)
-        poses.append(pose)
-    return poses
 
 
 @dataclass(frozen=True)

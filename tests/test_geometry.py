@@ -4,7 +4,7 @@ import pytest
 from uwvio.geometry import (RigidTransform, Sim3Transform, matrix_to_quat,
                             quat_multiply, quat_normalize, quat_slerp,
                             quat_to_matrix, random_rotation, rigid_fit,
-                            rigid_transforms, rotation_about_z, rotation_angle)
+                            rotation_about_z, rotation_angle)
 
 
 def test_quat_matrix_round_trip():
@@ -154,24 +154,28 @@ def test_row_wise_quaternions_match_scalar_formulas():
         quat_normalize([[0.0, 0, 0, 1], [0.0, 0, 0, 0]])
 
 
-def test_rigid_transforms_match_one_at_a_time():
+def test_from_arrays_matches_one_at_a_time():
     """Each stacked pose has the bits of ``RigidTransform(q=..., t=...)``,
     also for quaternions whose squares overflow or underflow, and for rows
-    read as strided fields of a parsed table."""
+    read as strided fields of a parsed table; no pose shares memory with
+    the input or with another pose."""
     rng = np.random.default_rng(6)
     q = rng.standard_normal((300, 4)) * rng.uniform(0.1, 10, (300, 1))
     q[:3] = [[0.0, 0.0, 1e200, 1e200], [1e200, 0.0, 0.0, 1e200], [1e-200, 0, 0, 3e-200]]
     t = rng.normal(size=(300, 3)) * 100
     table = np.zeros(300, dtype=[("id", np.int64), ("t", float, 3), ("q", float, 4)])
     table["t"], table["q"] = t, q
-    for poses in (rigid_transforms(q, t), rigid_transforms(table["q"], table["t"])):
+    for poses in (RigidTransform.from_arrays(q, t),
+                  RigidTransform.from_arrays(table["q"], table["t"])):
         assert len(poses) == 300
         for pose, qi, ti in zip(poses, q, t):
             one = RigidTransform(q=qi, t=ti)
+            assert type(pose) is RigidTransform
             for name in ("q", "t", "R"):
                 assert getattr(pose, name).tobytes() == getattr(one, name).tobytes()
-    assert np.allclose(rigid_transforms(q[1:2], t[1:2])[0].R,
+                assert getattr(pose, name).base is None
+    assert np.allclose(RigidTransform.from_arrays(q[1:2], t[1:2])[0].R,
                        [[1, 0, 0], [0, 0, -1], [0, 1, 0]], rtol=0, atol=1e-15)
-    assert rigid_transforms(np.empty((0, 4)), np.empty((0, 3))) == []
+    assert RigidTransform.from_arrays(np.empty((0, 4)), np.empty((0, 3))) == []
     with pytest.raises(ValueError, match="zero quaternion"):
-        rigid_transforms([[0.0, 0, 0, 1], [0.0, 0, 0, 0]], np.zeros((2, 3)))
+        RigidTransform.from_arrays([[0.0, 0, 0, 1], [0.0, 0, 0, 0]], np.zeros((2, 3)))

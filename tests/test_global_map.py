@@ -6,8 +6,8 @@ from uwvio import global_map, ply
 from uwvio.errors import EventLogError, UwvioError
 from uwvio.fixtures import drift_loop_scene, write_drift_loop_log
 from uwvio.geometry import RigidTransform, matrix_to_quat, random_rotation, rotation_about_z
-from uwvio.global_map import (_CHUNK, GlobalMap, _finite, _parse_pose, replay_log,
-                              replay_log_file)
+from uwvio.global_map import (_CHUNK, _LARGE, _MIN_RUN, GlobalMap, _finite, _parse_pose,
+                              _SortedRuns, replay_log, replay_log_file)
 
 
 def identity_pose():
@@ -606,7 +606,7 @@ def test_staged_runs_match_add_observations(n):
     color = rng.integers(0, 256, (n, 3))
     for i in range(n):
         staged.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
-        assert len(staged._staged_lm) < _CHUNK
+        assert len(staged._pending_lm) + len(staged._staged) < _CHUNK
     batch.add_observations(lm, kf, p_w, q, color)
     assert staged.n_replaced > 0
     assert _table_bytes(staged) == _table_bytes(batch)
@@ -630,13 +630,113 @@ def test_staged_observation_keeps_the_pose_of_its_call():
     assert np.allclose(staged.fuse_landmark(7).p_w, expected, rtol=0, atol=1e-12)
 
 
+def test_sorted_runs_match_a_dict():
+    """Whatever the sizes of the added batches, the runs answer like one
+    dict, stay few, and `items` merges them into one sorted run."""
+    rng = np.random.default_rng(30)
+    runs, expected = _SortedRuns(), {}
+    keys = rng.permutation(np.arange(-5000, 5000, dtype=np.int64) * 7919)
+    at = 0
+    for size in [1] * 40 + rng.integers(1, 300, 40).tolist() + [1] * 40:
+        batch = keys[at:at + size]
+        runs.add(batch, np.arange(at, at + len(batch)))
+        expected.update(zip(batch.tolist(), range(at, at + len(batch))))
+        at += len(batch)
+        lengths = [len(k) for k, _ in runs._runs]
+        assert all(a > 8 * b for a, b in zip(lengths, lengths[1:]))
+    runs.add(keys[:0], np.arange(0))
+    assert len(runs) == len(expected) == sum(len(k) for k, _ in runs._runs)
+    probe = np.concatenate([keys[:at], keys[at:at + 50]])
+    assert runs.find(probe).tolist() == [expected.get(k, -1) for k in probe.tolist()]
+    assert [runs.get(k) for k in probe.tolist()] == [expected.get(k) for k in probe.tolist()]
+    lo, hi = -7919 * 300, 7919 * 40
+    assert sorted(runs.between(lo, hi)) == sorted(v for k, v in expected.items() if lo <= k < hi)
+    k, v = runs.items()
+    assert len(runs._runs) == 1
+    assert k.tolist() == sorted(expected) and v.tolist() == [expected[x] for x in k.tolist()]
+
+
+@pytest.mark.parametrize("order", ["single-large-small", "large-single-small",
+                                   "small-large-single", "quiet-small-large",
+                                   "large-quiet-single"])
+def test_write_paths_build_one_map(order):
+    """Single observations (read back often, or not at all), small blocks
+    and large blocks all find the pairs the others stored, also after a
+    single-landmark fusion moved pairs into the sorted runs, and the map
+    equals one built one call per row."""
+    rng = np.random.default_rng(31)
+    mixed, one = _random_map(rng), GlobalMap()
+    for k, T in mixed.keyframes.items():
+        one.add_keyframe(k, T)
+    n = 3 * _LARGE
+    lm, kf = rng.integers(0, n // 4, 3 * n), rng.integers(0, 5, 3 * n)
+    p_w, q = rng.normal(size=(3 * n, 3)), rng.uniform(0, 1, 3 * n)
+    color = rng.integers(0, 256, (3 * n, 3))
+    for i in range(3 * n):
+        one.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
+    for part, how in enumerate(order.split("-")):
+        rows = slice(part * n, (part + 1) * n)
+        if how in ("single", "quiet"):
+            for i in range(rows.start, rows.stop):
+                mixed.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]),
+                                      color=color[i])
+                if how == "single" and i % 13 == 0:
+                    assert mixed.n_observations + mixed.n_replaced == i + 1
+                if how == "single" and i % 97 == 0:
+                    mixed.fuse_landmark(int(lm[i]))
+        elif how == "large":
+            mixed.add_observations(lm[rows], kf[rows], p_w[rows], q[rows], color[rows])
+        else:
+            for s in range(rows.start, rows.stop, _LARGE // 4):
+                block = slice(s, min(s + _LARGE // 4, rows.stop))
+                mixed.add_observations(lm[block], kf[block], p_w[block], q[block],
+                                       color[block])
+    assert mixed.n_replaced > 0
+    assert _table_bytes(mixed) == _table_bytes(one)
+    for lm_id in np.unique(lm).tolist()[::7]:
+        a, b = mixed.fuse_landmark(lm_id), one.fuse_landmark(lm_id)
+        assert (a.p_w.tobytes(), a.color.tobytes(), a.quality, a.n_obs) == (
+            b.p_w.tobytes(), b.color.tobytes(), b.quality, b.n_obs)
+
+
+def test_large_block_of_stored_pairs_only():
+    """A large block whose every pair is already stored replaces rows and
+    adds none."""
+    rng = np.random.default_rng(32)
+    m = _random_map(rng)
+    n = 2 * _LARGE
+    lm, kf = rng.integers(0, 40, n), rng.integers(0, 5, n)
+    m.add_observations(lm, kf, rng.normal(size=(n, 3)), np.full(n, 0.5), np.zeros((n, 3)))
+    stored = m.n_observations
+    m.add_observations(lm[::-1], kf[::-1], rng.normal(size=(n, 3)), np.full(n, 0.25),
+                       np.zeros((n, 3)))
+    assert (m.n_observations, m.n_replaced) == (stored, 2 * n - stored)
+    assert set(m._quality[:stored].tolist()) == {0.25}
+
+
+def test_landmarks_view_is_kept_until_a_new_pair():
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_keyframe(1, identity_pose())
+    m.add_observation(5, 0, [1.0, 2.0, 3.0], 0.5)
+    view = m.landmarks
+    assert view == {5: {0: 0}} and m.landmarks is view
+    m.add_observation(5, 0, [1.0, 2.0, 4.0], 0.5)               # replaces a row
+    m.add_observations([5], [0], [[0.0, 0.0, 0.0]], [0.5], [[0, 0, 0]])
+    assert m.landmarks is view
+    m.add_observation(5, 1, [1.0, 2.0, 3.0], 0.5)
+    assert m.landmarks is not view and m.landmarks == {5: {0: 0, 1: 1}}
+    m.add_observations([6], [1], [[0.0, 0.0, 0.0]], [0.5], [[0, 0, 0]])
+    assert m.landmarks == {5: {0: 0, 1: 1}, 6: {1: 2}}
+
+
 def test_add_observations_after_staged_rows_wins():
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())
     m.add_observation(0, 0, [1.0, 0.0, 0.0], 0.5)
     m.add_observation(1, 0, [2.0, 0.0, 0.0], 0.5)
     m.add_observations([0], [0], [[3.0, 0.0, 0.0]], [1.0], [[0, 0, 0]])
-    assert m._staged_lm == []
+    assert m._pending_lm == m._staged == []
     assert [f.p_w.tolist() for f in m.fuse_all().values()] == [[3.0, 0.0, 0.0],
                                                                [2.0, 0.0, 0.0]]
     assert m.n_replaced == 1
@@ -646,7 +746,7 @@ def test_replay_stores_rows_applied_line_by_line():
     """An indented OBS line is applied by `add_observation`; `replay_log`
     stores it before returning."""
     m = replay_log(["KF 0 0 0 0 0 0 0 1", "  OBS 1 0 1.5 2 3 0.5 1 2 3 4 5"])
-    assert m._staged_lm == []
+    assert m._pending_lm == m._staged == []
     assert (m._p_f[0].tolist(), m._quality[0], m._color[0].tolist()) == (
         [1.5, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0])
 
@@ -752,11 +852,11 @@ def test_add_observation_bad_values_change_nothing(p_w, color, landmark):
     m.add_keyframe(0, identity_pose())
     m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5, color=(4, 5, 6))
     m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))   # staged again
-    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
+    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
     with pytest.raises(UwvioError, match="point and colour must hold 3 numbers") as exc:
         m.add_observation(landmark, 0, p_w, 0.75, color=color)
     assert exc.value.exit_code == 1
-    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
+    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
     assert (m.n_observations, m.n_replaced, list(m.landmarks)) == (1, 1, [1])
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
@@ -823,7 +923,7 @@ def test_add_observation_rejects_non_finite_values(p_w, color, landmark):
     with pytest.raises(UwvioError, match="point and colour must be finite") as exc:
         m.add_observation(landmark, 0, p_w, 0.75, color=color)
     assert exc.value.exit_code == 1
-    assert (m._staged_lm, m._staged_kf) == ([1, 1], [0, 0])
+    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
     assert _table_bytes(m) == _table_bytes(staged_map())
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
@@ -852,23 +952,27 @@ def _kf_lines(ids):
     return [f"KF {k} {k}.5 -1 2 0 0 0.25 1" for k in ids]
 
 
-@pytest.mark.parametrize("bad, line_no, message", [
-    ("KF 3 0 0 0 0 0 0 1", 8, "keyframe 3 already present"),          # twice in a run
-    ("KF 1 0 0 0 0 0 0 1", 8, "keyframe 1 already present"),          # already in the map
-    ("KF 7 0 0 0 0 0 0 0", 8, "zero quaternion"),
-    ("KF 7 0 0 0 0 0 nan 1", 8, "non-finite value"),
-    ("KF 7 0 0 0 0 0 inf 1", 8, "non-finite value"),
-    ("UPD 9 0 0 0 0 0 0 1", 11, "keyframe 9 not in map"),             # mid-run
-    ("UPD 2 0 0 0 0 0 0 0", 11, "zero quaternion"),
+@pytest.mark.parametrize("bad, message", [
+    ("KF 20 0 0 0 0 0 0 1", "keyframe 20 already present"),          # twice in a run
+    ("KF 1 0 0 0 0 0 0 1", "keyframe 1 already present"),            # already in the map
+    ("KF 99 0 0 0 0 0 0 0", "zero quaternion"),
+    ("KF 99 0 0 0 0 0 nan 1", "non-finite value"),
+    ("KF 99 0 0 0 0 0 inf 1", "non-finite value"),
+    ("UPD 99 0 0 0 0 0 0 1", "keyframe 99 not in map"),              # mid-run
+    ("UPD 2 0 0 0 0 0 0 0", "zero quaternion"),
 ])
-def test_replay_pose_run_errors(tmp_path, bad, line_no, message):
+def test_replay_pose_run_errors(tmp_path, bad, message):
+    """A bad line in the middle of a KF or UPD run long enough to be parsed
+    as one block raises with its own line number and text."""
     rng = np.random.default_rng(13)
-    lines = _kf_lines([0, 1, 2]) + _obs_lines(rng, 3, n_kf=3) + _kf_lines([3])
+    n = _MIN_RUN
+    lines = _kf_lines(range(n)) + _obs_lines(rng, 3, n_kf=n)
     if bad.startswith("KF"):
-        lines += [bad] + _kf_lines([4])
+        lines += _kf_lines(range(n, n + n // 2)) + [bad] + _kf_lines(range(2 * n, 3 * n))
     else:
-        lines += _kf_lines([4]) + _pose_lines(rng, "UPD", [0, 3]) + [bad]
-        lines += _pose_lines(rng, "UPD", [1])
+        lines += _pose_lines(rng, "UPD", range(n // 2)) + [bad]
+        lines += _pose_lines(rng, "UPD", range(n // 2, n))
+    line_no = lines.index(bad) + 1
     _assert_replays_alike(tmp_path, lines, valid=False)
     with pytest.raises(EventLogError, match=f"^line {line_no}: {message}$"):
         replay_log(lines)
@@ -883,25 +987,31 @@ def test_replay_pose_runs_longer_than_a_block(tmp_path):
 
 
 def test_clean_logs_never_apply_a_line_alone(tmp_path, monkeypatch):
-    """Logs of KF, OBS and UPD lines only are applied block by block: the
-    line-at-a-time path is a fallback for input that numpy or a check
-    rejects, not a route that clean input takes."""
+    """Clean runs of `_MIN_RUN` or more KF, OBS and UPD lines are applied
+    block by block: for them the line-at-a-time path is a fallback for
+    input that numpy or a check rejects, not a route that clean input
+    takes. Shorter runs, and comments, are applied line by line."""
     def refuse(gmap, pending, line_no, line):
         raise AssertionError(f"line {line_no} was applied alone: {line!r}")
 
     rng = np.random.default_rng(15)
+    n = _MIN_RUN
     synthetic = tmp_path / "synthetic.txt"
-    lines = _pose_lines(rng, "KF", range(6)) + _obs_lines(rng, _CHUNK + 20)
-    lines += _pose_lines(rng, "UPD", [5, 0, 3]) + _pose_lines(rng, "KF", [6])
-    lines += _obs_lines(rng, 30, n_kf=7) + _pose_lines(rng, "UPD", range(7))
+    lines = _pose_lines(rng, "KF", range(n)) + _obs_lines(rng, _CHUNK + n, n_kf=n)
+    lines += _pose_lines(rng, "UPD", range(n - 1, -1, -1))
+    lines += _pose_lines(rng, "KF", range(n, 2 * n)) + _obs_lines(rng, n, n_kf=2 * n)
+    lines += _pose_lines(rng, "UPD", range(2 * n))
     synthetic.write_text("\n".join(lines) + "\n")
     fixture = write_drift_loop_log(tmp_path / "drift_loop_events.txt", seed=0)
     expected = [_outcome(replay_log_file, path) for path in (fixture, synthetic)]
     monkeypatch.setattr(global_map, "_apply_line", refuse)
     assert [_outcome(replay_log_file, path) for path in (fixture, synthetic)] == expected
     assert isinstance(_outcome(replay_log, lines), list)
-    with pytest.raises(AssertionError, match="line 2 was applied alone"):
-        replay_log(["KF 0 0 0 0 0 0 0 1", "# comment"])
+    assert isinstance(_outcome(replay_log, _kf_lines(range(n))), list)
+    with pytest.raises(AssertionError, match="line 1 was applied alone"):
+        replay_log(_kf_lines(range(n - 1)))
+    with pytest.raises(AssertionError, match=f"line {n + 1} was applied alone"):
+        replay_log(_kf_lines(range(n)) + ["# comment"])
 
 
 # lines that a check rejects, each with the kind of run it falls in
@@ -918,7 +1028,7 @@ def _event_logs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     lines, n_kf = _pose_lines(rng, "KF", range(2)), 2
     for kind in draw(st.lists(st.sampled_from(["KF", "OBS", "UPD", "#", ""]), max_size=12)):
-        size = draw(st.integers(1, 25))
+        size = draw(st.integers(1, 3 * _MIN_RUN))
         if kind == "KF":
             lines += _pose_lines(rng, "KF", range(n_kf, n_kf + size))
             n_kf += size
