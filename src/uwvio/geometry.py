@@ -23,9 +23,11 @@ def quat_normalize(q):
     ok = (sq > 0) & (sq < np.inf)
     if not ok.all():
         # a square sum that underflows to 0 or overflows: divide the row by
-        # its largest component first, unless that is 0 or not finite
+        # its largest component first, unless that is 0
         big = np.max(np.abs(q), axis=-1)
-        fix = ~ok & (big > 0) & (big < np.inf)
+        if not np.isfinite(big).all():
+            raise ValueError("non-finite quaternion")
+        fix = ~ok & (big > 0)
         q = q / np.where(fix, big, 1.0)[..., None]
         sq = _row_dot(q, q)
         if np.any(sq == 0):

@@ -9,36 +9,30 @@ landmark.
 Observations live in one table of column arrays with a row per
 (landmark, keyframe) pair: keyframe slot, landmark slot, keyframe-local
 position ``p_f``, quality and colour. Keyframe poses sit in slot-indexed
-rotation and translation arrays. A dict maps each landmark id to its slot.
-The packed (landmark slot, keyframe slot) key of a pair maps to its row
-through sorted int64 runs (`_SortedRuns`) if a large block stored the pair
-first, else through a dict. A write of fewer than `_LARGE` observations
-looks its pairs up one at a time; a larger one resolves them with numpy
-kernels. Neither copies the whole index. The last observation of a pair
-wins, and new rows and landmark slots follow the order of first occurrence,
-so a repeated observation overwrites its pair's row. ``landmarks``
-(landmark id -> {keyframe id: row}) is a view built from the columns.
+arrays, and a dict maps each landmark id to its slot. One index,
+`_SortedRuns`, maps the packed (landmark slot, keyframe slot) key of a pair
+to its row. The last observation of a pair wins, and new rows and landmark
+slots follow the order of first occurrence.
 
-`add_observations` stores its rows and moves them into keyframe frames at
-once. `add_observation` checks its observation and leaves it pending: the
-world point, quality and colour go to the next free table row, the landmark
-id and keyframe slot to two lists. Every read stores the pending
-observations first, `_LARGE` or more of them with the numpy kernels. A
-stored single observation keeps its world point (it is staged) until the
-next pose update, batch insert or fusion, the end of `replay_log`, or until
-`_CHUNK` observations are pending or staged, so it keeps the pose of its
-call. Each move is one stacked ``np.matmul``.
+Writes go through one queue: `add_observation` checks its observation and
+leaves it pending in the next free table row. Every read, pose update and
+batch insert, and the `_CHUNK`-th pending observation, stores the pending
+observations first. A store of fewer than `_LARGE` observations looks its
+pairs up one at a time and sets new ones in the index's dict; a larger one
+resolves them with numpy kernels and adds new ones as a sorted run, so no
+write copies the whole index. A store then moves its points into their
+keyframes' frames at the current poses, those of their calls, with one
+stacked ``np.matmul``.
 
 One kernel fuses any set of landmarks: it moves the rows into the world
 frame chunk by chunk, sums each weighted channel per landmark slot with
-``np.bincount`` and puts the sums in landmark-id order. That order comes
-from sorted runs of the landmark ids, which take new landmarks in blocks of
-`_CHUNK` as they are written and the rest when fusion reads them, so fusion
-sorts fewer than `_CHUNK` ids and its time is linear in the number of
-observations. The fusion of every landmark is kept until the next write;
-fused reads of it return copies. An event log's runs of `_MIN_RUN` or more
-``KF``, ``OBS`` or ``UPD`` lines are parsed by numpy and applied a block at
-a time.
+``np.bincount`` and puts the sums in landmark-id order. A second
+`_SortedRuns` keeps that order: it sorts new landmark ids in blocks of
+`_CHUNK` as they are stored and the rest when fusion reads them, so fusion
+time stays linear in the number of observations. The fusion of every
+landmark is kept until the next write; fused reads of it return copies. An
+event log's runs of `_MIN_RUN` or more ``KF``, ``OBS`` or ``UPD`` lines are
+parsed by numpy and applied a block at a time.
 """
 
 import math
@@ -52,15 +46,15 @@ from .errors import EventLogError, UwvioError
 from .geometry import RigidTransform
 
 # rows transformed per step, event-log lines parsed per block and observations
-# staged at most, so the gathered (rows, 3, 3) rotations stay in cache and a
+# pending at most, so the gathered (rows, 3, 3) rotations stay in cache and a
 # block's memory stays bounded
 _CHUNK = 16_384
 # the fewest event-log lines parsed as one block: a block's fixed numpy cost
 # is that of about 10 OBS lines, or 3 KF lines, applied one at a time
 _MIN_RUN = 16
-# the fewest observations that one add_observations call resolves with numpy
-# kernels rather than one (landmark, keyframe) pair at a time; the two cost
-# alike at about 128
+# the fewest observations that one store resolves with numpy kernels rather
+# than one (landmark, keyframe) pair at a time, and the most that the pair
+# index keeps in its dict for a range query; the two cost alike at about 128
 _LARGE = 128
 
 # the 12 whitespace-separated fields of an event-log OBS line
@@ -124,21 +118,6 @@ def _not_finite(p_w, color):
                       f"and {color!r}")
 
 
-def _lookup(table, keys):
-    """The value of each of the distinct ``keys``, a list, in the dict
-    ``table``, as an intp array; missing keys are added with the values
-    ``len(table)``, ``len(table) + 1``, ... in order."""
-    out = np.fromiter(map(table.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
-    missing = np.flatnonzero(out < 0)
-    if len(missing):
-        added = np.arange(len(table), len(table) + len(missing))
-        out[missing] = added
-        if len(missing) < len(keys):
-            keys = [keys[i] for i in missing.tolist()]
-        table.update(zip(keys, added.tolist()))
-    return out
-
-
 def _distinct(values):
     """The distinct values of an int64 array, ascending; the place of each
     element's value among them; and masks of the elements that are the
@@ -176,21 +155,20 @@ def _merge(a, b):
 
 
 class _SortedRuns:
-    """A map of distinct int64 keys to intp values, kept as runs sorted by
-    key, each more than 8 times as long as the next one.
+    """A map of distinct int64 keys to intp values: a dict of the keys set
+    one at a time, and runs of the keys added in blocks, each sorted by key
+    and more than 8 times as long as the next one.
 
     `add` sorts its keys into a new run and merges it into the runs before
-    it while they are at most 8 times as long, so a lookup searches a few
-    runs, each key is copied O(log n) times in all, and adding k keys
-    never copies all n.
+    it while they are at most 8 times as long, so a lookup searches the dict
+    and a few runs, each key is copied O(log n) times in all, and adding k
+    keys never copies all n. The dict becomes a run when `update` leaves it
+    with `_CHUNK` keys, when `between` finds `_LARGE`, and in `items`.
     """
 
     def __init__(self):
         self._runs = []          # (keys, values); longest first
-        self._n = 0
-
-    def __len__(self):
-        return self._n
+        self._dict = {}          # the keys set one at a time
 
     def add(self, keys, values):
         """Add ``keys``, none of them present, with their ``values``."""
@@ -199,17 +177,35 @@ class _SortedRuns:
         order = np.argsort(keys)
         runs = self._runs
         runs.append((keys[order], values[order]))
-        self._n += len(keys)
         while len(runs) > 1 and len(runs[-2][0]) <= 8 * len(runs[-1][0]):
             runs.append(_merge(runs.pop(-2), runs.pop()))
 
+    def set(self, key, value):
+        """Add ``key``, an int not present, with ``value``."""
+        self._dict[key] = value
+
+    def update(self, keys, values):
+        """Add ``keys``, ints none of them present, with their ``values`` as
+        `set` does; the dict becomes a run once it holds `_CHUNK` keys."""
+        self._dict.update(zip(keys, values))
+        if len(self._dict) >= _CHUNK:
+            self._add_dict()
+
+    def _add_dict(self):
+        d = self._dict
+        self.add(np.fromiter(d, dtype=np.int64, count=len(d)),
+                 np.fromiter(d.values(), dtype=np.intp, count=len(d)))
+        d.clear()
+
     def get(self, key):
         """The value of ``key``, or None."""
-        for keys, values in self._runs:
-            i = keys.searchsorted(key)
-            if i < len(keys) and keys[i] == key:
-                return int(values[i])
-        return None
+        value = self._dict.get(key)
+        if value is None:
+            for keys, values in self._runs:
+                i = keys.searchsorted(key)
+                if i < len(keys) and keys[i] == key:
+                    return int(values[i])
+        return value
 
     def find(self, wanted):
         """The value of each of the ``wanted`` keys, -1 for a missing one."""
@@ -219,17 +215,24 @@ class _SortedRuns:
             np.minimum(at, len(keys) - 1, out=at)
             hit = keys[at] == wanted
             out[hit] = values[at[hit]]
+        if self._dict:
+            miss = np.flatnonzero(out < 0)
+            out[miss] = np.fromiter(map(self._dict.get, wanted[miss].tolist(), repeat(-1)),
+                                    dtype=np.intp, count=len(miss))
         return out
 
     def between(self, lo, hi):
         """The values of the keys in [lo, hi), in no set order, as a list."""
-        out = []
+        if len(self._dict) >= _LARGE:
+            self._add_dict()
+        out = [value for key, value in self._dict.items() if lo <= key < hi]
         for keys, values in self._runs:
             out += values[keys.searchsorted(lo):keys.searchsorted(hi)].tolist()
         return out
 
     def items(self):
-        """Every key, ascending, and its value; the runs become one."""
+        """Every key, ascending, and its value; everything becomes one run."""
+        self._add_dict()
         runs = self._runs
         while len(runs) > 1:
             runs.append(_merge(runs.pop(-2), runs.pop()))
@@ -239,9 +242,8 @@ class _SortedRuns:
 class GlobalMap:
     """Single-writer map state.
 
-    Reads store the pending observations first; fused reads also move the
-    staged rows and keep the fusion of every landmark until the next write.
-    What they return never shares memory with the kept fusion.
+    Reads store the pending observations first; fused reads keep the fusion
+    of every landmark until the next write and return none of its memory.
     """
 
     def __init__(self):
@@ -250,13 +252,8 @@ class GlobalMap:
         self._R = np.empty((0, 3, 3))
         self._t = np.empty((0, 3))
         self._lm_slot = {}       # landmark id -> landmark slot
-        self._lm_ids = np.empty(0, dtype=np.int64)   # landmark id of each slot
-        self._lm_order = _SortedRuns()   # the ids of the first len(_lm_order) slots
-        # landmark slot << 32 | keyframe slot -> table row: the pairs a large
-        # block stored first sit in sorted runs, the others in a dict until
-        # `_rows_of` moves them into the runs
-        self._pair_runs = _SortedRuns()
-        self._pair_dict = {}
+        self._lm_order = _SortedRuns()   # the same, sorted by id for fusion
+        self._pairs = _SortedRuns()      # landmark slot << 32 | keyframe slot -> table row
         self._n_obs = 0          # rows in use
         self._n_replaced = 0     # stored observations that overwrote their pair's row
         self._kf = np.empty(0, dtype=np.intp)
@@ -268,13 +265,15 @@ class GlobalMap:
         # call order; its world point, quality and colour sit in the free rows
         self._pending_lm = []
         self._pending_kf = []
-        self._staged = []        # rows whose p_f holds a world point, in store order
         self._fused = None       # _fuse() of every landmark, until the next write
-        self._landmarks = None   # the landmarks view, until the next new pair
 
     def add_keyframe(self, kf_id, pose):
+        """Add keyframe ``kf_id`` at world pose ``pose``, whose translation
+        must be finite (a `RigidTransform` has a finite rotation)."""
         if kf_id in self.keyframes:
             raise UwvioError(f"keyframe {kf_id} already present")
+        if not all(map(math.isfinite, pose.t.tolist())):
+            raise UwvioError(f"keyframe {kf_id} pose is not finite")
         slot = len(self._kf_slot)
         if slot == len(self._R):
             self._R, self._t = _grow(self._R), _grow(self._t)
@@ -323,8 +322,8 @@ class GlobalMap:
         self._pending_kf.append(kf_slot)
         self._quality[new] = quality
         self._fused = None
-        if len(self._pending_lm) + len(self._staged) >= _CHUNK:
-            self._flush()
+        if len(self._pending_lm) >= _CHUNK:
+            self._store_pending()
 
     def add_observations(self, lm, kf, p_w, quality, color):
         """`add_observation` for each row of the arrays, in order.
@@ -335,7 +334,9 @@ class GlobalMap:
         """
         try:
             lm = _landmark_ids(lm)
-            kf = np.asarray(kf, dtype=np.int64)
+            # keyframe ids are looked up as given, as add_observation does:
+            # 1.5 is no keyframe, 1.0 is keyframe 1, and a list keeps its types
+            kf = kf if isinstance(kf, np.ndarray) else np.array(kf, dtype=object)
             quality = np.asarray(quality, dtype=float)
             p_w = np.asarray(p_w, dtype=float)
             color = np.asarray(color, dtype=float)
@@ -348,8 +349,11 @@ class GlobalMap:
                 "observation arrays must be lm, kf and quality of n values and "
                 f"p_w and color of (n, 3); got shapes {lm.shape}, {kf.shape}, "
                 f"{quality.shape}, {p_w.shape} and {color.shape}")
-        kf_slot = np.fromiter(map(self._kf_slot.get, kf.tolist(), repeat(-1)),
-                              dtype=np.intp, count=n)
+        try:
+            kf_slot = np.fromiter(map(self._kf_slot.get, kf.tolist(), repeat(-1)),
+                                  dtype=np.intp, count=n)
+        except TypeError as exc:        # an unhashable keyframe id
+            raise UwvioError(f"observation arrays: {exc}") from None
         if n and not (kf_slot.min() >= 0 and 0.0 <= quality.min() and quality.max() <= 1.0
                       and np.isfinite(p_w).all() and np.isfinite(color).all()):
             in_range = (quality >= 0.0) & (quality <= 1.0)
@@ -360,50 +364,27 @@ class GlobalMap:
             if not in_range[i]:
                 raise UwvioError(f"quality {quality[i]} outside [0, 1]")
             raise _not_finite(p_w[i].tolist(), color[i].tolist())
-        self._flush()
+        self._store_pending()
         self._fused = None
-        self._to_local(self._store(lm, kf_slot, p_w, quality, color))
+        self._store(lm, kf_slot, p_w, quality, color)
 
     def _store_pending(self):
-        """Store the pending observations in call order: each takes its pair's
-        row, or the next row for a new pair, with its values moved there from
-        the free row it was written to. The rows join `_staged`, except that
-        `_LARGE` or more are moved into keyframe frames at once, after the
-        staged rows."""
-        start, lm, kf = self._n_obs, self._pending_lm, self._pending_kf
-        if len(lm) >= _LARGE:
-            self._move_staged()
-            free = slice(start, start + len(lm))
-            self._to_local(self._store(
-                np.fromiter(lm, dtype=np.int64, count=len(lm)),
-                np.fromiter(kf, dtype=np.intp, count=len(kf)),
-                self._p_f[free], self._quality[free], self._color[free]))
-        elif lm:
-            # one pair at a time: a row is written before the free rows of
-            # later pairs are read, but never over them
-            rows, slots, last = self._resolve_small(lm, kf)
-            self._n_replaced += len(lm) - (self._n_obs - start)
-            for row, slot, i in zip(rows, slots, last):
-                if row >= start:
-                    self._kf[row], self._lm[row] = kf[i], slot
-                if row != start + i:
-                    self._p_f[row] = self._p_f[start + i]
-                    self._quality[row] = self._quality[start + i]
-                    self._color[row] = self._color[start + i]
-            self._staged += rows
-        lm.clear()
-        kf.clear()
+        """Store the pending observations, in call order."""
+        lm, kf = self._pending_lm, self._pending_kf
+        if lm:
+            free = slice(self._n_obs, self._n_obs + len(lm))
+            self._store(np.array(lm, dtype=np.int64), np.array(kf, dtype=np.intp),
+                        self._p_f[free], self._quality[free], self._color[free])
+            lm.clear()
+            kf.clear()
 
     def _store(self, lm, kf_slot, p_w, quality, color):
-        """Store checked observations, in order: int64 landmark ids ``lm``,
-        keyframe slots, world points, qualities and colours, which may be the
-        free rows after the rows in use. Returns the rows written."""
+        """Store checked observations in order, each point in its keyframe's
+        frame at the current pose: int64 landmark ids ``lm``, keyframe slots,
+        world points, qualities and colours, which may be the free rows."""
         n, n_obs = len(lm), self._n_obs
-        if n < _LARGE:
-            rows, slots, last = (np.array(a, dtype=np.intp) for a in
-                                 self._resolve_small(lm.tolist(), kf_slot.tolist()))
-        else:
-            rows, slots, last = self._resolve_large(lm, kf_slot)
+        resolve = self._resolve_small if n < _LARGE else self._resolve_large
+        rows, slots, last = resolve(lm, kf_slot)
         added = self._n_obs - n_obs
         self._n_replaced += n - added
         if added == n:   # all new pairs: their rows follow on in order
@@ -412,111 +393,59 @@ class GlobalMap:
             self._kf, self._lm, self._p_f, self._quality, self._color = (
                 _grow(a, self._n_obs) for a in (self._kf, self._lm, self._p_f,
                                                 self._quality, self._color))
-        # each right-hand side is gathered, or is the very rows written,
-        # before its column is written, so the sources may be free rows
-        self._kf[rows] = kf_slot[last]
+        # each right-hand side is computed, gathered, or is the very rows
+        # written, before its column is written, so the sources may be free rows
+        k = kf_slot[last]
+        p_f = np.matmul(self._R[k].transpose(0, 2, 1), (p_w[last] - self._t[k])[:, :, None])
+        self._kf[rows] = k
         self._lm[rows] = slots
-        self._p_f[rows] = p_w[last]
+        self._p_f[rows] = p_f[:, :, 0]
         self._quality[rows] = quality[last]
         self._color[rows] = color[last]
-        return rows
 
     def _resolve_small(self, lm, kf_slot):
         """Find or add the row of each (landmark, keyframe) pair of the
-        lists ``lm`` and ``kf_slot``, one pair at a time. Returns, per pair
-        in order of first occurrence, its row, its landmark slot and the
-        index of its last observation; new pairs take the next rows."""
-        last = dict(zip(zip(lm, kf_slot), range(len(lm))))
-        lm_slot, pair_dict, pair_runs = self._lm_slot, self._pair_dict, self._pair_runs
-        rows, slots = [], []
+        arrays ``lm`` and ``kf_slot``, one pair at a time. Returns lists of,
+        per pair in order of first occurrence, its row, its landmark slot and
+        the index of its last observation; new pairs take the next rows."""
+        last = dict(zip(zip(lm.tolist(), kf_slot.tolist()), range(len(lm))))
+        lm_slot, pairs = self._lm_slot, self._pairs
+        rows, slots, new = [], [], {}
         for lm_id, k in last:
             slot = lm_slot.get(lm_id)
             if slot is None:
-                slot = lm_slot[lm_id] = len(lm_slot)
-                if slot == len(self._lm_ids):
-                    self._lm_ids = _grow(self._lm_ids)
-                self._lm_ids[slot] = lm_id
+                slot = lm_slot[lm_id] = new[lm_id] = len(lm_slot)
             key = slot << 32 | k
-            row = pair_dict.get(key)
-            if row is None and pair_runs:
-                row = pair_runs.get(key)
+            row = pairs.get(key)
             if row is None:
-                row = pair_dict[key] = self._n_obs
+                row = self._n_obs
+                pairs.set(key, row)
                 self._n_obs += 1
-                self._landmarks = None
             rows.append(row)
             slots.append(slot)
+        self._lm_order.update(new, new.values())
         return rows, slots, list(last.values())
 
     def _resolve_large(self, lm, kf_slot):
-        """`_resolve_small` with numpy kernels for int64 arrays, pairs in no
-        set order; the new pairs go into the sorted runs."""
+        """`_resolve_small` with numpy kernels, pairs in no set order; the
+        new pairs go into the index as one sorted run."""
         n_lm = len(self._lm_slot)
         ids, inverse, first, _ = _distinct(lm)
         places = inverse[first]                  # in order of first occurrence
         slots = np.empty(len(ids), dtype=np.intp)
-        slots[places] = _lookup(self._lm_slot, ids[places].tolist())
-        if len(self._lm_slot) > n_lm:
-            if len(self._lm_slot) > len(self._lm_ids):
-                self._lm_ids = _grow(self._lm_ids, len(self._lm_slot))
-            added = slots >= n_lm
-            self._lm_ids[slots[added]] = ids[added]
+        lm_slot = self._lm_slot   # a new id takes the next slot
+        slots[places] = [lm_slot.setdefault(i, len(lm_slot)) for i in ids[places].tolist()]
+        added = slots >= n_lm
+        self._lm_order.update(ids[added].tolist(), slots[added].tolist())
         slot = slots[inverse]
         pairs, inverse, first, last = _distinct(slot.astype(np.int64) << 32 | kf_slot)
-        rows = self._pair_runs.find(pairs)
-        if self._pair_dict:
-            miss = np.flatnonzero(rows < 0)
-            rows[miss] = np.fromiter(map(self._pair_dict.get, pairs[miss].tolist(),
-                                         repeat(-1)), dtype=np.intp, count=len(miss))
+        rows = self._pairs.find(pairs)
         new = inverse[first & (rows < 0)[inverse]]    # in order of first occurrence
         rows[new] = np.arange(self._n_obs, self._n_obs + len(new))
-        self._pair_runs.add(pairs[new], rows[new])
+        self._pairs.add(pairs[new], rows[new])
         self._n_obs += len(new)
-        if len(new):
-            self._landmarks = None
         last = np.flatnonzero(last)
         return rows[inverse[last]], slot[last], last
-
-    def _to_local(self, rows):
-        """Move the world points in table ``rows`` into their keyframes' frames
-        at the current poses. A repeated row holds one point, moved alike."""
-        k = self._kf[rows]
-        p_f = np.matmul(self._R[k].transpose(0, 2, 1),
-                        (self._p_f[rows] - self._t[k])[:, :, None])
-        self._p_f[rows] = p_f[:, :, 0]
-
-    def _move_staged(self):
-        """Move the staged rows into their keyframes' frames."""
-        if self._staged:
-            self._to_local(np.array(self._staged, dtype=np.intp))
-            self._staged.clear()
-
-    def _flush(self):
-        """Store the pending observations and move the staged rows into their
-        keyframes' frames."""
-        self._store_pending()
-        self._move_staged()
-        self._sort_landmarks(_CHUNK)
-
-    def _sort_landmarks(self, least=1):
-        """Sort the landmarks added since the last call into `_lm_order`, if
-        there are ``least`` or more."""
-        lo, hi = len(self._lm_order), len(self._lm_slot)
-        if hi - lo >= least:
-            self._lm_order.add(self._lm_ids[lo:hi], np.arange(lo, hi))
-
-    def _rows_of(self, slot):
-        """The table rows of the landmark in ``slot``, ascending. The pairs
-        in `_pair_dict` are searched one by one while they are fewer than
-        `_LARGE`, else first moved into `_pair_runs`."""
-        pairs = self._pair_dict
-        if len(pairs) >= _LARGE:
-            self._pair_runs.add(np.fromiter(pairs, dtype=np.int64, count=len(pairs)),
-                                np.fromiter(pairs.values(), dtype=np.intp, count=len(pairs)))
-            pairs.clear()
-        rows = self._pair_runs.between(slot << 32, (slot + 1) << 32)
-        rows += [row for key, row in pairs.items() if key >> 32 == slot]
-        return np.array(sorted(rows), dtype=np.intp)
 
     @property
     def n_observations(self):
@@ -536,44 +465,27 @@ class GlobalMap:
         self._store_pending()
         return len(self._lm_slot)
 
-    @property
-    def landmarks(self):
-        """Landmark id -> {keyframe id: table row}, landmarks in slot order and
-        each one's keyframes in row order.
-
-        The dict is built from the columns, in time linear in the number of
-        observations, and the same dict is returned until an observation of
-        a new (landmark, keyframe) pair is stored; changing it changes no
-        map state.
-        """
-        self._store_pending()
-        if self._landmarks is None:
-            kf_ids = list(self._kf_slot)
-            out = {lm: {} for lm in self._lm_ids[:len(self._lm_slot)].tolist()}
-            by_slot = list(out.values())
-            n = self._n_obs
-            for row, (lm, kf) in enumerate(zip(self._lm[:n].tolist(),
-                                               self._kf[:n].tolist())):
-                by_slot[lm][kf_ids[kf]] = row
-            self._landmarks = out
-        return self._landmarks
-
     def update_keyframe_poses(self, updates):
         """Replace keyframe poses (absolute, e.g. pose-graph output).
 
-        Stored local observations are untouched; the deformation shows up
-        in subsequent fusion. Observations staged before the call keep the
-        poses they were made at.
+        Observations keep their keyframe-local points, also those added
+        before the call and not yet stored; the deformation shows up in
+        subsequent fusion. Every keyframe must be in the map and every
+        translation finite, else nothing changes.
         """
         for kf_id in updates:
             if kf_id not in self.keyframes:
                 raise UwvioError(f"keyframe {kf_id} not in map")
-        self._flush()
+        t = np.array([pose.t for pose in updates.values()], dtype=float).reshape(-1, 3)
+        finite = np.isfinite(t).all(axis=1)
+        if not finite.all():
+            raise UwvioError(f"keyframe {list(updates)[finite.argmin()]} pose is not finite")
+        self._store_pending()
         self._fused = None
         self.keyframes.update(updates)
-        for kf_id, pose in updates.items():
-            slot = self._kf_slot[kf_id]
-            self._R[slot], self._t[slot] = pose.R, pose.t
+        slots = np.fromiter(map(self._kf_slot.get, updates), dtype=np.intp, count=len(t))
+        self._R[slots] = np.array([pose.R for pose in updates.values()]).reshape(-1, 3, 3)
+        self._t[slots] = t
 
     def _fuse(self, slot=None):
         """Fuse the landmark in ``slot``, or every landmark when ``slot`` is
@@ -583,9 +495,8 @@ class GlobalMap:
         per landmark, the world position, colour, mean quality and
         observation count.
         """
-        self._flush()
+        self._store_pending()
         if slot is None:
-            self._sort_landmarks()
             ids, order = self._lm_order.items()           # slot of each output
             n_lm = len(ids)
             rows = slice(0, self._n_obs)
@@ -593,7 +504,8 @@ class GlobalMap:
             if not self._n_obs:  # np.bincount of no rows sums to int64
                 return ids, np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, int)
         else:
-            rows = self._rows_of(slot)
+            rows = np.array(sorted(self._pairs.between(slot << 32, (slot + 1) << 32)),
+                            dtype=np.intp)              # ascending, as for every landmark
             n_lm = 1
             groups = np.zeros(len(rows), dtype=np.intp)
             order = np.zeros(1, dtype=np.intp)
@@ -800,7 +712,6 @@ def replay_log(lines):
     if run:
         _apply_run(gmap, pending, kind, run, line_no)
     _flush_updates(gmap, pending)
-    gmap._flush()
     return gmap
 
 

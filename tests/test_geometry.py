@@ -110,6 +110,9 @@ def test_quat_normalize_extreme_magnitudes(scale):
     assert np.allclose(q, [[r, 0, 0, r], [0, 0, 0, 1]], rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="zero quaternion"):
         quat_normalize([[0.0, 0.0, 0.0, 0.0], [scale, 0.0, 0.0, scale]])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^non-finite quaternion$"):
+            quat_normalize([[scale, 0.0, 0.0, scale], [0.0, 0.0, bad, 1.0]])
 
 
 def _matrix_scalar(q):

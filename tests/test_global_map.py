@@ -462,10 +462,9 @@ def test_replay_repeated_pair_across_block_edge(tmp_path):
         run[i] = pair.format(i, q)
     lines = _pose_lines(rng, "KF", range(6)) + run
     _assert_replays_alike(tmp_path, lines)
-    m = replay_log(lines)
-    row = m.landmarks[99999][2]
-    assert m._p_f[row].tolist() == (m.keyframes[2].R.T @ (
-        [_CHUNK + 7.5, 1.25, -3] - m.keyframes[2].t)).tolist()
+    f = replay_log(lines).fuse_landmark(99999)
+    assert (f.n_obs, f.quality) == (1, 1.0)
+    assert np.allclose(f.p_w, [_CHUNK + 7.5, 1.25, -3], rtol=1e-12, atol=1e-12)
 
 
 def test_replay_runs_between_keyframes_and_updates(tmp_path):
@@ -500,7 +499,7 @@ def test_replay_ids_only_python_parses(tmp_path):
     run[12] = f"OBS 3 2 1 2 3 0.5 1 2 3 {2 ** 70} 5"
     lines = _pose_lines(rng, "KF", range(6)) + run
     _assert_replays_alike(tmp_path, lines)
-    assert 1000 in replay_log(lines).landmarks
+    assert 1000 in replay_log(lines).fuse_all()
     # int() takes an id of 2^63, which add_observation then rejects
     lines.insert(20, f"OBS {2 ** 63} 0 1 2 3 0.5 1 2 3 4 5")
     _assert_replays_alike(tmp_path, lines, valid=False)
@@ -558,15 +557,12 @@ def test_add_observations_matches_one_call_per_row():
         one.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
     many.add_observations(lm[:200], kf[:200], p_w[:200], q[:200], color[:200])
     many.add_observations(lm[200:], kf[200:], p_w[200:], q[200:], color[200:])
-    assert [list(r.items()) for r in many.landmarks.values()] == \
-        [list(r.items()) for r in one.landmarks.values()]
-    assert list(many.landmarks) == list(one.landmarks)
-    assert (many.n_observations, many.n_replaced) == (one.n_observations, one.n_replaced)
+    assert _table_bytes(many) == _table_bytes(one)
     assert one.n_observations + one.n_replaced == n
     for a, b in zip(many._fuse(), one._fuse()):
         assert a.tobytes() == b.tobytes()
     # a bad row stores nothing, and the first bad row names the error
-    before = many.n_observations, many.n_replaced, len(many.landmarks)
+    before = many.n_observations, many.n_replaced, many.n_landmarks
     with pytest.raises(UwvioError, match="^keyframe 9 not in map$") as exc:
         many.add_observations([1000, 1001, 1002], [0, 9, 1], np.zeros((3, 3)),
                               [0.5, 0.5, 2.0], np.zeros((3, 3)))
@@ -575,15 +571,23 @@ def test_add_observations_matches_one_call_per_row():
         many.add_observations([1000, 1001, 1002], [0, 1, 1], np.zeros((3, 3)),
                               [0.5, 2.0, np.nan], np.zeros((3, 3)))
     assert exc.value.exit_code == 1
-    assert (many.n_observations, many.n_replaced, len(many.landmarks)) == before
+    # a keyframe id is looked up as given, as add_observation looks it up
+    for kf in (1.5, 1.9, "a"):
+        with pytest.raises(UwvioError, match=f"^keyframe {kf} not in map$") as exc:
+            many.add_observations([1000, 1001], [0, kf], np.zeros((2, 3)), [0.5, 0.5],
+                                  np.zeros((2, 3)))
+        assert exc.value.exit_code == 1
+        with pytest.raises(UwvioError, match=f"^keyframe {kf} not in map$"):
+            many.add_observation(1000, kf, [0.0, 0.0, 0.0], 0.5)
+    assert (many.n_observations, many.n_replaced, many.n_landmarks) == before
 
 
 def _table_bytes(m):
-    """Everything a map stores, as bytes, after its staged rows are stored."""
+    """Everything a map stores, as bytes: its counts, keyframe ids, landmark
+    slots, the table's columns and the fusion of every landmark."""
     fused = m._fuse()
     n = m.n_observations
-    return ([(lm, list(rows.items())) for lm, rows in m.landmarks.items()],
-            n, m.n_replaced,
+    return (n, m.n_replaced, list(m.keyframes), list(m._lm_slot.items()),
             [a[:n].tobytes() for a in (m._kf, m._lm, m._p_f, m._quality, m._color)],
             [a.tobytes() for a in fused])
 
@@ -606,7 +610,6 @@ def test_staged_runs_match_add_observations(n):
     color = rng.integers(0, 256, (n, 3))
     for i in range(n):
         staged.add_observation(int(lm[i]), int(kf[i]), p_w[i], float(q[i]), color=color[i])
-        assert len(staged._pending_lm) + len(staged._staged) < _CHUNK
     batch.add_observations(lm, kf, p_w, q, color)
     assert staged.n_replaced > 0
     assert _table_bytes(staged) == _table_bytes(batch)
@@ -630,29 +633,47 @@ def test_staged_observation_keeps_the_pose_of_its_call():
     assert np.allclose(staged.fuse_landmark(7).p_w, expected, rtol=0, atol=1e-12)
 
 
-def test_sorted_runs_match_a_dict():
-    """Whatever the sizes of the added batches, the runs answer like one
-    dict, stay few, and `items` merges them into one sorted run."""
+def test_sorted_runs_match_a_dict(monkeypatch):
+    """Whatever the sizes of the added batches, and with keys also set one
+    at a time, the index answers like one dict, its runs stay few, and
+    `items` merges everything into one sorted run."""
+    monkeypatch.setattr(global_map, "_CHUNK", 300)
     rng = np.random.default_rng(30)
     runs, expected = _SortedRuns(), {}
     keys = rng.permutation(np.arange(-5000, 5000, dtype=np.int64) * 7919)
+    lo, hi = -7919 * 300, 7919 * 40
     at = 0
-    for size in [1] * 40 + rng.integers(1, 300, 40).tolist() + [1] * 40:
+    steps = ([("add", 1)] * 40 + [("add", n) for n in rng.integers(1, 300, 40).tolist()]
+             + [("set", n) for n in rng.integers(1, 2 * _LARGE, 12).tolist()]
+             + [("update", n) for n in rng.integers(1, 2 * _LARGE, 8).tolist()]
+             + [("add", 1)] * 40 + [("set", 3)])
+    for how, size in steps:
         batch = keys[at:at + size]
-        runs.add(batch, np.arange(at, at + len(batch)))
+        if how == "add":
+            runs.add(batch, np.arange(at, at + len(batch)))
+        elif how == "update":
+            runs.update(batch.tolist(), range(at, at + len(batch)))
+            assert len(runs._dict) < 300
+        else:
+            for key, value in zip(batch.tolist(), range(at, at + len(batch))):
+                runs.set(key, value)
         expected.update(zip(batch.tolist(), range(at, at + len(batch))))
         at += len(batch)
         lengths = [len(k) for k, _ in runs._runs]
         assert all(a > 8 * b for a, b in zip(lengths, lengths[1:]))
+        if how != "add":      # the dict is searched, or first added as a run
+            assert sorted(runs.between(lo, hi)) == sorted(
+                v for k, v in expected.items() if lo <= k < hi)
+            assert len(runs._dict) < _LARGE
     runs.add(keys[:0], np.arange(0))
-    assert len(runs) == len(expected) == sum(len(k) for k, _ in runs._runs)
+    assert runs._dict
+    assert len(expected) == sum(len(k) for k, _ in runs._runs) + len(runs._dict)
     probe = np.concatenate([keys[:at], keys[at:at + 50]])
     assert runs.find(probe).tolist() == [expected.get(k, -1) for k in probe.tolist()]
     assert [runs.get(k) for k in probe.tolist()] == [expected.get(k) for k in probe.tolist()]
-    lo, hi = -7919 * 300, 7919 * 40
     assert sorted(runs.between(lo, hi)) == sorted(v for k, v in expected.items() if lo <= k < hi)
     k, v = runs.items()
-    assert len(runs._runs) == 1
+    assert len(runs._runs) == 1 and not runs._dict
     assert k.tolist() == sorted(expected) and v.tolist() == [expected[x] for x in k.tolist()]
 
 
@@ -714,29 +735,12 @@ def test_large_block_of_stored_pairs_only():
     assert set(m._quality[:stored].tolist()) == {0.25}
 
 
-def test_landmarks_view_is_kept_until_a_new_pair():
-    m = GlobalMap()
-    m.add_keyframe(0, identity_pose())
-    m.add_keyframe(1, identity_pose())
-    m.add_observation(5, 0, [1.0, 2.0, 3.0], 0.5)
-    view = m.landmarks
-    assert view == {5: {0: 0}} and m.landmarks is view
-    m.add_observation(5, 0, [1.0, 2.0, 4.0], 0.5)               # replaces a row
-    m.add_observations([5], [0], [[0.0, 0.0, 0.0]], [0.5], [[0, 0, 0]])
-    assert m.landmarks is view
-    m.add_observation(5, 1, [1.0, 2.0, 3.0], 0.5)
-    assert m.landmarks is not view and m.landmarks == {5: {0: 0, 1: 1}}
-    m.add_observations([6], [1], [[0.0, 0.0, 0.0]], [0.5], [[0, 0, 0]])
-    assert m.landmarks == {5: {0: 0, 1: 1}, 6: {1: 2}}
-
-
 def test_add_observations_after_staged_rows_wins():
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())
     m.add_observation(0, 0, [1.0, 0.0, 0.0], 0.5)
     m.add_observation(1, 0, [2.0, 0.0, 0.0], 0.5)
     m.add_observations([0], [0], [[3.0, 0.0, 0.0]], [1.0], [[0, 0, 0]])
-    assert m._pending_lm == m._staged == []
     assert [f.p_w.tolist() for f in m.fuse_all().values()] == [[3.0, 0.0, 0.0],
                                                                [2.0, 0.0, 0.0]]
     assert m.n_replaced == 1
@@ -746,9 +750,9 @@ def test_replay_stores_rows_applied_line_by_line():
     """An indented OBS line is applied by `add_observation`; `replay_log`
     stores it before returning."""
     m = replay_log(["KF 0 0 0 0 0 0 0 1", "  OBS 1 0 1.5 2 3 0.5 1 2 3 4 5"])
-    assert m._pending_lm == m._staged == []
-    assert (m._p_f[0].tolist(), m._quality[0], m._color[0].tolist()) == (
-        [1.5, 2.0, 3.0], 0.5, [1.0, 2.0, 3.0])
+    assert (m.n_observations, m.n_replaced, m.n_landmarks) == (1, 0, 1)
+    f = m.fuse_landmark(1)
+    assert (f.p_w.tolist(), f.quality, f.color.tolist()) == ([1.5, 2.0, 3.0], 0.5, [1, 2, 3])
 
 
 def test_add_observation_copies_its_arguments():
@@ -811,12 +815,13 @@ def test_fuse_landmark_equals_kept_fusion_bit_for_bit():
                        rng.integers(0, 256, (n, 3)))
     def as_bytes(f):
         return f.p_w.tobytes(), f.color.tobytes(), f.quality, f.n_obs
-    alone = {lm: as_bytes(m.fuse_landmark(lm)) for lm in m.landmarks}
+    ids = np.unique(lm).tolist()
+    alone = {lm: as_bytes(m.fuse_landmark(lm)) for lm in ids}
     assert m._fused is None
     fused = {lm: as_bytes(f) for lm, f in m.fuse_all().items()}
     assert m._fused is not None
     assert fused == alone
-    assert {lm: as_bytes(m.fuse_landmark(lm)) for lm in m.landmarks} == alone
+    assert {lm: as_bytes(m.fuse_landmark(lm)) for lm in ids} == alone
 
 
 @pytest.mark.parametrize("args", [
@@ -828,6 +833,9 @@ def test_fuse_landmark_equals_kept_fusion_bit_for_bit():
     (5, 0, [1.0, 2.0, 3.0], 0.5, [0, 0, 0]),
     ([5, 6], [0, 0], [[0, 0, 0], [0, 0]], [0.5, 0.5], np.zeros((2, 3))),
     ([5, 6], [0, 0], np.zeros((2, 3)), [0.5, 0.5], [["a", "b", "c"]] * 2),
+    ([5], [0.5], np.zeros((1, 3)), [0.5], np.zeros((1, 3))),       # no keyframe 0.5
+    ([5, 6], np.array([0, 0.9]), np.zeros((2, 3)), [0.5, 0.5], np.zeros((2, 3))),
+    ([5, 6], [0, [1]], np.zeros((2, 3)), [0.5, 0.5], np.zeros((2, 3))),
 ])
 def test_add_observations_bad_shape_changes_nothing(args):
     m = GlobalMap()
@@ -851,13 +859,11 @@ def test_add_observation_bad_values_change_nothing(p_w, color, landmark):
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())
     m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5, color=(4, 5, 6))
-    m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))   # staged again
-    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
+    m.add_observation(1, 0, [1.0, 2.0, 4.0], 0.25, color=(4, 5, 7))   # both pending
     with pytest.raises(UwvioError, match="point and colour must hold 3 numbers") as exc:
         m.add_observation(landmark, 0, p_w, 0.75, color=color)
     assert exc.value.exit_code == 1
-    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
-    assert (m.n_observations, m.n_replaced, list(m.landmarks)) == (1, 1, [1])
+    assert (m.n_observations, m.n_replaced, m.n_landmarks) == (1, 1, 1)
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
 
@@ -873,7 +879,7 @@ def test_add_observation_rejects_non_integral_landmark_id(bad):
         m.add_observation(bad, 0, [4.0, 5.0, 6.0], 0.5)
     assert exc.value.exit_code == 1
     assert _table_bytes(m) == before
-    assert list(m.landmarks) == [1]
+    assert m.n_landmarks == 1
     assert list(m.fuse_all()) == [1]
 
 
@@ -923,7 +929,6 @@ def test_add_observation_rejects_non_finite_values(p_w, color, landmark):
     with pytest.raises(UwvioError, match="point and colour must be finite") as exc:
         m.add_observation(landmark, 0, p_w, 0.75, color=color)
     assert exc.value.exit_code == 1
-    assert (m._pending_lm, m._pending_kf) == ([1, 1], [0, 0])
     assert _table_bytes(m) == _table_bytes(staged_map())
     f = m.fuse_landmark(1)
     assert (f.p_w.tolist(), f.color.tolist(), f.quality) == ([1.0, 2.0, 4.0], [4, 5, 7], 0.25)
@@ -1056,3 +1061,150 @@ def test_replay_runs_match_line_by_line(lines):
     one line at a time gives, from bytes lines as from str lines."""
     for events in (lines, [line.encode() + b"\n" for line in lines]):
         assert _outcome(replay_log, events) == _outcome(_replay_line_by_line, events)
+
+
+class _ReferenceMap:
+    """The seed's map: a dict of dicts with per-landmark loops, kept as the
+    reference `GlobalMap` is checked against."""
+
+    def __init__(self):
+        self.poses = {}
+        self.obs = {}            # landmark id -> {keyframe id: (p_f, quality, colour)}
+        self.n_replaced = 0
+
+    def add_keyframe(self, kf_id, T):
+        self.poses[kf_id] = T
+
+    def add_observation(self, lm_id, kf_id, p_w, quality, color):
+        T = self.poses[kf_id]
+        rows = self.obs.setdefault(lm_id, {})
+        self.n_replaced += kf_id in rows
+        rows[kf_id] = (T.R.T @ (np.asarray(p_w, dtype=float) - T.t), float(quality),
+                       np.asarray(color, dtype=float))
+
+    def update_keyframe_poses(self, updates):
+        self.poses.update(updates)
+
+    @property
+    def n_observations(self):
+        return sum(len(rows) for rows in self.obs.values())
+
+    @property
+    def n_landmarks(self):
+        return len(self.obs)
+
+    def fuse_landmark(self, lm_id):
+        """Position, colour, mean quality and count; all-zero qualities
+        weigh every observation alike."""
+        rows = self.obs[lm_id]
+        unweighted = not any(q for _, q, _ in rows.values())
+        p_sum, c_sum, q_sum = np.zeros(3), np.zeros(3), 0.0
+        for kf_id, (p_f, q, color) in rows.items():
+            T = self.poses[kf_id]
+            w = 1.0 if unweighted else q
+            p_sum += w * (T.R @ p_f + T.t)
+            c_sum += w * color
+            q_sum += q
+        denom = len(rows) if unweighted else q_sum
+        return (p_sum / denom, np.clip(np.rint(c_sum / denom), 0, 255), q_sum / len(rows),
+                len(rows))
+
+    def fuse_all(self):
+        return {lm_id: self.fuse_landmark(lm_id) for lm_id in sorted(self.obs)}
+
+
+def _assert_fused_alike(f, expected):
+    p_w, color, quality, n_obs = expected
+    assert f.n_obs == n_obs
+    assert np.allclose(f.p_w, p_w, rtol=0, atol=1e-12)
+    assert np.allclose(f.color, color, rtol=0, atol=1e-12)
+    assert f.quality == pytest.approx(quality, rel=0, abs=1e-12)
+
+
+_MAP_OPS = ["keyframe", "single", "batch", "update", "fuse_landmark", "fuse_all", "counts"]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(_MAP_OPS), max_size=16))
+def test_map_matches_reference_map(seed, ops):
+    """Random API sequences give the counts and fused values of the
+    reference map, with single observations enough to cross the pending
+    flush and batches on both sides of `_LARGE`."""
+    rng = np.random.default_rng(seed)
+    n_lm = int(rng.integers(1, 50))
+    m, ref = GlobalMap(), _ReferenceMap()
+
+    def counts(x):
+        return x.n_observations, x.n_replaced, x.n_landmarks
+
+    def random_pose():
+        return pose(random_rotation(rng), rng.normal(size=3) * 3)
+
+    def observations(n):
+        kf_ids = list(ref.poses)
+        return (rng.integers(-n_lm, n_lm, n) * 7919, rng.choice(kf_ids, n),
+                rng.normal(size=(n, 3)) * 5, rng.choice([0.0, 0.3, 1.0, 0.55], n),
+                rng.integers(0, 256, (n, 3)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(global_map, "_CHUNK", _LARGE + 22)
+        for op in ["keyframe", "single"] + ops + ["counts", "fuse_all"]:
+            if op == "keyframe":
+                for _ in range(int(rng.integers(1, 4))):
+                    kf_id, T = 3 * len(ref.poses) + 1, random_pose()
+                    m.add_keyframe(kf_id, T)
+                    ref.add_keyframe(kf_id, T)
+            elif op == "single":
+                every = int(rng.choice([0, 1, 25]))      # calls between reads of the counts
+                for i, row in enumerate(zip(*observations(int(rng.integers(1, 2 * _LARGE))))):
+                    lm_id, kf_id, p_w, q, color = (int(row[0]), int(row[1]), *row[2:])
+                    m.add_observation(lm_id, kf_id, p_w, float(q), color=color)
+                    ref.add_observation(lm_id, kf_id, p_w, q, color)
+                    if every and i % every == 0:
+                        assert counts(m) == counts(ref)
+            elif op == "batch":
+                batch = observations(int(rng.integers(1, 3 * _LARGE)))
+                m.add_observations(*batch)
+                for row in zip(*batch):
+                    ref.add_observation(int(row[0]), int(row[1]), *row[2:])
+            elif op == "update":
+                kf_ids = list(ref.poses)
+                updates = {int(k): random_pose()
+                           for k in rng.choice(kf_ids, int(rng.integers(1, len(kf_ids) + 1)))}
+                m.update_keyframe_poses(updates)
+                ref.update_keyframe_poses(updates)
+            elif op == "fuse_landmark":
+                for lm_id in rng.choice(list(ref.obs), min(5, len(ref.obs))).tolist():
+                    _assert_fused_alike(m.fuse_landmark(lm_id), ref.fuse_landmark(lm_id))
+            elif op == "fuse_all":
+                fused, expected = m.fuse_all(), ref.fuse_all()
+                assert list(fused) == list(expected)
+                for lm_id, f in fused.items():
+                    _assert_fused_alike(f, expected[lm_id])
+            else:
+                assert counts(m) == counts(ref)
+
+
+def test_non_finite_poses_change_nothing():
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    m.add_keyframe(1, pose(rotation_about_z(0.4), [1.0, 2.0, 3.0]))
+    m.add_observation(1, 0, [1.0, 2.0, 3.0], 0.5)
+    m.add_observation(1, 1, [2.0, 2.0, 3.0], 0.5)
+    before = _table_bytes(m), m._R[:2].tobytes(), m._t[:2].tobytes(), dict(m.keyframes)
+    nan_t = RigidTransform(q=[0, 0, 0, 1], t=[np.nan, 0, 0])
+    inf_t = RigidTransform(q=[0, 0, 0, 1], t=[0, np.inf, 0])
+    for message, call, *args in [
+            ("^keyframe 2 pose is not finite$", m.add_keyframe, 2, nan_t),
+            ("^keyframe 1 pose is not finite$", m.update_keyframe_poses,
+             {0: pose(t=[5.0, 0.0, 0.0]), 1: inf_t})]:
+        with pytest.raises(UwvioError, match=message) as exc:
+            call(*args)
+        assert exc.value.exit_code == 1
+        assert (_table_bytes(m), m._R[:2].tobytes(), m._t[:2].tobytes(),
+                dict(m.keyframes)) == before
+    for q in ([0, 0, np.inf, 1], [np.nan, 0, 0, 1]):
+        with pytest.raises(ValueError, match="^non-finite quaternion$"):
+            m.add_keyframe(2, RigidTransform(q=q, t=[0.0, 0.0, 0.0]))
+    assert (_table_bytes(m), dict(m.keyframes)) == before[::3]
+    assert np.allclose(m.fuse_landmark(1).p_w, [1.5, 2.0, 3.0], rtol=0, atol=1e-12)
