@@ -100,11 +100,17 @@ def allan_deviation(samples, rate, taus=None):
     return AllanCurve(taus=ms / rate, adev=adev, rate=rate, n_samples=n)
 
 
-def _fixed_slope_value(taus, adev, window, slope, at_tau):
-    """Least-squares fixed-slope log-log fit, evaluated at ``at_tau``."""
+def _in_window(taus, adev, window):
+    """Mask of the taus inside ``window`` (None = data limit) with a
+    positive deviation, and the window's bounds (lo, hi)."""
     lo = window[0] if window[0] is not None else taus[0]
     hi = window[1] if window[1] is not None else taus[-1]
-    mask = (taus >= lo) & (taus <= hi) & (adev > 0)
+    return (taus >= lo) & (taus <= hi) & (adev > 0), lo, hi
+
+
+def _fixed_slope_value(taus, adev, window, slope, at_tau):
+    """Least-squares fixed-slope log-log fit, evaluated at ``at_tau``."""
+    mask, lo, hi = _in_window(taus, adev, window)
     if not np.any(mask):
         raise UwvioError(f"no usable taus in [{lo:g}, {hi:g}] s")
     log_tau = np.log(taus[mask])
@@ -114,9 +120,7 @@ def _fixed_slope_value(taus, adev, window, slope, at_tau):
 
 
 def _free_slope(taus, adev, window):
-    lo = window[0] if window[0] is not None else taus[0]
-    hi = window[1] if window[1] is not None else taus[-1]
-    mask = (taus >= lo) & (taus <= hi) & (adev > 0)
+    mask, _, _ = _in_window(taus, adev, window)
     if np.count_nonzero(mask) < 2:
         return float("nan")
     slope, _ = np.polyfit(np.log(taus[mask]), np.log(adev[mask]), 1)

@@ -293,8 +293,13 @@ def cmd_register(args, out_dir):
                                      seed=args.seed)
     res = out.result
     aligned_ply = out_dir / "aligned_source.ply"
-    ply.write_ply(aligned_ply, res.transform.apply(source.points),
-                  colors=source.colors)
+    aligned = res.transform.apply(source.points)
+    try:
+        ply.write_ply(aligned_ply, aligned, colors=source.colors)
+    except ValueError:   # colours that do not fit uchar, such as 16-bit ones
+        warnings.warn(f"{args.source_ply}: colours outside [0, 255]; "
+                      f"{aligned_ply.name} written without colours")
+        ply.write_ply(aligned_ply, aligned)
     matrix = res.transform.matrix()
     report = {
         "voxel": voxel,

@@ -32,7 +32,7 @@ frame chunk by chunk, sums each weighted channel per landmark slot with
 time stays linear in the number of observations. The fusion of every
 landmark is kept until the next write; fused reads of it return copies. An
 event log's runs of `_MIN_RUN` or more ``KF``, ``OBS`` or ``UPD`` lines are
-parsed by numpy and applied a block at a time.
+parsed by numpy and applied a block at a time, ``UPD`` poses where they stand.
 """
 
 import math
@@ -140,18 +140,8 @@ def _distinct(values):
 def _merge(a, b):
     """One sorted run of the keys and values of sorted runs ``a`` and ``b``,
     which share no key."""
-    n = len(a[0]) + len(b[0])
     at = np.searchsorted(a[0], b[0])
-    at += np.arange(len(at))           # where b's keys go
-    rest = np.ones(n, dtype=bool)
-    rest[at] = False                   # where a's keys go
-    merged = []
-    for x, y in zip(a, b):
-        out = np.empty(n, dtype=x.dtype)
-        out[at] = y
-        out[rest] = x
-        merged.append(out)
-    return tuple(merged)
+    return tuple(np.insert(x, at, y) for x, y in zip(a, b))
 
 
 class _SortedRuns:
@@ -588,28 +578,19 @@ def _parse_pose(fields):
     return RigidTransform(q=np.array(values[3:]), t=np.array(values[:3]))
 
 
-def _flush_updates(gmap, pending):
-    if pending:
-        gmap.update_keyframe_poses(dict(pending))
-        pending.clear()
-
-
-def _apply_line(gmap, pending, line_no, line):
+def _apply_line(gmap, line_no, line):
     """Apply one event-log line: the reference semantics of `replay_log`,
-    which a block falls back to when numpy or a check rejects it.
-    ``pending`` collects the ``UPD`` poses not yet applied."""
+    which a block falls back to when numpy or a check rejects it."""
     try:
         fields = (line if isinstance(line, str) else line.decode()).split()
         if not fields or fields[0].startswith("#"):
             return
         tag = fields[0]
         if tag == "KF":
-            _flush_updates(gmap, pending)
             if len(fields) != 9:
                 raise EventLogError(line_no, f"KF expects 8 values, got {len(fields) - 1}")
             gmap.add_keyframe(int(fields[1]), _parse_pose(fields[2:9]))
         elif tag == "OBS":
-            _flush_updates(gmap, pending)
             if len(fields) != 12:
                 raise EventLogError(line_no, f"OBS expects 11 values, got {len(fields) - 1}")
             values = _finite(fields[3:10])
@@ -622,7 +603,7 @@ def _apply_line(gmap, pending, line_no, line):
             kf_id = int(fields[1])
             if kf_id not in gmap.keyframes:
                 raise UwvioError(f"keyframe {kf_id} not in map")
-            pending[kf_id] = _parse_pose(fields[2:9])
+            gmap.update_keyframe_poses({kf_id: _parse_pose(fields[2:9])})
         else:
             raise EventLogError(line_no, f"unknown event {tag!r}")
     except EventLogError:
@@ -631,7 +612,7 @@ def _apply_line(gmap, pending, line_no, line):
         raise EventLogError(line_no, str(exc)) from exc
 
 
-def _apply_block(gmap, pending, kind, run):
+def _apply_block(gmap, kind, run):
     """Apply ``run``, consecutive lines of one ``kind``, with one parse.
     Every check runs before the first write; numpy or a check rejecting a
     line raises UwvioError or ValueError before any observation or keyframe
@@ -639,10 +620,8 @@ def _apply_block(gmap, pending, kind, run):
     text = [line if isinstance(line, str) else line.decode() for line in run]
     if kind == "OBS":
         rows = np.loadtxt(text, dtype=_OBS_ROW, comments=None, ndmin=1)
-        _flush_updates(gmap, pending)
-        gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"], rows["quality"],
-                              rows["color"])
-        return
+        return gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"],
+                                     rows["quality"], rows["color"])
     rows = np.loadtxt(text, dtype=_POSE_ROW, comments=None, ndmin=1)
     if not (np.isfinite(rows["t"]).all() and np.isfinite(rows["q"]).all()):
         raise ValueError("non-finite value")
@@ -651,26 +630,23 @@ def _apply_block(gmap, pending, kind, run):
     if kind == "KF":
         if len(set(ids)) < len(ids) or any(k in gmap.keyframes for k in ids):
             raise UwvioError("keyframe already present")
-        _flush_updates(gmap, pending)
         for kf_id, pose in zip(ids, poses):
             gmap.add_keyframe(kf_id, pose)
-    else:
-        if not all(k in gmap.keyframes for k in ids):
-            raise UwvioError("keyframe not in map")
-        pending.update(zip(ids, poses))
+    else:   # every keyframe is checked before any pose changes
+        gmap.update_keyframe_poses(dict(zip(ids, poses)))
 
 
-def _apply_run(gmap, pending, kind, run, last_no):
+def _apply_run(gmap, kind, run, last_no):
     """Apply ``run``, consecutive lines of one ``kind`` whose last line is
     line ``last_no``: as one block (`_apply_block`) if it holds `_MIN_RUN`
     lines or more, else, or if the block is rejected, line by line."""
     if len(run) >= _MIN_RUN:
         try:
-            return _apply_block(gmap, pending, kind, run)
+            return _apply_block(gmap, kind, run)
         except (UwvioError, ValueError):  # UnicodeDecodeError is one
             pass
     for line_no, line in enumerate(run, start=last_no - len(run) + 1):
-        _apply_line(gmap, pending, line_no, line)
+        _apply_line(gmap, line_no, line)
 
 
 def replay_log(lines):
@@ -688,30 +664,30 @@ def replay_log(lines):
     form a run, parsed by numpy and applied a block of at most `_CHUNK`
     lines at a time: a block of ``OBS`` lines through one
     `GlobalMap.add_observations` call, one of ``KF`` or ``UPD`` lines with
-    one stacked quaternion normalisation. A block of fewer than `_MIN_RUN`
-    lines, and one that numpy or a check rejects, is applied line by line
-    instead (`_apply_line`): its first bad line raises, and where numpy is
-    only stricter than Python (``1_000``, an id beyond int64) the block is
+    one stacked quaternion normalisation. ``UPD`` poses are absolute and
+    change the map where they stand, so the map after a run of ``UPD`` lines
+    is the one-batch result. A block of fewer than `_MIN_RUN` lines, and one
+    that numpy or a check rejects, is applied line by line instead
+    (`_apply_line`): its first bad line raises, and where numpy is only
+    stricter than Python (``1_000``, an id beyond int64) the block is
     applied exactly as one line at a time applies it.
     """
     gmap = GlobalMap()
-    pending = {}   # UPD poses not yet applied
     run, kind = [], None
     get = _RUN_START.get
     for line_no, line in enumerate(lines, start=1):
         start = get(line[:4]) or get(line[:3])
         if start != kind or len(run) == _CHUNK:
             if run:
-                _apply_run(gmap, pending, kind, run, line_no - 1)
+                _apply_run(gmap, kind, run, line_no - 1)
                 run.clear()
             kind = start
         if start is None:
-            _apply_line(gmap, pending, line_no, line)
+            _apply_line(gmap, line_no, line)
         else:
             run.append(line)
     if run:
-        _apply_run(gmap, pending, kind, run, line_no)
-    _flush_updates(gmap, pending)
+        _apply_run(gmap, kind, run, line_no)
     return gmap
 
 

@@ -22,13 +22,18 @@ _PLY_TYPES = {
 
 def write_ply(path, points, colors=None, quality=None):
     """Write a binary little-endian vertex-only PLY file; returns the vertex
-    count. Points are stored as float32, colours as uint8."""
+    count. Points are stored as float32, colours as uint8: a colour that is
+    not finite or lies outside [0, 255] is a ValueError, and nothing is
+    written."""
     points = np.asarray(points).reshape(-1, 3)
     fields, props, values = [("xyz", "<f4", 3)], ["float x", "float y", "float z"], [points]
     if colors is not None:
+        colors = np.asarray(colors).reshape(-1, 3)
+        if colors.size and not (colors.min() >= 0 and colors.max() <= 255):  # nan fails
+            raise ValueError("colours must be finite and within [0, 255]")
         fields.append(("rgb", "u1", 3))
         props += ["uchar red", "uchar green", "uchar blue"]
-        values.append(np.asarray(colors).reshape(-1, 3))
+        values.append(colors)
     if quality is not None:
         fields.append(("quality", "<f4"))
         props.append("float quality")

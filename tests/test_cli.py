@@ -444,6 +444,34 @@ def test_register_subcommand(tmp_path):
     assert (out / "aligned_source.ply").exists()
 
 
+def test_register_16_bit_colours_are_not_written(tmp_path):
+    """Source colours that do not fit uchar leave aligned_source.ply without
+    colours, and the report names the source, instead of storing them
+    modulo 256."""
+    base = fixtures.structured_scene(n_points=8000, extent=10.0, seed=0)
+    T = RigidTransform.from_matrix(rotation_about_z(0.3), np.array([1.0, 0.5, 0.1]))
+    rgb = np.random.default_rng(1).integers(256, 65536, size=(len(base), 3))
+    props = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+             ("red", "<u2"), ("green", "<u2"), ("blue", "<u2")]
+    src_path, tgt_path = tmp_path / "src.ply", tmp_path / "tgt.ply"
+    for path, points in ((src_path, T.inverse().apply(base)), (tgt_path, base)):
+        rec = np.empty(len(points), dtype=props)
+        for i, axis in enumerate("xyz"):
+            rec[axis] = points[:, i]
+        for i, channel in enumerate(("red", "green", "blue")):
+            rec[channel] = rgb[:, i]
+        header = "".join(f"property {'float' if t == '<f4' else 'ushort'} {name}\n"
+                         for name, t in props)
+        path.write_bytes(f"ply\nformat binary_little_endian 1.0\nelement vertex "
+                         f"{len(points)}\n{header}end_header\n".encode() + rec.tobytes())
+    out = tmp_path / "out"
+    assert run(["-q", "--out-dir", out, "register", src_path, tgt_path, "--voxel", "0.3"]) == 0
+    assert read_json(out / "register_report.json")["warnings"] == [
+        f"{src_path}: colours outside [0, 255]; aligned_source.ply written without colours"]
+    aligned = ply.read_ply(out / "aligned_source.ply")
+    assert "colors" not in aligned and len(aligned["points"]) == len(base)
+
+
 @pytest.mark.parametrize("header", [
     "format ascii 1.0\nelement vertex x\n",
     "format\nelement vertex 1\n",

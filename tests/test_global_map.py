@@ -446,6 +446,13 @@ def _assert_replays_alike(tmp_path, lines, newline="\n", valid=True):
     assert _outcome(replay_log, text) == _outcome(_replay_line_by_line, text)
 
 
+def _assert_later_poses_win(lines):
+    """Each keyframe ends at the translation of its last UPD line."""
+    last = {int(line.split()[1]): line.split()[2:5] for line in lines if line.startswith("UPD")}
+    poses = replay_log(lines).keyframes
+    assert all(poses[k].t.tolist() == list(map(float, t)) for k, t in last.items())
+
+
 @pytest.mark.parametrize("run_length", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_replay_blocks_match_line_by_line(tmp_path, run_length):
     rng = np.random.default_rng(run_length)
@@ -475,7 +482,13 @@ def test_replay_runs_between_keyframes_and_updates(tmp_path):
         lines += _pose_lines(rng, "UPD", range(step + 1))
         lines += _pose_lines(rng, "KF", [3 + step])
     lines += _obs_lines(rng, 30, n_kf=7)
+    # UPD runs between OBS runs, shorter and longer than _MIN_RUN, each
+    # naming its first keyframe again as its last line
+    for size in (2, 5, _MIN_RUN - 1, _MIN_RUN + 3):
+        ids = rng.integers(0, 7, size - 1).tolist()
+        lines += _pose_lines(rng, "UPD", ids + ids[:1]) + _obs_lines(rng, 30, n_kf=7)
     _assert_replays_alike(tmp_path, lines)
+    _assert_later_poses_win(lines)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -487,6 +500,9 @@ def test_replay_comments_blanks_and_indents_inside_a_run(tmp_path, newline):
     run[60] = "   \t "
     run[80] = "  " + run[80]
     run[100] = run[100].replace(" ", "\t", 2)
+    # a UPD run split by a comment line, then more observations
+    upd = _pose_lines(rng, "UPD", rng.integers(0, 6, 2 * _MIN_RUN).tolist())
+    run += upd[:_MIN_RUN + 2] + ["# a comment"] + upd[_MIN_RUN + 2:] + _obs_lines(rng, 40)
     _assert_replays_alike(tmp_path, _pose_lines(rng, "KF", range(6)) + run, newline)
 
 
@@ -987,8 +1003,11 @@ def test_replay_pose_runs_longer_than_a_block(tmp_path):
     rng = np.random.default_rng(14)
     n = _CHUNK + 5
     lines = _pose_lines(rng, "KF", range(n)) + _obs_lines(rng, 50, n_kf=n)
-    lines += _pose_lines(rng, "UPD", rng.integers(0, n, _CHUNK + 3).tolist())
+    ids = rng.integers(0, n, _CHUNK + 3).tolist()
+    ids[_CHUNK] = ids[_CHUNK - 1]   # one keyframe on both sides of the block edge
+    lines += _pose_lines(rng, "UPD", ids) + _obs_lines(rng, 50, n_kf=n)
     _assert_replays_alike(tmp_path, lines)
+    _assert_later_poses_win(lines)
 
 
 def test_clean_logs_never_apply_a_line_alone(tmp_path, monkeypatch):
@@ -996,7 +1015,7 @@ def test_clean_logs_never_apply_a_line_alone(tmp_path, monkeypatch):
     block by block: for them the line-at-a-time path is a fallback for
     input that numpy or a check rejects, not a route that clean input
     takes. Shorter runs, and comments, are applied line by line."""
-    def refuse(gmap, pending, line_no, line):
+    def refuse(gmap, line_no, line):
         raise AssertionError(f"line {line_no} was applied alone: {line!r}")
 
     rng = np.random.default_rng(15)

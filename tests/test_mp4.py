@@ -161,7 +161,7 @@ def test_round_trip_payloads(tmp_path):
 def test_parse_reads_headers_not_payloads(tmp_path):
     path = tmp_path / "big.mp4"
     mp4.write_fixture_mp4(path, [b"\x00" * 1_000_000], durations=[1000])
-    data = open(path, "rb").read()
+    data = path.read_bytes()
     reader = CountingReader(data)
     mp4.parse_box_tree(reader)
     # header walking must not touch the megabyte payload

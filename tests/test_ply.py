@@ -19,6 +19,16 @@ def test_binary_round_trip(tmp_path):
     assert np.allclose(back["quality"], quality.astype(np.float32))
 
 
+@pytest.mark.parametrize("bad", [300, -1, np.nan, np.inf])
+def test_write_rejects_colours_outside_uchar(tmp_path, bad):
+    colors = np.zeros((2, 3))
+    colors[1, 2] = bad
+    path = tmp_path / "a.ply"
+    with pytest.raises(ValueError, match=r"within \[0, 255\]"):
+        write_ply(path, np.zeros((2, 3)), colors=colors)
+    assert not path.exists()
+
+
 def test_ascii_round_trip(tmp_path):
     path = tmp_path / "a.ply"
     path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
