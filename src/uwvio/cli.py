@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allan as allan_mod
-from . import fixtures, global_map, mp4, ply, register, sync, traj_eval
+from . import global_map, mp4, ply, register, sync, traj_eval
 from .errors import InputError, UwvioError
 
 # device channel order of ACCL/GYRO relative to the camera (x, y, z) frame;
@@ -329,6 +329,7 @@ def cmd_register(args, out_dir):
 
 
 def cmd_fixtures(args, out_dir):
+    from . import fixtures    # no other subcommand needs it
     mp4_path = out_dir / "fixture.mp4"
     fixtures.fixture_mp4(mp4_path, seed=args.seed)
     log_path = out_dir / "drift_loop_events.txt"

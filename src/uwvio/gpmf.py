@@ -5,14 +5,14 @@ payload: 4-char ASCII key, 1-byte type code, 1-byte item size, 2-byte
 big-endian repeat count, followed by item_size * repeat bytes padded up to
 the next 4-byte boundary. Type code 0 marks a nested container.
 
-Numeric leaves decode with one `np.frombuffer` into a (repeat, channels)
-float array; a sensor stream comes out as that array divided by its
-sibling SCAL divisors. Layout follows the GPMF spec
-(https://github.com/gopro/gpmf-parser).
+A numeric leaf decodes with one `np.frombuffer` at its offset in the
+payload into a (repeat, channels) array; a sensor stream comes out of all
+payload trees at once, as their concatenated leaves divided by the sibling
+SCAL divisors. Layout follows the GPMF spec (https://github.com/gopro/gpmf-parser).
 """
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,27 +30,35 @@ TEXT_TYPES = {"c", "U", "F"}
 SENSOR_CHANNELS = {"ACCL": 3, "GYRO": 3, "SHUT": 1, "GPS5": 5}
 
 
-@dataclass(frozen=True)
-class KlvHeader:
+_HEADER = struct.Struct(">4sBBH")
+
+
+class KlvHeader(NamedTuple):
     key: str
     type_code: int
     item_size: int
     repeat: int
 
     @property
-    def payload_len(self):
-        return self.item_size * self.repeat
+    def padded_len(self):
+        return (self.item_size * self.repeat + 3) // 4 * 4
+
+
+class KlvNode:
+    """A container and its child nodes, or a leaf whose padded payload
+    starts at ``offset`` in ``raw``: the parsed buffer, which a leaf
+    shares with its siblings, or bytes of its own."""
+    __slots__ = ("header", "children", "_buf", "_offset")
+
+    def __init__(self, header, children=None, raw=b"", offset=0):
+        self.header = header
+        self.children = [] if children is None else children
+        self._buf = raw
+        self._offset = offset
 
     @property
-    def padded_len(self):
-        return (self.payload_len + 3) // 4 * 4
-
-
-@dataclass
-class KlvNode:
-    header: KlvHeader
-    children: list = field(default_factory=list)
-    raw: bytes = b""
+    def raw(self):
+        return self._buf[self._offset:self._offset + self.header.padded_len]
 
     @property
     def key(self):
@@ -60,75 +68,54 @@ class KlvNode:
     def is_container(self):
         return self.header.type_code == 0
 
-    def find(self, key):
-        for child in self.children:
-            if child.key == key:
-                return child
-        return None
-
     def values(self):
         """Decode the leaf payload according to its type letter.
 
-        Numeric types come back as a numpy array of shape (repeat, channels)
+        Numeric types come back as a float array of shape (repeat, channels)
         where channels = item_size // scalar size. Text types come back as a
         list of strings. Unknown type letters raise InputError.
         """
         letter = chr(self.header.type_code)
-        if letter in SCALAR_TYPES:
-            dtype = SCALAR_TYPES[letter]
-            channels, rest = divmod(self.header.item_size, dtype.itemsize)
-            if rest:
-                raise InputError(
-                    f"{self.key}: item size {self.header.item_size} not a "
-                    f"multiple of {dtype.itemsize} for type '{letter}'")
-            flat = np.frombuffer(self.raw, dtype, self.header.repeat * channels)
-            return flat.astype(float).reshape(self.header.repeat, channels)
         if letter in TEXT_TYPES:
-            out = []
-            for i in range(self.header.repeat):
-                chunk = self.raw[i * self.header.item_size:(i + 1) * self.header.item_size]
-                out.append(chunk.split(b"\x00")[0].decode("ascii", errors="replace"))
-            return out
-        raise InputError(f"{self.key}: unsupported type letter {letter!r}")
+            raw, size = self.raw, self.header.item_size
+            return [raw[i * size:(i + 1) * size].split(b"\x00")[0].decode(
+                "ascii", errors="replace") for i in range(self.header.repeat)]
+        return _numeric(self, self.key).astype(float)
 
 
 def parse_klv(data):
     """Parse one GPMF payload into its KLV tree.
 
     Returns the list of top-level nodes (usually a single DEVC container)
-    wrapped in a synthetic root container.
+    wrapped in a synthetic root container. Leaves keep offsets into the
+    payload's bytes instead of copies of them.
     """
-    root = KlvNode(header=KlvHeader(key="", type_code=0, item_size=0, repeat=0))
-    root.children = _parse_nodes(bytes(data))
-    return root
+    data = bytes(data)
+    return KlvNode(KlvHeader("", 0, 0, 0), _parse_nodes(data, 0, len(data)))
 
 
-def _parse_nodes(data):
-    nodes = []
-    pos = 0
-    total = len(data)
-    while pos < total:
-        if total - pos < 8:
-            raise InputError(f"trailing {total - pos} bytes, need 8 for a header")
-        key_raw = data[pos:pos + 4]
-        if not all(0x20 <= b < 0x7F for b in key_raw):
-            raise InputError(f"non-ASCII key at offset {pos}: {key_raw!r}")
-        type_code, item_size, repeat = struct.unpack(">BBH", data[pos + 4:pos + 8])
-        header = KlvHeader(key=key_raw.decode("ascii"), type_code=type_code,
-                           item_size=item_size, repeat=repeat)
+def _parse_nodes(data, start, end):
+    nodes, pos = [], start
+    while pos < end:
+        if end - pos < 8:
+            raise InputError(f"trailing {end - pos} bytes, need 8 for a header")
+        key_raw, type_code, item_size, repeat = _HEADER.unpack_from(data, pos)
+        key = key_raw.decode("latin-1")
+        # printable ASCII: isprintable() alone passes letters such as é
+        if not (key.isascii() and key.isprintable()):
+            raise InputError(f"non-ASCII key at offset {pos - start}: {key_raw!r}")
+        header = KlvHeader(key, type_code, item_size, repeat)
         pos += 8
-        if pos + header.padded_len > total:
+        length = item_size * repeat
+        padded = (length + 3) & -4
+        if pos + padded > end:
             raise InputError(
-                f"{header.key}: declares {header.padded_len} payload bytes, "
-                f"{total - pos} remain")
-        payload = data[pos:pos + header.padded_len]
-        pos += header.padded_len
-        node = KlvNode(header=header)
-        if header.type_code == 0:
-            node.children = _parse_nodes(payload[:header.payload_len])
+                f"{key}: declares {padded} payload bytes, {end - pos} remain")
+        if type_code == 0:
+            nodes.append(KlvNode(header, _parse_nodes(data, pos, pos + length)))
         else:
-            node.raw = payload
-        nodes.append(node)
+            nodes.append(KlvNode(header, [], data, pos))
+        pos += padded
     return nodes
 
 
@@ -178,64 +165,86 @@ def make_container(key, children):
 
 
 def _iter_streams(root):
-    """Yield every STRM container anywhere under the given node."""
-    stack = [root]
-    while stack:
-        node = stack.pop(0)
+    """Every STRM container under the given node, breadth first."""
+    queue = [root]
+    for node in queue:    # the loop also visits what it appends
         for child in node.children:
             if child.key == "STRM":
                 yield child
             elif child.is_container:
-                stack.append(child)
+                queue.append(child)
 
 
 def _numeric(node, key):
-    values = node.values()
-    if not isinstance(values, np.ndarray):
-        raise InputError(f"{key}: {node.key} is not numeric")
-    return values
+    """A numeric leaf's payload as (repeat, channels) in its wire dtype."""
+    h = node.header
+    letter = chr(h.type_code)
+    if letter in TEXT_TYPES:
+        raise InputError(f"{key}: {h.key} is not numeric")
+    dtype = SCALAR_TYPES.get(letter)
+    if dtype is None:
+        raise InputError(f"{h.key}: unsupported type letter {letter!r}")
+    channels, rest = divmod(h.item_size, dtype.itemsize)
+    if rest:
+        raise InputError(f"{h.key}: item size {h.item_size} not a "
+                         f"multiple of {dtype.itemsize} for type '{letter}'")
+    flat = np.frombuffer(node._buf, dtype, h.repeat * channels, node._offset)
+    return flat.reshape(h.repeat, channels)
 
 
-def extract_stream(root, key, axis_order=None):
-    """Physically scaled samples of one sensor FourCC as an (n, channels)
-    array.
+def extract_stream(roots, keys, axis_order=None):
+    """Physically scaled samples of the sensor FourCCs ``keys`` over the
+    payload trees ``roots``, as whole-recording columns.
 
-    Concatenates, in order, every STRM container under ``root`` holding
-    ``key`` (multiple payload trees are handled by the caller), divides raw
-    values element-wise by the sibling SCAL divisors (a divisor that is
-    zero or not finite is an `InputError`), and optionally
-    re-orders 3-channel device axes into (x, y, z) output order.
-    ``axis_order`` names the device channel order, e.g. "zxy" means device
-    channel 0 carries z. Returns None when no STRM holds ``key``.
+    Walks each tree once. Per key, concatenates in order every STRM
+    container holding it, and divides the raw values element-wise by the
+    sibling SCAL divisors in one division (a divisor that is zero or not
+    finite is an `InputError`). ``axis_order`` names the device channel
+    order of 3-channel streams, e.g. "zxy" means device channel 0 carries
+    z; their columns come out in (x, y, z) order. Returns one (n, channels)
+    array per key, or None where no STRM holds the key, and the
+    (len(roots), len(keys)) int64 sample counts of each tree.
     """
-    chunks = []
-    for strm in _iter_streams(root):
-        data = strm.find(key)
-        if data is None:
-            continue
-        raw = _numeric(data, key)
-        expected = SENSOR_CHANNELS.get(key)
-        if expected is not None and raw.shape[1] != expected:
-            raise InputError(
-                f"{key}: expected {expected} channels, got {raw.shape[1]}")
-        scal = strm.find("SCAL")
-        if scal is not None:
-            divisors = _numeric(scal, key).reshape(-1)
-            if divisors.size == 1:
-                divisors = np.full(raw.shape[1], divisors[0])
-            elif divisors.size != raw.shape[1]:
-                raise InputError(
-                    f"{key}: SCAL has {divisors.size} divisors for "
-                    f"{raw.shape[1]} channels")
-            bad = divisors[~np.isfinite(divisors) | (divisors == 0)]
-            if bad.size:
-                raise InputError(f"{key}: SCAL divisor {bad[0]:g} is zero or not finite")
-        else:
-            divisors = np.ones(raw.shape[1])
-        chunks.append(raw / divisors)
-    if not chunks:
+    found = [[] for _ in keys]     # per key: (leaf, SCAL) pairs in order
+    counts = [[0] * len(roots) for _ in keys]
+    for i, root in enumerate(roots):
+        for strm in _iter_streams(root):
+            first = {}
+            for child in strm.children:
+                first.setdefault(child.key, child)
+            for k, key in enumerate(keys):
+                leaf = first.get(key)
+                if leaf is not None:
+                    found[k].append((leaf, first.get("SCAL")))
+                    counts[k][i] += leaf.header.repeat
+    return ([_scaled(key, leaves, axis_order) for key, leaves in zip(keys, found)],
+            np.array(counts, dtype=np.int64).reshape(len(keys), -1).T)
+
+
+def _scaled(key, leaves, axis_order):
+    if not leaves:
         return None
-    values = np.vstack(chunks)
-    if axis_order is not None and values.shape[1] == 3:
+    # keys other than the sensors' take the first leaf's channel count
+    channels = SENSOR_CHANNELS.get(key) or _numeric(leaves[0][0], key).shape[1]
+    raws, divisors, rows = [], [], []
+    for leaf, scal in leaves:
+        raw = _numeric(leaf, key)
+        if raw.shape[1] != channels:
+            raise InputError(f"{key}: expected {channels} channels, got {raw.shape[1]}")
+        div = np.ones(channels) if scal is None else _numeric(scal, key).reshape(-1)
+        if div.size == 1:
+            div = div.repeat(channels)
+        elif div.size != channels:
+            raise InputError(
+                f"{key}: SCAL has {div.size} divisors for {channels} channels")
+        raws.append(raw)
+        divisors.append(div)
+        rows.append(len(raw))
+    per_leaf = np.concatenate(divisors, dtype=float).reshape(len(divisors), channels)
+    bad = per_leaf[~np.isfinite(per_leaf) | (per_leaf == 0)]
+    if bad.size:
+        raise InputError(f"{key}: SCAL divisor {bad[0]:g} is zero or not finite")
+    values = np.concatenate(raws, dtype=float) / np.repeat(per_leaf, rows, axis=0)
+    if axis_order is not None and channels == 3:
         values = values[:, [axis_order.index(a) for a in "xyz"]]
     return values

@@ -1,4 +1,4 @@
-"""Turn per-payload sensor streams into one globally timestamped dataset.
+"""Turn a recording's sensor columns into one globally timestamped dataset.
 
 Per-sample timing follows the payload model: each payload spans
 [T_i, T_{i+1}) and its n samples are placed uniformly on that span, for
@@ -29,10 +29,11 @@ CHUNK_ROWS = 16384
 
 
 @dataclass
-class PayloadStreams:
-    """Parsed sensor content of one GPMF payload."""
-    start: float
-    duration: float
+class SensorStreams:
+    """Sensor samples of a whole recording, payload after payload."""
+    start: np.ndarray      # (P,) payload start times, seconds
+    duration: np.ndarray   # (P,) payload durations, seconds
+    counts: np.ndarray     # (P, 3) ACCL, GYRO and SHUT samples of each payload
     accel: np.ndarray | None = None    # (n, 3) m/s^2
     gyro: np.ndarray | None = None     # (n, 3) rad/s
     shutter: np.ndarray | None = None  # (n,) seconds
@@ -49,22 +50,19 @@ class SyncedDataset:
 
 
 def payload_streams_from_klv(raw_payloads, axis_order="xyz"):
-    """Parse a list of RawPayloads into PayloadStreams.
+    """Decode a list of RawPayloads into one SensorStreams.
 
     ``axis_order`` names the device channel order of ACCL/GYRO relative to
     the (x, y, z) output convention; it is recorded in downstream metadata.
     """
-    out = []
-    for rp in raw_payloads:
-        root = gpmf.parse_klv(rp.data)
-        accel = gpmf.extract_stream(root, "ACCL", axis_order=axis_order)
-        gyro = gpmf.extract_stream(root, "GYRO", axis_order=axis_order)
-        shutter = gpmf.extract_stream(root, "SHUT")
-        out.append(PayloadStreams(
-            start=rp.start_time, duration=rp.duration, accel=accel, gyro=gyro,
-            shutter=None if shutter is None else shutter[:, 0],
-        ))
-    return out
+    roots = [gpmf.parse_klv(rp.data) for rp in raw_payloads]
+    (accel, gyro, shutter), counts = gpmf.extract_stream(
+        roots, ("ACCL", "GYRO", "SHUT"), axis_order=axis_order)
+    return SensorStreams(
+        start=np.array([rp.start_time for rp in raw_payloads], dtype=float),
+        duration=np.array([rp.duration for rp in raw_payloads], dtype=float),
+        counts=counts, accel=accel, gyro=gyro,
+        shutter=None if shutter is None else shutter[:, 0])
 
 
 def interpolate_sample_times(bounds, counts):
@@ -95,19 +93,16 @@ def _sample_times(bounds, counts):
         np.append(bounds[used], bounds[used[-1] + 1]), counts[used])
 
 
-def build_dataset(payloads, meta=None, axis_order="xyz"):
-    """Merge parsed payload streams into one SyncedDataset.
+def build_dataset(streams, meta=None, axis_order="xyz"):
+    """Merge a recording's decoded SensorStreams into one SyncedDataset.
 
     The clock origin is the first payload's start. ACCL is the master IMU
     timeline; GYRO is linearly interpolated onto it. Frame k is timestamped
     by the k-th SHUT sample time.
     """
-    payloads = list(payloads)
-    if not payloads:
+    counts = streams.counts
+    if not len(counts):
         raise InputError("no payloads")
-    # (payload, stream) sample counts; an absent stream counts 0
-    counts = np.array([[0 if s is None else len(s) for s in (p.accel, p.gyro, p.shutter)]
-                       for p in payloads], dtype=np.int64)
     never = [key for key, n in zip(("ACCL", "GYRO", "SHUT"), counts.max(axis=0)) if n == 0]
     if never:
         raise InputError(f"streams never seen: {', '.join(never)}")
@@ -118,10 +113,9 @@ def build_dataset(payloads, meta=None, axis_order="xyz"):
             f"payload {i}: ACCL count {counts[i, 0]} vs GYRO count {counts[i, 1]} "
             f"differ by more than {COUNT_TOLERANCE}")
 
-    origin = payloads[0].start
-    starts = np.array([p.start - origin for p in payloads])
+    starts = streams.start - streams.start[0]
     # payload spans: each start, then the end of the last payload
-    bounds = np.append(starts, starts[-1] + payloads[-1].duration)
+    bounds = np.append(starts, starts[-1] + streams.duration[-1])
 
     warnings_list = []
     if len(starts) > 1:
@@ -136,17 +130,11 @@ def build_dataset(payloads, meta=None, axis_order="xyz"):
 
     accel_t = _sample_times(bounds, counts[:, 0])
     gyro_t = _sample_times(bounds, counts[:, 1])
-    accel = np.vstack([p.accel for p in payloads if p.accel is not None])
-    gyro_raw = np.vstack([p.gyro for p in payloads if p.gyro is not None])
-
-    if accel_t.shape == gyro_t.shape and np.allclose(accel_t, gyro_t):
-        gyro = gyro_raw
-    else:
-        gyro = np.column_stack([
-            np.interp(accel_t, gyro_t, gyro_raw[:, c]) for c in range(3)])
+    gyro = streams.gyro
+    if not (accel_t.shape == gyro_t.shape and np.allclose(accel_t, gyro_t)):
+        gyro = np.column_stack([np.interp(accel_t, gyro_t, gyro[:, c]) for c in range(3)])
 
     frame_t = _sample_times(bounds, counts[:, 2])
-    exposure = np.concatenate([p.shutter for p in payloads if p.shutter is not None])
 
     rate = 1.0 / float(np.median(np.diff(accel_t))) if len(accel_t) > 1 else 0.0
     full_meta = {
@@ -159,8 +147,8 @@ def build_dataset(payloads, meta=None, axis_order="xyz"):
     }
     if meta:
         full_meta.update(meta)
-    return SyncedDataset(imu_t=accel_t, accel=accel, gyro=gyro,
-                         frame_t=frame_t, exposure=exposure, meta=full_meta)
+    return SyncedDataset(imu_t=accel_t, accel=streams.accel, gyro=gyro,
+                         frame_t=frame_t, exposure=streams.shutter, meta=full_meta)
 
 
 def _fmt(v):
@@ -178,31 +166,34 @@ def _fmt_cells(values):
     return text[inverse.reshape(bits.shape)]
 
 
-def _write_rows(path, header, row, n_rows, columns):
-    """``header``, then ``row % cells`` for each of ``n_rows`` rows, one
-    `write` per CHUNK_ROWS rows. ``columns(rows)`` gives, for a slice of
-    rows, one sequence per cell of the row."""
+def _times(t):
+    """``%.9f`` of every value of ``t``, formatted in one pass."""
+    return ("%.9f\n" * len(t) % tuple(t.tolist())).split("\n")[:-1]
+
+
+def _write_rows(path, header, n_rows, columns):
+    """``header``, then each of ``n_rows`` rows as its cells joined by
+    commas, one `write` per CHUNK_ROWS rows. ``columns(rows)`` gives, for a
+    slice of rows, one sequence of cell strings per column."""
     with open(path, "w") as f:
         f.write(header + "\n")
         for start in range(0, n_rows, CHUNK_ROWS):
             cells = columns(slice(start, start + CHUNK_ROWS))
-            f.write("".join(map(row.__mod__, zip(*cells))))
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def export_imu_csv(dataset, path):
     def columns(rows):
         values = _fmt_cells(np.hstack([dataset.accel[rows], dataset.gyro[rows]]))
-        return [dataset.imu_t[rows].tolist(), *values.T.tolist()]
-    _write_rows(path, IMU_CSV_HEADER, "%.9f,%s,%s,%s,%s,%s,%s\n",
-                len(dataset.imu_t), columns)
+        return [_times(dataset.imu_t[rows]), *values.T.tolist()]
+    _write_rows(path, IMU_CSV_HEADER, len(dataset.imu_t), columns)
 
 
 def export_frames_csv(dataset, path):
     def columns(rows):
-        return [range(len(dataset.frame_t))[rows], dataset.frame_t[rows].tolist(),
-                _fmt_cells(dataset.exposure[rows]).tolist()]
-    _write_rows(path, FRAMES_CSV_HEADER, "%d,%.9f,%s\n",
-                len(dataset.frame_t), columns)
+        return [map(str, range(len(dataset.frame_t))[rows]),
+                _times(dataset.frame_t[rows]), _fmt_cells(dataset.exposure[rows]).tolist()]
+    _write_rows(path, FRAMES_CSV_HEADER, len(dataset.frame_t), columns)
 
 
 def load_imu_csv(path, sensor):

@@ -11,6 +11,12 @@ from uwvio.gpmf import (KlvHeader, KlvNode, extract_stream, make_container,
                         make_leaf, parse_klv, write_klv)
 
 
+def _stream(root, key, axis_order=None):
+    """One tree's samples of one key, through the whole-recording decode."""
+    (values,), _ = extract_stream([root], [key], axis_order=axis_order)
+    return values
+
+
 def klv_bytes(key, letter, item_size, repeat, payload):
     head = key.encode() + struct.pack(">BBH", 0 if letter is None else ord(letter),
                                       item_size, repeat)
@@ -73,6 +79,19 @@ def test_truncated_payload():
         parse_klv(data[:20])
 
 
+def test_key_check_over_every_byte():
+    """A key byte parses exactly when it is printable ASCII, 0x20-0x7E:
+    not a control byte, not DEL, not a Latin-1 letter such as 0xE9."""
+    leaf = klv_bytes("TSMP", "L", 4, 1, struct.pack(">I", 7))
+    for b in range(256):
+        data = leaf[:1] + bytes([b]) + leaf[2:]
+        if 0x20 <= b < 0x7F:
+            assert parse_klv(data).children[0].key == f"T{chr(b)}MP"
+        else:
+            with pytest.raises(InputError, match="^non-ASCII key at offset 0: "):
+                parse_klv(data)
+
+
 def test_unknown_type_letter_is_opaque_until_decoded():
     data = klv_bytes("XXXX", "?", 4, 1, b"\xde\xad\xbe\xef")
     node = parse_klv(data).children[0]
@@ -87,7 +106,7 @@ def test_scal_division():
         make_leaf("ACCL", "l", np.array([[418, 836, -209]]), channels=3),
     ])
     root = parse_klv(write_klv([make_container("DEVC", [strm])]))
-    stream = extract_stream(root, "ACCL")
+    stream = _stream(root, "ACCL")
     assert np.allclose(stream, [[1.0, 2.0, -0.5]])
 
 
@@ -96,7 +115,7 @@ def test_per_channel_scal():
         make_leaf("SCAL", "l", [1, 2, 4]),
         make_leaf("GYRO", "l", np.array([[8, 8, 8]]), channels=3),
     ])
-    stream = extract_stream(parse_klv(write_klv([strm])), "GYRO")
+    stream = _stream(parse_klv(write_klv([strm])), "GYRO")
     assert np.allclose(stream, [[8.0, 4.0, 2.0]])
 
 
@@ -106,7 +125,7 @@ def test_scal_channel_mismatch():
         make_leaf("GYRO", "l", np.array([[8, 8, 8]]), channels=3),
     ])
     with pytest.raises(InputError, match="^GYRO: SCAL has 2 divisors for 3 channels$"):
-        extract_stream(parse_klv(write_klv([strm])), "GYRO")
+        _stream(parse_klv(write_klv([strm])), "GYRO")
 
 
 @pytest.mark.parametrize("letter, divisors", [
@@ -117,12 +136,12 @@ def test_zero_or_non_finite_scal_rejected(letter, divisors):
         make_leaf("ACCL", "l", np.array([[8, 8, 8]]), channels=3),
     ])
     with pytest.raises(InputError, match="^ACCL: SCAL divisor .* is zero or not finite$"):
-        extract_stream(parse_klv(write_klv([strm])), "ACCL")
+        _stream(parse_klv(write_klv([strm])), "ACCL")
 
 
 def test_missing_stream():
     strm = make_container("STRM", [make_leaf("SHUT", "f", [[0.01]], channels=1)])
-    assert extract_stream(parse_klv(write_klv([strm])), "ACCL") is None
+    assert _stream(parse_klv(write_klv([strm])), "ACCL") is None
 
 
 def test_axis_order_permutation():
@@ -131,9 +150,9 @@ def test_axis_order_permutation():
     ])
     root = parse_klv(write_klv([strm]))
     # device order "zxy": channel0=z, channel1=x, channel2=y
-    stream = extract_stream(root, "ACCL", axis_order="zxy")
+    stream = _stream(root, "ACCL", axis_order="zxy")
     assert stream.tolist() == [[20.0, 30.0, 10.0]]
-    identity = extract_stream(root, "ACCL")
+    identity = _stream(root, "ACCL")
     assert identity.tolist() == [[10.0, 20.0, 30.0]]
 
 
@@ -142,7 +161,7 @@ def test_duplicate_streams_concatenate_in_order():
         return make_container("STRM", [
             make_leaf("ACCL", "l", np.asarray(vals), channels=3)])
     root = parse_klv(write_klv([strm([[1, 2, 3]]), strm([[4, 5, 6]])]))
-    stream = extract_stream(root, "ACCL")
+    stream = _stream(root, "ACCL")
     assert stream.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
@@ -225,6 +244,6 @@ def test_scaling_linearity():
             make_leaf("SCAL", "l", [divisor]),
             make_leaf("ACCL", "l", raw, channels=3),
         ])
-        return extract_stream(parse_klv(write_klv([strm])), "ACCL")
+        return _stream(parse_klv(write_klv([strm])), "ACCL")
     assert np.allclose(scaled(100) * 100, scaled(50) * 50)
     assert np.allclose(scaled(100), scaled(300) * 3)

@@ -1,13 +1,14 @@
 import re
+import struct
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from uwvio import mp4, sync
+from uwvio import fixtures, gpmf, mp4, sync
 from uwvio.errors import InputError
 from uwvio.fixtures import fixture_mp4
-from uwvio.sync import (PayloadStreams, build_dataset,
-                        interpolate_sample_times, load_imu_csv)
+from uwvio.sync import build_dataset, interpolate_sample_times, load_imu_csv
 from uwvio.table import read_table
 
 
@@ -54,8 +55,25 @@ def test_times_match_per_payload_loop_bit_for_bit():
     assert got.tobytes() == _loop_times(bounds, counts).tobytes()
 
 
+# one payload's streams; None is a stream the payload does not hold
+_Payload = namedtuple("_Payload", "start duration accel gyro shutter", defaults=(None,) * 3)
+
+
+def _columns(payloads):
+    """The SensorStreams that `build_dataset` takes, stacked from payloads."""
+    def stack(name):
+        held = [getattr(p, name) for p in payloads if getattr(p, name) is not None]
+        return np.concatenate(held) if held else None
+    return sync.SensorStreams(
+        start=np.array([p.start for p in payloads], dtype=float),
+        duration=np.array([p.duration for p in payloads], dtype=float),
+        counts=np.array([[0 if s is None else len(s) for s in p[2:]] for p in payloads],
+                        dtype=np.int64),
+        accel=stack("accel"), gyro=stack("gyro"), shutter=stack("shutter"))
+
+
 def _payload(start, duration, na=4, ng=4, ns=2, accel_val=1.0, gyro_val=2.0):
-    return PayloadStreams(
+    return _Payload(
         start=start, duration=duration,
         accel=np.full((na, 3), accel_val) if na else None,
         gyro=np.full((ng, 3), gyro_val) if ng else None,
@@ -64,7 +82,7 @@ def _payload(start, duration, na=4, ng=4, ns=2, accel_val=1.0, gyro_val=2.0):
 
 
 def test_build_dataset_basic():
-    ds = build_dataset([_payload(5.0, 1.0), _payload(6.0, 1.0)])
+    ds = build_dataset(_columns([_payload(5.0, 1.0), _payload(6.0, 1.0)]))
     # clock origin is the first payload start
     assert ds.imu_t[0] == 0.0
     assert np.allclose(ds.imu_t, np.arange(8) * 0.25)
@@ -78,15 +96,15 @@ def test_build_dataset_basic():
 
 def test_gyro_resampled_onto_accel_times():
     # gyro ramps linearly in time; resampling must preserve the ramp
-    p1 = PayloadStreams(start=0.0, duration=1.0,
-                        accel=np.zeros((4, 3)),
-                        gyro=np.linspace(0, 1, 5)[:, None] * np.ones(3),
-                        shutter=np.array([0.01]))
-    p2 = PayloadStreams(start=1.0, duration=1.0,
-                        accel=np.zeros((4, 3)),
-                        gyro=(1.0 + np.linspace(0, 1, 5))[:, None] * np.ones(3),
-                        shutter=np.array([0.01]))
-    ds = build_dataset([p1, p2])
+    p1 = _Payload(start=0.0, duration=1.0,
+                  accel=np.zeros((4, 3)),
+                  gyro=np.linspace(0, 1, 5)[:, None] * np.ones(3),
+                  shutter=np.array([0.01]))
+    p2 = _Payload(start=1.0, duration=1.0,
+                  accel=np.zeros((4, 3)),
+                  gyro=(1.0 + np.linspace(0, 1, 5))[:, None] * np.ones(3),
+                  shutter=np.array([0.01]))
+    ds = build_dataset(_columns([p1, p2]))
     gyro_t_expected = ds.imu_t  # accel timeline
     # gyro value was v(t) = 1.25 * t on payload times t = 0, 0.2, ... (5/payload)
     expected = np.interp(gyro_t_expected,
@@ -96,51 +114,51 @@ def test_gyro_resampled_onto_accel_times():
 
 
 def test_count_mismatch_tolerated_within_two():
-    ds = build_dataset([_payload(0.0, 1.0, na=6, ng=4)])
+    ds = build_dataset(_columns([_payload(0.0, 1.0, na=6, ng=4)]))
     assert len(ds.imu_t) == 6
     assert ds.gyro.shape == (6, 3)
 
 
 def test_count_mismatch_beyond_tolerance_raises():
     with pytest.raises(InputError, match="^payload 0: ACCL count 8 vs GYRO count 4 differ by"):
-        build_dataset([_payload(0.0, 1.0, na=8, ng=4)])
+        build_dataset(_columns([_payload(0.0, 1.0, na=8, ng=4)]))
 
 
 def test_missing_stream_raises():
     with pytest.raises(InputError, match="^streams never seen: SHUT$"):
-        build_dataset([_payload(0.0, 1.0, ns=0)])
+        build_dataset(_columns([_payload(0.0, 1.0, ns=0)]))
 
 
 def test_stream_of_empty_blocks_is_missing():
-    payload = PayloadStreams(start=0.0, duration=1.0, accel=np.zeros((4, 3)),
-                             gyro=np.zeros((4, 3)), shutter=np.zeros(0))
+    payload = _Payload(start=0.0, duration=1.0, accel=np.zeros((4, 3)),
+                       gyro=np.zeros((4, 3)), shutter=np.zeros(0))
     with pytest.raises(InputError, match="^streams never seen: SHUT$"):
-        build_dataset([payload, payload])
+        build_dataset(_columns([payload, payload]))
 
 
 def test_payload_gap_warning():
     payloads = [_payload(0.0, 1.0), _payload(1.0, 1.0), _payload(2.0, 1.0),
                 _payload(3.0, 1.0), _payload(9.0, 1.0)]
     with pytest.warns(UserWarning, match="gap"):
-        ds = build_dataset(payloads)
+        ds = build_dataset(_columns(payloads))
     assert ds.meta["warnings"]
 
 
 def test_frame_times_strictly_increasing():
     payloads = [_payload(i * 1.01, 1.01, na=7, ng=7, ns=3) for i in range(5)]
-    ds = build_dataset(payloads)
+    ds = build_dataset(_columns(payloads))
     assert np.all(np.diff(ds.frame_t) > 0)
     assert np.all(np.diff(ds.imu_t) > 0)
 
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    payloads = [PayloadStreams(start=i * 1.0, duration=1.0,
-                               accel=rng.normal(size=(10, 3)),
-                               gyro=rng.normal(size=(10, 3)),
-                               shutter=rng.uniform(0.001, 0.02, 2))
+    payloads = [_Payload(start=i * 1.0, duration=1.0,
+                         accel=rng.normal(size=(10, 3)),
+                         gyro=rng.normal(size=(10, 3)),
+                         shutter=rng.uniform(0.001, 0.02, 2))
                 for i in range(3)]
-    ds = build_dataset(payloads)
+    ds = build_dataset(_columns(payloads))
     csv = tmp_path / "imu.csv"
     sync.export_imu_csv(ds, csv)
     # the whole-row parse that the one-sensor reads must match bit for bit
@@ -202,7 +220,7 @@ def test_csv_writers_match_per_row_writer_on_distinct_values(tmp_path):
     _assert_csvs_match_per_row(dataset, tmp_path)
 
 
-@pytest.mark.parametrize("n_rows", [sync.CHUNK_ROWS - 1, sync.CHUNK_ROWS,
+@pytest.mark.parametrize("n_rows", [0, sync.CHUNK_ROWS - 1, sync.CHUNK_ROWS,
                                     sync.CHUNK_ROWS + 1])
 def test_csv_writers_match_per_row_writer_at_chunk_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
@@ -295,11 +313,117 @@ def test_axis_order_applied_through_pipeline(tmp_path):
     raw = mp4.RawPayload(data=payload, start_time=0.0, duration=1.0)
     streams = sync.payload_streams_from_klv([raw], axis_order="zxy")
     # device channel order z,x,y -> output x=ch1, y=ch2, z=ch0
-    assert np.allclose(streams[0].accel[0], [2.0, 3.0, 1.0])
+    assert np.allclose(streams.accel[0], [2.0, 3.0, 1.0])
+
+
+# --- the per-payload decode that the whole-recording columns replaced ---------
+
+def _ref_nodes(data):
+    """The KLV parser before offsets: each node a (key, type code, item size,
+    repeat, padded payload copy, children) tuple."""
+    nodes, pos = [], 0
+    while pos < len(data):
+        key = data[pos:pos + 4].decode("ascii")
+        type_code, item_size, repeat = struct.unpack(">BBH", data[pos + 4:pos + 8])
+        length = item_size * repeat
+        payload = data[pos + 8:pos + 8 + (length + 3) // 4 * 4]
+        pos += 8 + len(payload)
+        children = _ref_nodes(payload[:length]) if type_code == 0 else []
+        nodes.append((key, type_code, item_size, repeat, payload, children))
+    return nodes
+
+
+def _ref_values(node):
+    _, type_code, item_size, repeat, raw, _ = node
+    dtype = gpmf.SCALAR_TYPES[chr(type_code)]
+    channels = item_size // dtype.itemsize
+    flat = np.frombuffer(raw, dtype, repeat * channels)
+    return flat.astype(float).reshape(repeat, channels)
+
+
+def _ref_stream(nodes, key, axis_order=None):
+    """One payload's `extract_stream` as it was: every STRM, breadth first,
+    divided by its own SCAL, then stacked."""
+    chunks, queue = [], [nodes]
+    while queue:
+        for child in queue.pop(0):
+            if child[0] == "STRM":
+                found = {}
+                for leaf in child[5]:
+                    found.setdefault(leaf[0], leaf)
+                if key in found:
+                    raw = _ref_values(found[key])
+                    divisors = np.ones(raw.shape[1])
+                    if "SCAL" in found:
+                        divisors = _ref_values(found["SCAL"]).reshape(-1)
+                        if divisors.size == 1:
+                            divisors = np.full(raw.shape[1], divisors[0])
+                    chunks.append(raw / divisors)
+            elif child[1] == 0:
+                queue.append(child[5])
+    if not chunks:
+        return None
+    values = np.vstack(chunks)
+    if axis_order is not None and values.shape[1] == 3:
+        values = values[:, [axis_order.index(a) for a in "xyz"]]
+    return values
+
+
+def _ref_columns(raw_payloads, axis_order):
+    payloads = []
+    for rp in raw_payloads:
+        nodes = _ref_nodes(rp.data)
+        shutter = _ref_stream(nodes, "SHUT")
+        payloads.append(_Payload(
+            start=rp.start_time, duration=rp.duration,
+            accel=_ref_stream(nodes, "ACCL", axis_order),
+            gyro=_ref_stream(nodes, "GYRO", axis_order),
+            shutter=None if shutter is None else shutter[:, 0]))
+    return _columns(payloads)
+
+
+@pytest.mark.parametrize("axis_order", ["xyz", "zxy"])
+def test_decode_matches_per_payload_reference_bit_for_bit(tmp_path, axis_order):
+    rng = np.random.default_rng(11)
+
+    def strm(key, n):
+        return gpmf.make_container("STRM", [
+            gpmf.make_leaf("SCAL", "l", [50]),
+            gpmf.make_leaf(key, "l", rng.integers(-5000, 5000, (n, 3)), channels=3)])
+
+    payloads = []
+    for i in range(8):
+        n_accel = int(rng.integers(15, 25))
+        # ACCL and GYRO counts differ by up to the tolerance: gyro is resampled
+        n_gyro = n_accel + i % (2 * sync.COUNT_TOLERANCE + 1) - sync.COUNT_TOLERANCE
+        payloads.append(fixtures.gpmf_payload(
+            # payload 5 holds a second ACCL STRM, and a GYRO one in a nested DEVC
+            extra_streams=[strm("ACCL", 2), gpmf.make_container("DEVC", [strm("GYRO", 2)])]
+            if i == 5 else (),
+            accel_raw=rng.integers(-5000, 5000, (n_accel, 3)),
+            gyro_raw=rng.integers(-5000, 5000, (n_gyro, 3)),
+            # payload 2 holds no SHUT
+            shutter=None if i == 2 else rng.uniform(1e-4, 1e-2, 3).astype(np.float32),
+            # a SCAL of its own in each payload: one divisor, or one per channel
+            accel_scale=400 + 7 * i if i % 2 else [418 + i, 209, 836 - i],
+            gyro_scale=[939, 17 + i, 3] if i % 2 else 939 - i))
+    path = mp4.write_fixture_mp4(tmp_path / "r.mp4", payloads, durations=[1010] * 8)
+    with open(path, "rb") as f:
+        raw = mp4.extract_payloads(mp4.find_gpmf_track(mp4.parse_box_tree(f), f), f)
+    got = sync.payload_streams_from_klv(raw, axis_order=axis_order)
+    want = _ref_columns(raw, axis_order)
+    for name in ("start", "duration", "counts", "accel", "gyro", "shutter"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert not np.array_equal(got.counts[:, 0], got.counts[:, 1])
+    got_ds, want_ds = build_dataset(got), build_dataset(want)
+    for name in ("imu_t", "accel", "gyro", "frame_t", "exposure"):
+        assert getattr(got_ds, name).tobytes() == getattr(want_ds, name).tobytes(), name
 
 
 def test_manifest(tmp_path):
-    ds = build_dataset([_payload(0.0, 1.0)])
+    ds = build_dataset(_columns([_payload(0.0, 1.0)]))
     out = tmp_path / "manifest.txt"
     sync.export_manifest(ds, out)
     text = out.read_text()
