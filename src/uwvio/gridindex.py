@@ -92,8 +92,15 @@ class GridIndex:
             at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
             found = self._keys[at] == keys
             qid, at = qid[found], at[found]
+            # built in place; the generator holds only the chunk while it is read
             row, t = _expand(self._counts[at])
-            yield qid[row] + q0, self._starts[at][row] + t
+            pos = self._starts[at].take(row)
+            pos += t
+            del t
+            qid = qid.take(row)
+            qid += q0
+            del row
+            yield qid, pos
 
     def _table(self, reach):
         """The cell-neighbourhood table at ``reach``: (first cell, box shape,
@@ -202,9 +209,12 @@ class GridIndex:
         CSR ``(offsets, indices)``; a row lists its cells in x, y, z scan
         order and each cell's points by index."""
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-        chunks = list(self._candidates(queries, reach)) or [(np.empty(0, dtype=np.int64),) * 2]
-        qid, pos = (np.concatenate(c) for c in zip(*chunks))
-        return _offsets(qid, len(queries)), self._order[pos]
+        # each chunk's (query, position) arrays are dropped once read
+        chunks = [(np.bincount(qid, minlength=len(queries)), self._order.take(pos))
+                  for qid, pos in self._candidates(queries, reach)]
+        counts = sum((c for c, _ in chunks), np.zeros(len(queries), dtype=np.int64))
+        indices = np.concatenate([np.empty(0, dtype=np.int64)] + [i for _, i in chunks])
+        return np.concatenate([[0], np.cumsum(counts)]), indices
 
     def radius_neighbors(self, queries, radius):
         """Points within ``radius`` of each query, as CSR ``(offsets,
@@ -251,7 +261,9 @@ def _box_key(cells, low, shape):
 def _expand(counts):
     """Row and rank within the row of every element of rows of these lengths."""
     row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    rank = np.arange(len(row))
+    rank -= (np.cumsum(counts) - counts).take(row)
+    return row, rank
 
 
 def _offsets(rows, n_rows):

@@ -99,35 +99,73 @@ def voxel_downsample(cloud, voxel):
 
 
 def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
-    """Per-point normals from the k-neighborhood covariance.
+    """Per-point normals from the covariance of the exact k + 1 nearest
+    points (the point itself included), ties broken by the lower index.
 
     The normal is the smallest-eigenvalue eigenvector, oriented toward the
     viewpoint. Rank-deficient neighborhoods get the deterministic fallback
     normal, also oriented, and are flagged in the ``degenerate`` mask.
     Returns a new cloud.
+
+    The grid's cells are sized so that a cube of 27 cells would hold about
+    k + 1 points if the cloud filled its bounding box. A point searches the
+    cube of cells around its own, widening the reach one cell at a time,
+    until its (k + 1)-th nearest candidate lies strictly closer than every
+    point outside the cube, or the cube holds the whole cloud. At reach 64
+    the nearest candidates are taken as found.
     """
+    if (isinstance(k_neighbors, bool) or not isinstance(k_neighbors, (int, np.integer))
+            or k_neighbors < 1):
+        raise ValueError("k_neighbors must be an integer >= 1")
     pts = cloud.points
     n = len(pts)
-    if n < k_neighbors + 1:
-        raise UwvioError(f"need >= {k_neighbors + 1} points, got {n}")
-    index = GridIndex(pts, _density_cell(pts, k_neighbors))
+    size = int(k_neighbors) + 1         # the point and its k neighbours
+    if n < size:
+        raise UwvioError(f"need >= {size} points, got {n}")
+    cell = _density_cell(pts, size / 27)
+    index = GridIndex(pts, cell)
     viewpoint = np.asarray(viewpoint, dtype=float)
 
-    # points sharing a cell share its candidate block: the smallest cube of
-    # cells around it (reach 1 to 64) holding k + 2 points
+    # points sharing a cell share its candidate row
     bounds, members = index.cells()
-    first = members[bounds[:-1]]        # one point per cell
+    cell_of = np.empty(n, dtype=np.intp)
+    cell_of[members] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    # a point outside the cube at a reach lies at least reach cells plus the
+    # query's distance to its own cell's nearest face away, less a margin
+    # for rounding in the cell assignment, that distance and d^2
+    margin = 1e-12 * (np.abs(pts).max() + 65 * cell)
+    columns = pts.T.copy()
     covs = np.empty((n, 3, 3))
-    need = np.arange(len(first))
+    need = np.arange(n)
     for reach in range(1, 65):
-        offsets, cand = index.cube(pts[first[need]], reach)
-        done = (np.diff(offsets) >= k_neighbors + 2) | (reach == 64)
-        for j, c in zip(np.flatnonzero(done), need[done]):
-            block = pts[cand[offsets[j]:offsets[j + 1]]]
-            cell_members = members[bounds[c]:bounds[c + 1]]
-            n_chunks = -(-len(cell_members) * len(block) // _CHUNK)
-            for mine in np.array_split(cell_members, n_chunks):
-                covs[mine] = _knn_covariances(pts[mine], block, k_neighbors + 1)
+        live = np.unique(cell_of[need])
+        offsets, cand = index.cube(pts[members[bounds[live]]], reach)
+        row = np.searchsorted(live, cell_of[need])
+        # rows by length, a cell's points together, so that one padded
+        # (points, widest row) block per pass wastes little
+        order = np.lexsort((row, np.diff(offsets)[row]))
+        need, row = need[order], row[order]
+        start, length = offsets[row], np.diff(offsets)[row]
+        clearance = np.maximum(reach * cell + _face_distance(pts[need], cell) - margin,
+                               0.0) ** 2
+        done = np.zeros(len(need), dtype=bool)
+        s = 0
+        while s < len(need):
+            # a pass holds (points, widest row) distances and (points, size,
+            # 3) neighbourhoods: at most _CHUNK elements each
+            fits = max(1, _CHUNK // max(length[s], 3 * size))
+            e = s + max(1, _CHUNK // max(length[min(s + fits, len(need)) - 1], 3 * size))
+            sel, d2 = _knn(columns, need[s:e], cand, start[s:e], length[s:e], size)
+            ok = (d2[:, -1] < clearance[s:e]) | (length[s:e] == n) | (reach == 64)
+            if reach < 64:
+                covs[need[s:e][ok]] = _covariances(pts[sel[ok]])
+            else:
+                # the bound: a row shorter than size gives all its candidates
+                fit = np.minimum(length[s:e], size)
+                for t in np.unique(fit):
+                    covs[need[s:e][fit == t]] = _covariances(pts[sel[fit == t, :t]])
+            done[s:e] = ok
+            s = e
         need = need[~done]
         if need.size == 0:
             break
@@ -142,14 +180,62 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
                       degenerate=degenerate)
 
 
-def _knn_covariances(points, block, k):
-    """Covariance of the k nearest block points of each point (all of the
-    block if it is smaller), ranked with one argpartition per row."""
-    take = min(k, len(block))
-    d2 = sum((block[:, a] - points[:, a, None]) ** 2 for a in range(3))
-    nb = block[np.argpartition(d2, take - 1, axis=1)[:, :take]]
+def _knn(columns, queries, cand, starts, lengths, k):
+    """(indices, squared distances) of the k nearest of each query's
+    candidates ``cand[start:start + length]``, sorted by (distance, index);
+    a row of fewer than k candidates is padded with infinite distances.
+    ``columns`` holds the points as (3, n)."""
+    width = max(int(lengths.max()), k)
+    last = len(cand) - 1
+    # the points of a cell share its row: gather each distinct row's
+    # coordinates once, padded with infinities, and copy it per point
+    first, shared = np.unique(starts, return_inverse=True)
+    ends = np.empty_like(first)
+    ends[shared] = starts + lengths
+    pos = first[:, None] + np.arange(width)
+    pad = pos >= ends[:, None]
+    idx = cand.take(np.minimum(pos, last, out=pos))
+    del pos
+    # summed over x, y, z in that order, in place
+    for a in range(3):
+        rows = columns[a].take(idx)
+        rows[pad] = np.inf
+        d = rows.take(shared, axis=0)
+        d -= columns[a].take(queries)[:, None]
+        d *= d
+        if a == 0:
+            d2 = d
+        else:
+            d2 += d
+    del d, rows, idx
+    # partitioned at the next place too: a row whose k-th distance ties with
+    # it, or whose selection is not in (d^2, index) order, is sorted whole
+    part = np.argpartition(d2, min(k, width - 1), axis=1)
+    sel_d2 = np.take_along_axis(d2, part[:, :k], 1)
+    sel = cand.take(np.minimum(starts[:, None] + part[:, :k], last))
+    lo, hi = sel_d2[:, :-1], sel_d2[:, 1:]
+    redo = ((hi < lo) | ((hi == lo) & (sel[:, 1:] < sel[:, :-1]))).any(axis=1)
+    if width > k:
+        redo |= np.take_along_axis(d2, part[:, k:k + 1], 1)[:, 0] == sel_d2[:, -1]
+    if redo.any():
+        idx = cand.take(np.minimum(starts[redo, None] + np.arange(width), last))
+        order = np.lexsort((idx, d2[redo]))[:, :k]
+        sel[redo] = np.take_along_axis(idx, order, 1)
+        sel_d2[redo] = np.take_along_axis(d2[redo], order, 1)
+    return sel, sel_d2
+
+
+def _face_distance(points, cell):
+    """Distance of each point to the nearest face of its grid cell."""
+    frac = points / cell
+    frac -= np.floor(frac)
+    return cell * np.minimum(frac, 1.0 - frac).min(axis=1)
+
+
+def _covariances(nb):
+    """Covariance of each (m, t, 3) neighbourhood of t points."""
     centered = nb - nb.mean(axis=1, keepdims=True)
-    return np.matmul(centered.transpose(0, 2, 1), centered) / take
+    return np.matmul(centered.transpose(0, 2, 1), centered) / nb.shape[1]
 
 
 def _density_cell(pts, k):

@@ -234,6 +234,20 @@ def test_downsample_averages_colors():
 
 # --- normals ------------------------------------------------------------------
 
+def brute_force_normals(pts, k, viewpoint=(0.0, 0.0, 0.0)):
+    """(normals, degenerate mask) from each point's exact k + 1 nearest
+    points, ties by index, with estimate_normals' arithmetic."""
+    d2 = sum((pts[None, :, a] - pts[:, None, a]) ** 2 for a in range(3))
+    ids = np.broadcast_to(np.arange(len(pts)), d2.shape)
+    nb = pts[np.lexsort((ids, d2))[:, :k + 1]]
+    centered = nb - nb.mean(axis=1, keepdims=True)
+    w, v = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered) / (k + 1))
+    degenerate = (w[:, 2] <= 1e-18) | (w[:, 1] <= 1e-12 * w[:, 2])
+    normals = np.where(degenerate[:, None], register.DEGENERATE_NORMAL, v[:, :, 0])
+    flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - pts) < 0
+    return np.where(flip[:, None], -normals, normals), degenerate
+
+
 def test_plane_normals_exact():
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0, 10, 2000).reshape(-1),
@@ -431,23 +445,103 @@ def test_histogram_bins_match_numpy():
 
 
 def test_normals_match_brute_force_knn():
-    # a sparse corner group whose cell needs a reach beyond 1 to hold k + 2
+    # a sparse corner group whose cube of cells at reach 1 holds fewer than
+    # k + 1 points, so it needs a wider reach
     rng = np.random.default_rng(19)
     k = 8
     pts = np.vstack([rng.uniform(0, 1, size=(400, 3)),
                      [1.6, 1.6, 1.6] + rng.normal(size=(3, 3)) * 0.05])
-    cell = _density_cell(pts, k)
+    cell = _density_cell(pts, (k + 1) / 27)
     offsets, _ = GridIndex(pts, cell).cube(pts[-1:], 1)
-    assert offsets[1] < k + 2
+    assert offsets[1] < k + 1
     got = estimate_normals(PointCloud(points=pts), k_neighbors=k).normals
-
-    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-    nb = pts[np.argsort(d, axis=1)[:, :k + 1]]
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    w, v = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / (k + 1))
-    want = v[:, :, 0] * np.where(np.einsum("ij,ij->i", v[:, :, 0], -pts) < 0, -1, 1)[:, None]
-    assert np.all(w[:, 1] > 1e-12 * w[:, 2])
+    want, degenerate = brute_force_normals(pts, k)
+    assert not degenerate.any()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_normals_exact_on_clustered_cloud():
+    """A dense blob inside a sparse spread: a cube of cells that holds
+    k + 2 points need not hold the k + 1 nearest."""
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.normal(0.0, 0.05, size=(2000, 3)),
+                     rng.uniform(-10, 10, size=(60, 3))])
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=30)
+    want, degenerate = brute_force_normals(pts, 30)
+    assert not degenerate.any() and not cloud.degenerate.any()
+    np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.1])
+def test_normals_exact_on_lattice(spacing):
+    """A lattice whose points lie on cell faces (exactly at spacing 1, where
+    the cell is 1, and within rounding at 0.1) and whose distances tie at
+    the k-th nearest point: those ties go to the lower index."""
+    k = 26
+    lattice = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    # one more point makes the box 4 x 4 x 7.875 for 126 points
+    pts = np.vstack([lattice, [[0.0, 0.0, 7.875]]]) * spacing
+    if spacing == 1.0:
+        assert _density_cell(pts, (k + 1) / 27) == 1.0
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=k,
+                             viewpoint=(-1.0, -2.0, -3.0))
+    want, degenerate = brute_force_normals(pts, k, viewpoint=(-1.0, -2.0, -3.0))
+    assert np.array_equal(cloud.degenerate, degenerate)
+    np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
+
+
+def test_normals_certificate_is_strict():
+    """Cell 1: the point at index 2 lies 0.25 from its cell's nearest face,
+    so at reach 1 the cube holds every point closer than 1.25. Its 3rd
+    nearest candidate there (index 1) lies exactly 1.25 away, as does index
+    0 outside the cube, which wins the tie; so the reach must widen."""
+    pts = np.array([[3.0, 0.5, 0.5], [1.75, 1.75, 0.5], [1.75, 0.5, 0.5],
+                    [1.75, 0.5, 1.5], [5.75, 0.5, 0.5]])
+    assert _density_cell(pts, 3 / 27) == 1.0
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=2)
+    want, degenerate = brute_force_normals(pts, 2)
+    assert np.array_equal(np.abs(cloud.normals[2]), [0.0, 1.0, 0.0])
+    assert np.array_equal(cloud.degenerate, degenerate)
+    np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
+
+
+def test_normals_of_k_plus_one_points(monkeypatch):
+    """k + 1 points: every point's neighbourhood is the whole cloud, found
+    once a cube of cells holds it, not after all 64 reaches."""
+    pts = np.random.default_rng(7).uniform(0, 1, size=(31, 3))
+    reaches = []
+    cube = GridIndex.cube
+
+    def counted(self, queries, reach):
+        reaches.append(reach)
+        return cube(self, queries, reach)
+
+    monkeypatch.setattr(GridIndex, "cube", counted)
+    got = estimate_normals(PointCloud(points=pts), k_neighbors=30).normals
+    assert len(reaches) <= 3
+    np.testing.assert_allclose(got, brute_force_normals(pts, 30)[0], rtol=0, atol=1e-12)
+
+
+def test_normals_beyond_the_reach_bound():
+    """Points more than 64 cells from any other have only themselves in
+    their cube at the last reach: a neighbourhood of one point, which gets
+    the fallback normal. The others stay exact."""
+    rng = np.random.default_rng(11)
+    far = [[1000.0, 0.5, 0.5], [2000.0, 1.0, 0.5], [3000.0, 0.5, 1.0]]
+    pts = np.vstack([rng.uniform(0, 1, size=(39, 3)), far])
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=8)
+    want, degenerate = brute_force_normals(pts, 8)
+    assert cloud.degenerate.tolist() == [False] * 39 + [True] * 3
+    assert not degenerate[:39].any()
+    np.testing.assert_allclose(cloud.normals[:39], want[:39], rtol=0, atol=1e-12)
+    assert (np.abs(cloud.normals[39:]) == register.DEGENERATE_NORMAL).all()
+
+
+@pytest.mark.parametrize("k", [0, -1, -5, 2.5])
+def test_normals_reject_bad_k(k):
+    pts = np.random.default_rng(1).uniform(0, 1, size=(50, 3))
+    with pytest.raises(ValueError, match="^k_neighbors must be an integer >= 1$"):
+        estimate_normals(PointCloud(points=pts), k_neighbors=k)
 
 
 # --- matching / RANSAC / ICP -----------------------------------------------
