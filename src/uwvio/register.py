@@ -258,41 +258,81 @@ class FpfhDescriptors:
 
 def _pair_features(d, u, nq):
     """Distance and angular features (alpha, phi, theta) of pairs (p, q)
-    with offset d = q - p, normal u at p and normal nq at q."""
-    dist = np.linalg.norm(d, axis=1)
-    dn = d / np.where(dist > 0, dist, 1.0)[:, None]
-    v = _cross(dn, u)
-    v_norm = np.linalg.norm(v, axis=1)
+    with offset d = q - p, normal u at p and normal nq at q, each given as
+    its x, y and z columns. Bit-equal to the same formulas on (m, 3) rows
+    with ``np.linalg.norm(axis=1)``, ``einsum("ij,ij->i")`` and ``np.cross``."""
+    dx, dy, dz = d
+    ux, uy, uz = u
+    dist = _norm(dx, dy, dz)
+    scale = np.where(dist > 0, dist, 1.0)
+    dn = dx / scale, dy / scale, dz / scale
+    vx, vy, vz = _cross(*dn, ux, uy, uz)
+    v_norm = _norm(vx, vy, vz)
     # connecting line parallel to the normal: pick any perpendicular frame
-    deg = v_norm < 1e-12
-    if np.any(deg):
-        alt = np.cross([1.0, 0.0, 0.0], u[deg])
+    deg = np.flatnonzero(v_norm < 1e-12)
+    if deg.size:
+        ud = np.column_stack([ux[deg], uy[deg], uz[deg]])
+        alt = np.cross([1.0, 0.0, 0.0], ud)
         alt_bad = np.linalg.norm(alt, axis=1) < 1e-12
-        alt[alt_bad] = np.cross([0.0, 1.0, 0.0], u[deg][alt_bad])
-        v[deg] = alt
-        v_norm = np.linalg.norm(v, axis=1)
-    v = v / v_norm[:, None]
-    w = _cross(u, v)
-    alpha = np.einsum("ij,ij->i", v, nq)
-    phi = np.einsum("ij,ij->i", dn, u)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, nq), np.einsum("ij,ij->i", nq, u))
+        alt[alt_bad] = np.cross([0.0, 1.0, 0.0], ud[alt_bad])
+        vx[deg], vy[deg], vz[deg] = alt.T
+        v_norm[deg] = np.linalg.norm(alt, axis=1)
+    vx /= v_norm
+    vy /= v_norm
+    vz /= v_norm
+    w = _cross(ux, uy, uz, vx, vy, vz)
+    alpha = _dot(vx, vy, vz, *nq)
+    phi = _dot(*dn, ux, uy, uz)
+    theta = np.arctan2(_dot(*w, *nq), _dot(*nq, ux, uy, uz))
     return dist, alpha, phi, theta
 
 
-def _cross(a, b):
-    """Row-wise ``np.cross`` of two (m, 3) arrays, the same arithmetic
-    without its axis handling."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _norm(x, y, z):
+    """Euclidean norm of columns, summed (x·x + y·y) + z·z as
+    ``np.linalg.norm(axis=1)`` sums a row."""
+    out = x * x
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
+
+
+def _dot(ax, ay, az, bx, by, bz):
+    """Dot product of columns, summed (x·x' + z·z') + y·y' as
+    ``einsum("ij,ij->i")`` sums a row of three on numpy 2.4."""
+    out = ax * bx
+    out += az * bz
+    out += ay * by
+    return out
+
+
+def _cross(ax, ay, az, bx, by, bz):
+    """Cross product of columns, with the arithmetic of ``np.cross``."""
+    x = ay * bz
+    x -= az * by
+    y = az * bx
+    y -= ax * bz
+    z = ax * by
+    z -= ay * bx
+    return x, y, z
 
 
 def _histogram_bins(x, lo, hi):
     """Bin of each value in ``np.histogram(x, bins=11, range=(lo, hi))``,
-    -1 outside the range: bins are closed on the left, the last on both sides."""
-    b = np.searchsorted(np.linspace(lo, hi, 12), x, "right") - 1
-    b[x == hi] = 10
-    return np.where(b < 11, b, -1)
+    -1 outside the range or NaN: bins are closed on the left, the last on
+    both sides.
+
+    As in ``np.histogram``, the bin comes from arithmetic, off by at most
+    one next to an edge, then one comparison with each neighbouring edge
+    makes it exact."""
+    edges = np.linspace(lo, hi, 12)
+    # NaN and infinities cast to arbitrary integers, replaced below
+    with np.errstate(invalid="ignore"):
+        b = ((x - lo) * (11 / (hi - lo))).astype(np.intp)
+    np.clip(b, 0, 10, out=b)
+    b -= x < edges[b]
+    b += (x >= edges[b + 1]) & (b < 10)
+    b[~((x >= lo) & (x <= hi))] = -1
+    return b
 
 
 def compute_fpfh(cloud, radius):
@@ -323,11 +363,13 @@ def compute_fpfh(cloud, radius):
     # time; each pair's 1/distance weight is kept for the second pass
     spfh = np.zeros(n * 33)
     weights = np.empty(len(rows))
+    columns, normal_columns = pts.T.copy(), normals.T.copy()
     for s in range(0, len(rows), _CHUNK):
         i, j = rows[s:s + _CHUNK], nbrs[s:s + _CHUNK]
-        # take(axis=0) gathers rows several times faster than fancy indexing
-        dist, *features = _pair_features(pts.take(j, axis=0) - pts.take(i, axis=0),
-                                         normals.take(i, axis=0), normals.take(j, axis=0))
+        # (3, m) gathers of contiguous coordinate rows
+        dist, *features = _pair_features(columns.take(j, axis=1) - columns.take(i, axis=1),
+                                         normal_columns.take(i, axis=1),
+                                         normal_columns.take(j, axis=1))
         weights[s:s + _CHUNK] = 1.0 / np.maximum(dist, 1e-12)
         bins = []
         for lo, x, span in zip((0, 11, 22), features, (1.0, 1.0, np.pi)):

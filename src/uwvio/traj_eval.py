@@ -16,6 +16,9 @@ from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
 from .table import read_table
 
 DEFAULT_MAX_DT = 0.020  # half the 60 Hz frame interval
+# `associate` leaves its rounds once one closes less than this share of the
+# open candidate pairs
+_MIN_CLOSED = 0.25
 
 
 @dataclass
@@ -28,8 +31,8 @@ class Trajectory:
         self.t = np.asarray(self.t, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
         self.quats = np.asarray(self.quats, dtype=float)
-        if len(self.t) and np.any(np.diff(self.t) <= 0):
-            raise InputError("trajectory timestamps must be strictly increasing")
+        if not (np.all(np.isfinite(self.t)) and np.all(np.diff(self.t) > 0)):
+            raise InputError("trajectory timestamps must be finite and strictly increasing")
 
     def __len__(self):
         return len(self.t)
@@ -67,27 +70,54 @@ def save_tum(traj, path):
 def associate(t_a, t_b, max_dt=DEFAULT_MAX_DT):
     """Greedy nearest-timestamp matching; each pose used at most once.
 
-    Returns an (m, 2) int array of the pairs (i, j) with
-    |t_a[i] - t_b[j]| <= max_dt, sorted by i.
+    ``t_b`` must be strictly increasing. The candidates of ``t_a[i]`` are
+    the poses of ``t_b`` on either side of it within ``max_dt``; a
+    candidate pair is taken in (|dt|, i, j) order when neither of its poses
+    is taken yet. Returns an (m, 2) int array of the pairs (i, j), sorted
+    by i.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     if len(t_a) == 0 or len(t_b) == 0:
         raise UwvioError("empty trajectory")
+    if not np.all(np.diff(t_b) > 0):
+        raise ValueError("t_b must be strictly increasing")
     # candidates: the poses of t_b on either side of each t_a, nearest first
     j = np.searchsorted(t_b, t_a)[:, None] + [-1, 0]
     dt = np.abs(t_a[:, None] - t_b[np.clip(j, 0, len(t_b) - 1)])
     i, side = np.nonzero((j >= 0) & (j < len(t_b)) & (dt <= max_dt))
     j, dt = j[i, side], dt[i, side]
     order = np.lexsort((j, i, dt))
-    match, used_b = {}, set()
-    for a, b in zip(i[order].tolist(), j[order].tolist()):
-        if a not in match and b not in used_b:
+    i, j = i[order], j[order]
+    # a candidate that comes first among the open candidates of both its
+    # poses is taken by the greedy loop whatever it takes before: take all
+    # such at once, close every candidate of a pose taken, and repeat
+    match = np.full(len(t_a), -1)
+    used_b = np.zeros(len(t_b), dtype=bool)
+    first_a = np.empty(len(t_a), dtype=np.intp)
+    first_b = np.empty(len(t_b), dtype=np.intp)
+    while len(i):
+        rank = np.arange(len(i))
+        first_a[i] = first_b[j] = len(i)
+        np.minimum.at(first_a, i, rank)
+        np.minimum.at(first_b, j, rank)
+        take = (first_a[i] == rank) & (first_b[j] == rank)
+        match[i[take]] = j[take]
+        used_b[j[take]] = True
+        open_ = (match[i] < 0) & ~used_b[j]
+        i, j = i[open_], j[open_]
+        if len(i) > (1 - _MIN_CLOSED) * len(rank):
+            break
+    # a chain of conflicts, each candidate waiting for the one before it,
+    # takes one round a link: its rest goes one candidate at a time
+    for a, b in zip(i.tolist(), j.tolist()):
+        if match[a] < 0 and not used_b[b]:
             match[a] = b
-            used_b.add(b)
-    if not match:
+            used_b[b] = True
+    a = np.flatnonzero(match >= 0)
+    if not len(a):
         raise UwvioError(f"no timestamp pairs within {max_dt} s")
-    return np.array(sorted(match.items()))
+    return np.column_stack([a, match[a]])
 
 
 def umeyama_sim3(source, target, fix_scale=False):

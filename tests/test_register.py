@@ -430,18 +430,66 @@ def test_fpfh_pieces_across_chunk_edges(monkeypatch):
     np.testing.assert_allclose(want, reference, rtol=0, atol=1e-12)
 
 
+def _row_pair_features(d, u, nq):
+    """`register._pair_features` as it was on (m, 3) rows, frozen."""
+    dist = np.linalg.norm(d, axis=1)
+    dn = d / np.where(dist > 0, dist, 1.0)[:, None]
+    v = np.cross(dn, u)
+    v_norm = np.linalg.norm(v, axis=1)
+    deg = v_norm < 1e-12
+    if np.any(deg):
+        alt = np.cross([1.0, 0.0, 0.0], u[deg])
+        alt_bad = np.linalg.norm(alt, axis=1) < 1e-12
+        alt[alt_bad] = np.cross([0.0, 1.0, 0.0], u[deg][alt_bad])
+        v[deg] = alt
+        v_norm = np.linalg.norm(v, axis=1)
+    v = v / v_norm[:, None]
+    w = np.cross(u, v)
+    alpha = np.einsum("ij,ij->i", v, nq)
+    phi = np.einsum("ij,ij->i", dn, u)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, nq), np.einsum("ij,ij->i", nq, u))
+    return dist, alpha, phi, theta
+
+
+def _unit_rows(rng, m):
+    u = rng.normal(size=(m, 3))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def test_pair_features_bit_equal_to_row_form():
+    rng = np.random.default_rng(20)
+    m = 1 << 15
+    d = rng.normal(size=(m, 3)) * rng.uniform(1e-3, 2.0, (m, 1))
+    u, nq = _unit_rows(rng, m), _unit_rows(rng, m)
+    # fallback frames among ordinary pairs: d parallel to u, u along x with
+    # d parallel to it (so the first fallback axis fails too), and d = 0
+    u[:8] = [[1, 0, 0], [-1, 0, 0], [1, 0, 0], [0, 1, 0],
+             [0, 0, -1], [0.6, 0.8, 0], [1, 0, 0], [-1, 0, 0]]
+    d[:8] = u[:8] * [[0.3], [2.0], [-0.7], [1.1], [0.4], [-0.5], [0.0], [0.0]]
+    d[8:40] = u[8:40] * rng.uniform(-2, 2, (32, 1))
+    want = _row_pair_features(d, u, nq)
+    dn = d / np.where(want[0] > 0, want[0], 1.0)[:, None]
+    assert (np.linalg.norm(np.cross(dn, u), axis=1)[:40] < 1e-12).all()
+    got = register._pair_features(d.T.copy(), u.T.copy(), nq.T.copy())
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_histogram_bins_match_numpy():
-    edges = np.linspace(-np.pi, np.pi, 12)
-    x = np.concatenate([edges, np.nextafter(edges, np.inf),
-                        np.nextafter(edges, -np.inf),
-                        np.random.default_rng(18).uniform(-4, 4, 500)])
-    bins = _histogram_bins(x, -np.pi, np.pi)
-    inside = bins >= 0
-    assert np.array_equal(inside, (x >= -np.pi) & (x <= np.pi))
-    assert np.array_equal(np.bincount(bins[inside], minlength=11),
-                          np.histogram(x, bins=11, range=(-np.pi, np.pi))[0])
-    for value, b in zip(x[inside], bins[inside]):
-        assert np.histogram([value], bins=11, range=(-np.pi, np.pi))[0][b] == 1
+    for lo, hi in [(-1.0, 1.0), (-np.pi, np.pi)]:
+        edges = np.linspace(lo, hi, 12)
+        # every edge and both its neighbours, lo - ulp and hi + ulp among them
+        x = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf), [np.nan, np.inf, -np.inf],
+                            np.random.default_rng(18).uniform(1.3 * lo, 1.3 * hi, 500)])
+        bins = _histogram_bins(x, lo, hi)
+        inside = bins >= 0
+        assert np.array_equal(inside, (x >= lo) & (x <= hi))
+        assert np.array_equal(np.bincount(bins[inside], minlength=11),
+                              np.histogram(x, bins=11, range=(lo, hi))[0])
+        for value, b in zip(x, bins):
+            counts = np.histogram([value], bins=11, range=(lo, hi))[0]
+            assert b == (np.argmax(counts) if counts.any() else -1)
 
 
 def test_normals_match_brute_force_knn():

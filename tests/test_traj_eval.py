@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uwvio import traj_eval
 from uwvio.errors import InputError, UwvioError
 from uwvio.fixtures import circle_trajectory
 from uwvio.geometry import (Sim3Transform, matrix_to_quat, quat_slerp,
@@ -116,6 +117,12 @@ def test_non_monotonic_timestamps_rejected():
         make_traj([0.0, 1.0, 1.0], np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_timestamps_rejected(bad):
+    with pytest.raises(InputError, match="^trajectory timestamps must be finite and strictly"):
+        make_traj([0.0, bad, 2.0, 3.0], np.zeros((4, 3)))
+
+
 # --- association -----------------------------------------------------------
 
 def test_associate_exact_match():
@@ -148,21 +155,44 @@ def test_associate_dense_offset():
     assert pairs.tolist() == [[i, i] for i in range(100)]
 
 
-def _associate_loop(t_a, t_b, max_dt):
-    """The per-pose greedy matcher that `associate` replaced."""
+def _candidates(t_a, t_b, max_dt):
+    """(dt, i, j) of each pose of t_b on either side of t_a[i] within max_dt."""
     candidates = []
     for i, ta in enumerate(t_a):
         j = int(np.searchsorted(t_b, ta))
         for jj in (j - 1, j):
             if 0 <= jj < len(t_b) and abs(ta - t_b[jj]) <= max_dt:
                 candidates.append((abs(ta - t_b[jj]), i, jj))
+    return sorted(candidates)
+
+
+def _associate_loop(t_a, t_b, max_dt):
+    """The per-pose greedy matcher that `associate` replaced."""
     used_a, used_b, pairs = set(), set(), []
-    for _, i, j in sorted(candidates):
+    for _, i, j in _candidates(t_a, t_b, max_dt):
         if i not in used_a and j not in used_b:
             used_a.add(i)
             used_b.add(j)
             pairs.append([i, j])
     return sorted(pairs)
+
+
+def _rounds(t_a, t_b, max_dt):
+    """Rounds that `associate` runs when it never leaves them: each takes
+    every open candidate that comes first among the open candidates of
+    both its poses."""
+    candidates, rounds = _candidates(t_a, t_b, max_dt), 0
+    while candidates:
+        seen_a, seen_b, taken_a, taken_b = set(), set(), set(), set()
+        for _, i, j in candidates:
+            if i not in seen_a and j not in seen_b:
+                taken_a.add(i)
+                taken_b.add(j)
+            seen_a.add(i)
+            seen_b.add(j)
+        candidates = [c for c in candidates if c[1] not in taken_a and c[2] not in taken_b]
+        rounds += 1
+    return rounds
 
 
 def test_associate_matches_greedy_loop():
@@ -178,6 +208,64 @@ def test_associate_matches_greedy_loop():
     t_a = np.unique(rng.integers(0, 300, 100)).astype(float)
     t_b = np.unique(rng.integers(0, 300, 100)).astype(float)
     assert associate(t_a, t_b, max_dt=3).tolist() == _associate_loop(t_a, t_b, 3)
+
+
+def _chain(rng, n):
+    """Stamps of a and b interleaved with gaps that grow along the line, so
+    that each candidate waits for the one before it."""
+    gaps = np.cumsum(rng.uniform(0.5, 1.5, 2 * n)) * 1e-4 + 0.01
+    x = np.cumsum(gaps)
+    return x[::2], x[1::2]
+
+
+def _association_case(seed):
+    rng = np.random.default_rng([23, seed])
+    n_a, n_b = rng.integers(1, 120, 2)
+    kind = seed % 4
+    if kind == 0:       # t_a denser than t_b, or sparser
+        t_a = rng.uniform(0, 5, max(n_a, n_b))
+        t_b = np.unique(rng.uniform(0, 5, min(n_a, n_b)))
+        if seed % 8 == 4:
+            t_a, t_b = t_b, np.unique(t_a)
+    elif kind == 1:     # quarter-second stamps: exact dt ties
+        t_a = rng.integers(0, 60, n_a) / 4
+        t_b = np.unique(rng.integers(0, 60, n_b)) / 4
+    elif kind == 2:     # a chain of conflicts with a few stray stamps
+        t_a, t_b = _chain(rng, n_a)
+        t_a = np.concatenate([t_a, rng.uniform(0, t_b[-1], n_b // 10)])
+    else:               # b 0.01 s either side of a: near ties
+        t_a = np.unique(rng.uniform(0, 5, n_a))
+        t_b = np.unique(np.concatenate([t_a + 0.01, t_a[::2] - 0.01,
+                                        rng.uniform(0, 5, n_b)]))
+    max_dt = rng.choice([0.02, 0.05, 0.25, 1.0])
+    return rng.permutation(t_a), t_b, max_dt
+
+
+@pytest.mark.parametrize("min_closed", [traj_eval._MIN_CLOSED, 0.0])
+def test_associate_matches_greedy_loop_on_random_cases(monkeypatch, min_closed):
+    # with min_closed 0 the rounds run until no candidate is left
+    monkeypatch.setattr(traj_eval, "_MIN_CLOSED", min_closed)
+    most_rounds = 0
+    for seed in range(200):
+        t_a, t_b, max_dt = _association_case(seed)
+        assert associate(t_a, t_b, max_dt).tolist() == _associate_loop(t_a, t_b, max_dt)
+        most_rounds = max(most_rounds, _rounds(t_a, t_b, max_dt))
+    assert most_rounds >= 3
+
+
+@pytest.mark.parametrize("min_closed", [traj_eval._MIN_CLOSED, 0.0])
+def test_associate_long_chain(monkeypatch, min_closed):
+    # one candidate a round: the default leaves the rounds for the loop
+    monkeypatch.setattr(traj_eval, "_MIN_CLOSED", min_closed)
+    t_a, t_b = _chain(np.random.default_rng(24), 300)
+    assert _rounds(t_a, t_b, 0.1) >= 300
+    assert associate(t_a, t_b, 0.1).tolist() == _associate_loop(t_a, t_b, 0.1)
+
+
+@pytest.mark.parametrize("t_b", [[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 2.0]])
+def test_associate_rejects_t_b_not_strictly_increasing(t_b):
+    with pytest.raises(ValueError, match="^t_b must be strictly increasing$"):
+        associate([0.0, 1.0, 2.0], t_b, 0.01)
 
 
 # --- Umeyama / ATE ----------------------------------------------------------
