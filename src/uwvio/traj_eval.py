@@ -16,9 +16,6 @@ from .geometry import Sim3Transform, quat_normalize, quat_slerp, quat_to_matrix
 from .table import read_table
 
 DEFAULT_MAX_DT = 0.020  # half the 60 Hz frame interval
-# `associate` leaves its rounds once one closes less than this share of the
-# open candidate pairs
-_MIN_CLOSED = 0.25
 
 
 @dataclass
@@ -89,28 +86,21 @@ def associate(t_a, t_b, max_dt=DEFAULT_MAX_DT):
     j, dt = j[i, side], dt[i, side]
     order = np.lexsort((j, i, dt))
     i, j = i[order], j[order]
-    # a candidate that comes first among the open candidates of both its
-    # poses is taken by the greedy loop whatever it takes before: take all
-    # such at once, close every candidate of a pose taken, and repeat
+    # a candidate that comes first among the candidates of both its poses
+    # is taken by the greedy loop whatever it takes before: take all such
+    # at once and leave the loop the candidates of the poses still open
+    rank = np.arange(len(i))
+    first_a = np.full(len(t_a), len(i))
+    first_b = np.full(len(t_b), len(i))
+    np.minimum.at(first_a, i, rank)
+    np.minimum.at(first_b, j, rank)
+    take = (first_a[i] == rank) & (first_b[j] == rank)
     match = np.full(len(t_a), -1)
+    match[i[take]] = j[take]
     used_b = np.zeros(len(t_b), dtype=bool)
-    first_a = np.empty(len(t_a), dtype=np.intp)
-    first_b = np.empty(len(t_b), dtype=np.intp)
-    while len(i):
-        rank = np.arange(len(i))
-        first_a[i] = first_b[j] = len(i)
-        np.minimum.at(first_a, i, rank)
-        np.minimum.at(first_b, j, rank)
-        take = (first_a[i] == rank) & (first_b[j] == rank)
-        match[i[take]] = j[take]
-        used_b[j[take]] = True
-        open_ = (match[i] < 0) & ~used_b[j]
-        i, j = i[open_], j[open_]
-        if len(i) > (1 - _MIN_CLOSED) * len(rank):
-            break
-    # a chain of conflicts, each candidate waiting for the one before it,
-    # takes one round a link: its rest goes one candidate at a time
-    for a, b in zip(i.tolist(), j.tolist()):
+    used_b[j[take]] = True
+    open_ = (match[i] < 0) & ~used_b[j]
+    for a, b in zip(i[open_].tolist(), j[open_].tolist()):
         if match[a] < 0 and not used_b[b]:
             match[a] = b
             used_b[b] = True

@@ -457,6 +457,8 @@ def _unit_rows(rng, m):
 
 
 def test_pair_features_bit_equal_to_row_form():
+    # bit-equal with numpy 2.4, whose einsum sums a row of three in the
+    # order `register._dot` copies; another numpy may sum it differently
     rng = np.random.default_rng(20)
     m = 1 << 15
     d = rng.normal(size=(m, 3)) * rng.uniform(1e-3, 2.0, (m, 1))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from uwvio import traj_eval
 from uwvio.errors import InputError, UwvioError
 from uwvio.fixtures import circle_trajectory
 from uwvio.geometry import (Sim3Transform, matrix_to_quat, quat_slerp,
@@ -177,24 +176,6 @@ def _associate_loop(t_a, t_b, max_dt):
     return sorted(pairs)
 
 
-def _rounds(t_a, t_b, max_dt):
-    """Rounds that `associate` runs when it never leaves them: each takes
-    every open candidate that comes first among the open candidates of
-    both its poses."""
-    candidates, rounds = _candidates(t_a, t_b, max_dt), 0
-    while candidates:
-        seen_a, seen_b, taken_a, taken_b = set(), set(), set(), set()
-        for _, i, j in candidates:
-            if i not in seen_a and j not in seen_b:
-                taken_a.add(i)
-                taken_b.add(j)
-            seen_a.add(i)
-            seen_b.add(j)
-        candidates = [c for c in candidates if c[1] not in taken_a and c[2] not in taken_b]
-        rounds += 1
-    return rounds
-
-
 def test_associate_matches_greedy_loop():
     rng = np.random.default_rng(11)
     t_a = np.unique(rng.uniform(0, 20, 400))
@@ -241,24 +222,16 @@ def _association_case(seed):
     return rng.permutation(t_a), t_b, max_dt
 
 
-@pytest.mark.parametrize("min_closed", [traj_eval._MIN_CLOSED, 0.0])
-def test_associate_matches_greedy_loop_on_random_cases(monkeypatch, min_closed):
-    # with min_closed 0 the rounds run until no candidate is left
-    monkeypatch.setattr(traj_eval, "_MIN_CLOSED", min_closed)
-    most_rounds = 0
+def test_associate_matches_greedy_loop_on_random_cases():
     for seed in range(200):
         t_a, t_b, max_dt = _association_case(seed)
         assert associate(t_a, t_b, max_dt).tolist() == _associate_loop(t_a, t_b, max_dt)
-        most_rounds = max(most_rounds, _rounds(t_a, t_b, max_dt))
-    assert most_rounds >= 3
 
 
-@pytest.mark.parametrize("min_closed", [traj_eval._MIN_CLOSED, 0.0])
-def test_associate_long_chain(monkeypatch, min_closed):
-    # one candidate a round: the default leaves the rounds for the loop
-    monkeypatch.setattr(traj_eval, "_MIN_CLOSED", min_closed)
+def test_associate_long_chain():
+    # each candidate waits for the one before it: one is taken at once,
+    # the loop takes the rest
     t_a, t_b = _chain(np.random.default_rng(24), 300)
-    assert _rounds(t_a, t_b, 0.1) >= 300
     assert associate(t_a, t_b, 0.1).tolist() == _associate_loop(t_a, t_b, 0.1)
 
 
