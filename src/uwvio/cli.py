@@ -199,7 +199,7 @@ def cmd_allan(args, out_dir):
 
 def cmd_map(args, out_dir):
     gmap = global_map.replay_log_file(args.event_log)
-    out_ply = Path(args.out_ply) if args.out_ply else out_dir / "fused_map.ply"
+    out_ply = out_dir / "fused_map.ply"
     count = gmap.export_fused_cloud(out_ply)
     report = {
         "keyframes": len(gmap.keyframes),
@@ -385,7 +385,6 @@ def build_parser():
 
     p = sub.add_parser("map", help="replay a VIO event log into a fused PLY map")
     p.add_argument("event_log")
-    p.add_argument("--out-ply", default=None)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("eval-ate", help="ATE RMSE after Sim(3)/SE(3) alignment")

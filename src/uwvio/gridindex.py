@@ -37,11 +37,12 @@ class GridIndex:
             raise ValueError("cell_size must be positive")
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
         self.cell_size = float(cell_size)
-        cells = self._cells(self.points).T
-        self._axes = [np.unique(c) for c in cells]
+        # each axis's distinct cell coordinates and every point's rank among them
+        self._axes, ranks = zip(*(np.unique(c, return_inverse=True)
+                                  for c in self._cells(self.points).T))
         if np.prod([len(u) for u in self._axes], dtype=object) >= 2 ** 63:
             raise ValueError("too many distinct cell coordinates for int64 keys")
-        keys = self._key(*(np.searchsorted(u, c) for u, c in zip(self._axes, cells)))
+        keys = self._key(*ranks)
         self._order = np.argsort(keys, kind="stable")
         self._columns = self.points[self._order].T.copy()
         self._keys, self._starts, self._counts = np.unique(
@@ -200,9 +201,11 @@ class GridIndex:
         return d2
 
     def cells(self):
-        """Points of each occupied cell, as CSR ``(offsets, indices)``;
-        a row lists its cell's points by index."""
-        return np.append(self._starts, len(self.points)), self._order
+        """(cell of each point, lowest-index point of each cell), with the
+        occupied cells numbered in lexicographic (x, y, z) order."""
+        cell_of = np.empty(len(self.points), dtype=np.intp)
+        cell_of[self._order] = np.repeat(np.arange(len(self._keys)), self._counts)
+        return cell_of, self._order[self._starts]
 
     def cube(self, queries, reach):
         """Points in the (2*reach+1)^3 cells around each query's cell, as

@@ -80,14 +80,9 @@ def voxel_downsample(cloud, voxel):
     """One output point per occupied voxel: the centroid of its members.
     Fails as `check_voxel_grid` does."""
     check_voxel_grid(cloud, voxel)
-    cells = np.floor(cloud.points / voxel).astype(np.int64)
     # voxels in the lexicographic order of np.unique(cells, axis=0)
-    order = np.lexsort(cells.T[::-1])
-    ordered = cells[order]
-    new = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
-    inverse = np.empty(len(cells), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    counts = np.diff(np.append(np.flatnonzero(new), len(cells)))
+    inverse, _ = GridIndex(cloud.points, voxel).cells()
+    counts = np.bincount(inverse)
 
     def _mean(values):
         sums = [np.bincount(inverse, weights=v, minlength=len(counts)) for v in values.T]
@@ -127,9 +122,7 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     viewpoint = np.asarray(viewpoint, dtype=float)
 
     # points sharing a cell share its candidate row
-    bounds, members = index.cells()
-    cell_of = np.empty(n, dtype=np.intp)
-    cell_of[members] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    cell_of, first = index.cells()
     # a point outside the cube at a reach lies at least reach cells plus the
     # query's distance to its own cell's nearest face away, less a margin
     # for rounding in the cell assignment, that distance and d^2
@@ -138,9 +131,8 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     covs = np.empty((n, 3, 3))
     need = np.arange(n)
     for reach in range(1, 65):
-        live = np.unique(cell_of[need])
-        offsets, cand = index.cube(pts[members[bounds[live]]], reach)
-        row = np.searchsorted(live, cell_of[need])
+        live, row = np.unique(cell_of[need], return_inverse=True)
+        offsets, cand = index.cube(pts[first[live]], reach)
         # rows by length, a cell's points together, so that one padded
         # (points, widest row) block per pass wastes little
         order = np.lexsort((row, np.diff(offsets)[row]))
@@ -157,13 +149,12 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
             e = s + max(1, _CHUNK // max(length[min(s + fits, len(need)) - 1], 3 * size))
             sel, d2 = _knn(columns, need[s:e], cand, start[s:e], length[s:e], size)
             ok = (d2[:, -1] < clearance[s:e]) | (length[s:e] == n) | (reach == 64)
-            if reach < 64:
-                covs[need[s:e][ok]] = _covariances(pts[sel[ok]])
-            else:
-                # the bound: a row shorter than size gives all its candidates
-                fit = np.minimum(length[s:e], size)
-                for t in np.unique(fit):
-                    covs[need[s:e][fit == t]] = _covariances(pts[sel[fit == t, :t]])
+            # a row shorter than size, which ends in infinite padding and so
+            # passes only at the bound, gives all its candidates
+            fit = np.minimum(length[s:e], size)
+            for t in np.unique(fit[ok]):
+                group = ok & (fit == t)
+                covs[need[s:e][group]] = _covariances(pts[sel[group, :t]])
             done[s:e] = ok
             s = e
         need = need[~done]
@@ -379,20 +370,18 @@ def compute_fpfh(cloud, radius):
     spfh = spfh.reshape(n, 33)
 
     # 1/distance-weighted sum of the neighbors' SPFH, pairs grouped by row,
-    # in pieces that end at a row end or a multiple of _CHUNK: each row sums
-    # the same segments as with whole chunks, and a piece's gathered rows
-    # stay in cache
-    edges = np.append(np.arange(0, len(rows), _CHUNK), len(rows))
-    ends = np.union1d(np.cumsum(n_nbrs), edges)
+    # in pieces of whole rows cut at the last row end before each multiple
+    # of _PIECE, so that a piece's gathered rows stay in cache
+    ends = np.append(0, np.cumsum(n_nbrs))
     cuts = np.union1d(ends[np.searchsorted(ends, np.arange(0, len(rows), _PIECE), "right") - 1],
-                      edges)
+                      ends[-1])
     weighted = np.zeros((n, 33))
     for a, b in zip(cuts[:-1], cuts[1:]):
         i = rows[a:b]
         first = np.flatnonzero(np.diff(i, prepend=-1))
         block = spfh.take(nbrs[a:b], axis=0)
         block *= weights[a:b, None]
-        weighted[i[first]] += np.add.reduceat(block, first)
+        weighted[i[first]] = np.add.reduceat(block, first)
     fpfh = spfh + weighted / np.maximum(n_nbrs, 1)[:, None]
     # percentage-normalize each 11-bin sub-histogram
     sub = fpfh.reshape(n, 3, 11)
@@ -401,19 +390,17 @@ def compute_fpfh(cloud, radius):
     return FpfhDescriptors(values=fpfh, isolated=isolated)
 
 
-def match_descriptors(desc_a, desc_b, mutual=True):
-    """Nearest-neighbor correspondences in descriptor space (L2).
+def match_descriptors(desc_a, desc_b):
+    """Mutual nearest-neighbor correspondences in descriptor space (L2).
 
-    Returns an (m, 2) array of (index_a, index_b) pairs. With ``mutual``
-    only reciprocal nearest neighbors are kept.
+    Returns an (m, 2) array of the (index_a, index_b) pairs that are each
+    other's nearest neighbors.
     """
     a = np.asarray(desc_a.values if hasattr(desc_a, "values") else desc_a, dtype=float)
     b = np.asarray(desc_b.values if hasattr(desc_b, "values") else desc_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise UwvioError("empty descriptor set")
     fwd = _nn_indices(a, b)
-    if not mutual:
-        return np.column_stack([np.arange(len(a)), fwd])
     bwd = _nn_indices(b, a)
     idx_a = np.arange(len(a))
     keep = bwd[fwd] == idx_a

@@ -176,6 +176,7 @@ def test_map_subcommand(tmp_path, capsys):
     assert report["obs_lines"] == 85
     assert report["replaced"] == 5
     assert report["fused_points"] == 20
+    assert report["ply"] == "fused_map.ply"
     assert report["warnings"] == []
     cloud = ply.read_ply(out / "fused_map.ply")
     assert len(cloud["points"]) == 20

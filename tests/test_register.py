@@ -200,6 +200,19 @@ def test_table_rows_follow_the_scan_order():
             assert np.array_equal(index._order[row], cand[offsets[i]:offsets[i + 1]])
 
 
+def test_grid_cells_in_lexicographic_order():
+    rng = np.random.default_rng(4)
+    pts = rng.integers(-3, 3, size=(400, 3)) + rng.uniform(0, 1, size=(400, 3))
+    pts[100:150] = pts[:50]
+    cell_of, first = GridIndex(pts, 1.0).cells()
+    cells = np.floor(pts).astype(np.int64)
+    distinct, inverse = np.unique(cells, axis=0, return_inverse=True)
+    assert np.array_equal(cell_of, inverse)
+    assert np.array_equal(first, [np.flatnonzero(inverse == c)[0]
+                                  for c in range(len(distinct))])
+    assert np.array_equal(GridIndex(np.empty((0, 3)), 1.0).cells()[0], [])
+
+
 # --- voxel downsample ---------------------------------------------------------
 
 def test_downsample_centroids():
@@ -223,6 +236,41 @@ def test_downsample_empty_cloud():
     with pytest.raises(UwvioError, match="^cannot downsample an empty cloud$") as exc:
         voxel_downsample(PointCloud(points=np.empty((0, 3))), 0.1)
     assert exc.value.exit_code == 1
+
+
+def _lexsort_downsample(cloud, voxel):
+    """(points, colors) of the voxel downsample as a lexsort of the cells
+    grouped them before `GridIndex.cells` did."""
+    cells = np.floor(cloud.points / voxel).astype(np.int64)
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells[order]
+    new = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    inverse = np.empty(len(cells), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(np.flatnonzero(new), len(cells)))
+
+    def _mean(values):
+        sums = [np.bincount(inverse, weights=v, minlength=len(counts)) for v in values.T]
+        return np.column_stack(sums) / counts[:, None]
+
+    return _mean(cloud.points), _mean(cloud.colors)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_downsample_bit_equal_to_lexsort_grouping(seed):
+    rng = np.random.default_rng(seed)
+    voxel = (0.1, 0.25, 0.07, 1.0)[seed]
+    pts = rng.uniform(-3, 2, size=(3000, 3))
+    # points on voxel faces, duplicates, and lone points in voxels of their own
+    pts[:200] = np.round(pts[:200] / voxel) * voxel
+    pts[200:400] = pts[400:600]
+    pts[600:610] = rng.uniform(-50, 50, size=(10, 3))
+    cloud = PointCloud(points=pts, colors=rng.uniform(0, 255, size=(3000, 3)))
+    got = voxel_downsample(cloud, voxel)
+    points, colors = _lexsort_downsample(cloud, voxel)
+    assert np.array_equal(got.points, points)
+    assert np.array_equal(got.colors, colors)
+    assert (np.bincount(GridIndex(pts, voxel).cells()[0]) == 1).sum() >= 10
 
 
 def test_downsample_averages_colors():
@@ -572,14 +620,25 @@ def test_normals_of_k_plus_one_points(monkeypatch):
     np.testing.assert_allclose(got, brute_force_normals(pts, 30)[0], rtol=0, atol=1e-12)
 
 
-def test_normals_beyond_the_reach_bound():
+def test_normals_beyond_the_reach_bound(monkeypatch):
     """Points more than 64 cells from any other have only themselves in
     their cube at the last reach: a neighbourhood of one point, which gets
     the fallback normal. The others stay exact."""
     rng = np.random.default_rng(11)
     far = [[1000.0, 0.5, 0.5], [2000.0, 1.0, 0.5], [3000.0, 0.5, 1.0]]
     pts = np.vstack([rng.uniform(0, 1, size=(39, 3)), far])
+    sizes = []
+    covariances = register._covariances
+
+    def counted(nb):
+        sizes.append(nb.shape[:2])
+        return covariances(nb)
+
+    monkeypatch.setattr(register, "_covariances", counted)
     cloud = estimate_normals(PointCloud(points=pts), k_neighbors=8)
+    # the short rows go through the one covariance path, in one group
+    assert (3, 1) in sizes
+    assert sum(m for m, _ in sizes) == len(pts)
     want, degenerate = brute_force_normals(pts, 8)
     assert cloud.degenerate.tolist() == [False] * 39 + [True] * 3
     assert not degenerate[:39].any()
@@ -599,17 +658,14 @@ def test_normals_reject_bad_k(k):
 def test_match_descriptors_identity():
     rng = np.random.default_rng(8)
     desc = rng.uniform(size=(100, 33))
-    pairs = match_descriptors(desc, desc, mutual=True)
+    pairs = match_descriptors(desc, desc)
     assert np.array_equal(pairs, np.column_stack([np.arange(100)] * 2))
 
 
 def test_match_descriptors_mutual_filters():
     a = np.array([[0.0], [1.0]])
     b = np.array([[0.1]])
-    mutual = match_descriptors(a, b, mutual=True)
-    assert mutual.tolist() == [[0, 0]]  # 1.0's hit is not reciprocated
-    non_mutual = match_descriptors(a, b, mutual=False)
-    assert len(non_mutual) == 2
+    assert match_descriptors(a, b).tolist() == [[0, 0]]  # 1.0's hit is not reciprocated
 
 
 def test_ransac_recovers_transform_with_outliers():
