@@ -312,6 +312,7 @@ def cmd_register(args, out_dir):
         "isolated_points": list(out.isolated_points),
         "degenerate_normals": list(out.degenerate_normals),
         "ransac_iterations": out.coarse.iterations,
+        "ransac_fits": out.coarse.fits,
         "ransac_inliers": out.coarse.n_inliers,
         "icp_iterations": out.icp.iterations,
         "icp_stop": out.icp.stop,

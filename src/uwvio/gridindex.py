@@ -21,6 +21,7 @@ per indexed point, 27 at reach 1, as int32 where they fit. Past
 large for int64 keys, the query scans instead.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -44,10 +45,15 @@ class GridIndex:
             raise ValueError("too many distinct cell coordinates for int64 keys")
         keys = self._key(*ranks)
         self._order = np.argsort(keys, kind="stable")
-        self._columns = self.points[self._order].T.copy()
         self._keys, self._starts, self._counts = np.unique(
             keys[self._order], return_index=True, return_counts=True)
         self._last_table = None     # (reach, table) of the last table built
+
+    @functools.cached_property
+    def _columns(self):
+        """The key-sorted points as (3, n) coordinate columns, built on the
+        first distance query: `cells` alone does not need them."""
+        return self.points[self._order].T.copy()
 
     def _cells(self, points):
         """Cell coordinates of indexed points; `UwvioError` unless every

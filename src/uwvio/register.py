@@ -4,7 +4,13 @@ ICP refinement, and fitness / inlier_rmse scoring.
 
 The global-registration step is a correspondence RANSAC with a closed-form
 3-point rigid fit and a final least-squares refit on the consensus set;
-it is deterministic under a fixed seed.
+it is deterministic under a fixed seed. A drawn triple is fitted only if
+each of its three edges keeps its length to within 2 * inlier_threshold
+between the two clouds (the edge-length check of Open3D's feature-based
+RANSAC and the tuple test of Zhou, Park and Koltun, "Fast Global
+Registration", ECCV 2016). Three pairs within the threshold of one rigid
+motion always pass, by the triangle inequality, so the check drops no
+all-inlier sample and the adaptive stop keeps its confidence.
 """
 
 from dataclasses import dataclass
@@ -426,8 +432,9 @@ def _nn_indices(a, b):
 @dataclass
 class RansacResult:
     transform: RigidTransform
-    iterations: int             # hypotheses evaluated
+    iterations: int             # hypotheses drawn, up to the stopping point
     n_inliers: int              # best consensus size
+    fits: int                   # of those, the ones that passed the edge check
 
 
 def robust_global_registration(correspondences, points_a, points_b,
@@ -439,6 +446,14 @@ def robust_global_registration(correspondences, points_a, points_b,
     block at a time but taken in order, as a one-at-a-time loop would: ties
     go to the earlier hypothesis, and the hypotheses of the last block past
     the stopping point are discarded. Deterministic under the seed.
+
+    Only the triples whose three edge lengths agree to within
+    2 * ``inlier_threshold`` (`_edges_agree`) are fitted and scored; the
+    others count 0 inliers, which never beats the best so far. If the three
+    pairs of a triple lie within the threshold of one rigid motion, each
+    edge's lengths differ by less than twice the threshold (triangle
+    inequality), so every all-inlier sample is still fitted and the number
+    of hypotheses drawn before the stop keeps its confidence bound.
     """
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     n = len(corr)
@@ -453,40 +468,48 @@ def robust_global_registration(correspondences, points_a, points_b,
     best_count = 0
     best_inliers = None
     limit = RANSAC_MAX_ITER
-    it = 0
+    it = fits = 0
     while it < limit:
         sample = _distinct_triples(rng, n, block)
-        R, t = rigid_fit(a[sample], b[sample])
-        # squared residual of every correspondence under every hypothesis,
-        # one axis at a time
-        resid2 = np.zeros((n, block))
-        for k in range(3):
-            e = a @ R[:, k, :].T
-            e += t[:, k]
-            e -= b[:, k, None]
-            e *= e
-            resid2 += e
-        inliers = resid2 < thr2
-        counts = np.count_nonzero(inliers, axis=0)
-        # only a count above every earlier one can become the best
-        before = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
+        pa, pb = a[sample], b[sample]
+        # only the triples that keep their edge lengths are fitted and
+        # scored; the others count 0, which never beats the best
+        fit = np.flatnonzero(_edges_agree(pa, pb, 2 * inlier_threshold))
         taken = 0
-        for j in np.flatnonzero(counts > before):
-            if it + j >= limit:
-                break
-            best_count = int(counts[j])
-            best_inliers = inliers[:, j]
-            taken = j + 1
-            ratio = best_count / n
-            if ratio >= 1.0:
-                limit = it + taken      # nothing can beat an all-inlier fit
-                break
-            # iterations needed to hit an all-inlier sample with the
-            # requested confidence
-            denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
-            needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
-            limit = min(needed, RANSAC_MAX_ITER)
-        it += min(block, max(taken, limit - it))
+        if fit.size:
+            R, t = rigid_fit(pa[fit], pb[fit])
+            # squared residual of every correspondence under every fitted
+            # hypothesis, one axis at a time
+            resid2 = np.zeros((n, fit.size))
+            for k in range(3):
+                e = a @ R[:, k, :].T
+                e += t[:, k]
+                e -= b[:, k, None]
+                e *= e
+                resid2 += e
+            inliers = resid2 < thr2
+            counts = np.count_nonzero(inliers, axis=0)
+            # only a count above every earlier one can become the best
+            before = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
+            for c in np.flatnonzero(counts > before):
+                j = fit[c]              # the hypothesis's place in the block
+                if it + j >= limit:
+                    break
+                best_count = int(counts[c])
+                best_inliers = inliers[:, c]
+                taken = j + 1
+                ratio = best_count / n
+                if ratio >= 1.0:
+                    limit = it + taken      # nothing can beat an all-inlier fit
+                    break
+                # iterations needed to hit an all-inlier sample with the
+                # requested confidence
+                denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
+                needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
+                limit = min(needed, RANSAC_MAX_ITER)
+        step = min(block, max(taken, limit - it))
+        fits += int(np.searchsorted(fit, step))
+        it += step
 
     minimum = max(3, int(np.ceil(MIN_INLIER_RATIO * n)))
     if best_inliers is None or best_count < minimum:
@@ -494,7 +517,17 @@ def robust_global_registration(correspondences, points_a, points_b,
             f"best consensus {best_count}/{n} below minimum {minimum}")
     R, t = rigid_fit(a[best_inliers], b[best_inliers])
     return RansacResult(transform=RigidTransform.from_matrix(R, t),
-                        iterations=it, n_inliers=best_count)
+                        iterations=int(it), n_inliers=best_count, fits=fits)
+
+
+def _edges_agree(pa, pb, tol):
+    """Mask of the triples whose three edges, (0, 1), (1, 2) and (2, 0),
+    differ in length by less than ``tol`` between the (m, 3, 3) point
+    triples ``pa`` and their matches ``pb``."""
+    def lengths(p):
+        e = p - p[:, [1, 2, 0]]
+        return np.sqrt(np.einsum("ijk,ijk->ij", e, e))
+    return (np.abs(lengths(pa) - lengths(pb)) < tol).all(axis=1)
 
 
 def _distinct_triples(rng, n, m):

@@ -440,6 +440,7 @@ def test_register_subcommand(tmp_path):
     assert register.MIN_INLIER_RATIO * n <= inliers <= n
     needed = np.log(1 - register.RANSAC_CONFIDENCE) / np.log1p(-(inliers / n) ** 3)
     assert np.ceil(needed) <= report["ransac_iterations"] <= register.RANSAC_MAX_ITER
+    assert 1 <= report["ransac_fits"] <= report["ransac_iterations"]
     assert 1 <= report["icp_iterations"] <= register.ICP_MAX_ITER
     assert report["icp_stop"] in ("tolerance", "rmse_rise", "max_iter")
     assert (out / "aligned_source.ply").exists()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -787,19 +789,16 @@ def test_ransac_blocks_match_one_hypothesis_at_a_time(monkeypatch):
     _check_blocks_against_one_at_a_time(res, a, b, thr, np.concatenate(drawn))
 
 
-@pytest.mark.parametrize("late, want", [(253, (253, 60)), (100, (101, 100))],
-                         ids=["at-the-limit", "past-the-new-limit"])
-def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
-    """Hypothesis 0 holds 60 of 200 pairs, which asks for 253 hypotheses;
-    the one at `late` holds 100. At 253 it is not evaluated. At 100 it is
-    taken, and its own limit of 52 has already passed."""
+def _crafted_stream(monkeypatch, late):
+    """A pair of 200 correspondences and a hypothesis stream in place of
+    the drawn one: hypothesis 0 holds the 60 pairs of one motion, the one
+    at `late` the 100 of another, and every other joins three outliers."""
     rng = np.random.default_rng(24)
-    n, thr = 200, 0.01
+    n = 200
     a = rng.uniform(-5, 5, size=(n, 3))
     b = rng.uniform(-5, 5, size=(n, 3))
     b[:60] = a[:60] + [1.0, 0.0, 0.0]
     b[60:160] = a[60:160] @ rotation_about_z(1.0).T
-    # the other hypotheses join three outliers each
     samples = np.array([rng.permutation(np.arange(160, n))[:3] for _ in range(600)])
     samples[0], samples[late] = [0, 1, 2], [60, 61, 62]
     stream = iter(samples.reshape(-1, 1, 3))
@@ -808,9 +807,66 @@ def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
         return np.concatenate([next(stream) for _ in range(m)])
 
     monkeypatch.setattr(register, "_distinct_triples", crafted)
-    corr = np.column_stack([np.arange(n)] * 2)
-    res = robust_global_registration(corr, a, b, inlier_threshold=thr)
-    assert _check_blocks_against_one_at_a_time(res, a, b, thr, samples) == want
+    return a, b, samples
+
+
+@pytest.mark.parametrize("late, want", [(253, (253, 60)), (100, (101, 100))],
+                         ids=["at-the-limit", "past-the-new-limit"])
+def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
+    """Hypothesis 0 holds 60 of 200 pairs, which asks for 253 hypotheses;
+    the one at `late` holds 100. At 253 it is not evaluated. At 100 it is
+    taken, and its own limit of 52 has already passed."""
+    a, b, samples = _crafted_stream(monkeypatch, late)
+    corr = np.column_stack([np.arange(len(a))] * 2)
+    res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
+    assert _check_blocks_against_one_at_a_time(res, a, b, 0.01, samples) == want
+
+
+@pytest.mark.parametrize("late, want", [(253, (253, 60, 1)), (100, (101, 100, 2))],
+                         ids=["at-the-limit", "past-the-new-limit"])
+def test_ransac_fits_only_triples_that_keep_their_edges(monkeypatch, late, want):
+    """The triples of three outliers fail the edge check and never reach
+    `rigid_fit`; the two that hold a motion are fitted, in one block or
+    two. `fits` counts only those up to the stopping point."""
+    a, b, samples = _crafted_stream(monkeypatch, late)
+    stacked = []
+
+    def recording(src, dst):
+        if np.ndim(src) == 3:       # a block's hypotheses, not the final refit
+            stacked.append(np.array(src))
+        return rigid_fit(src, dst)
+
+    monkeypatch.setattr(register, "rigid_fit", recording)
+    corr = np.column_stack([np.arange(len(a))] * 2)
+    res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
+    assert (res.iterations, res.n_inliers, res.fits) == want
+    assert np.array_equal(np.concatenate(stacked), a[samples[[0, late]]])
+
+
+def test_edges_agree_keeps_every_all_inlier_triple():
+    """Pairs within the threshold of one rigid motion keep each edge's
+    length to within twice the threshold, so no triple of them fails."""
+    rng = np.random.default_rng(25)
+    thr = 0.1
+    a = rng.uniform(-5, 5, size=(40, 3))
+    R, t = random_rotation(rng), rng.normal(size=3)
+    r = rng.normal(size=(40, 3))
+    r *= thr * (1 - 1e-9) / np.linalg.norm(r, axis=1, keepdims=True)
+    b = a @ R.T + t + r
+    assert np.all(np.sum((a @ R.T + t - b) ** 2, axis=1) < thr * thr)
+    triples = np.array(list(itertools.combinations(range(40), 3)))
+    assert register._edges_agree(a[triples], b[triples], 2 * thr).all()
+    # the worst case: points on a line, residuals alternating along it,
+    # so every edge between neighbours stretches by almost 2 * thr
+    line = np.outer(np.arange(40.0), [1.0, 0.0, 0.0])
+    along = line + np.outer((-1.0) ** np.arange(40), [thr * (1 - 1e-9), 0.0, 0.0])
+    assert register._edges_agree(line[triples], along[triples], 2 * thr).all()
+    # one edge longer by just over or just under 2 * thr
+    tri = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    for stretch, agree in ((1 + 1e-9, False), (1 - 1e-9, True)):
+        moved = tri.copy()
+        moved[0, 1, 0] += 2 * thr * stretch
+        assert register._edges_agree(tri, moved, 2 * thr).tolist() == [agree]
 
 
 def test_icp_converges_from_small_offset():
