@@ -22,6 +22,9 @@ POINTS_PER_DECADE = 30
 # cluster differences formed per block of this many samples: the block and
 # the three prefix-sum slices it is formed from stay in a 2 MB L2 cache
 BLOCK = 65536
+# samples per dot product of a block's sum of squares: OpenBLAS splits a
+# longer ddot across threads, so its bits would follow the thread count
+DOT = 8192
 
 # default log-log fit windows in seconds; (low, high); None = data limit
 WHITE_WINDOW = (None, 1.0)
@@ -95,7 +98,8 @@ def allan_deviation(samples, rate, taus=None):
                 np.multiply(csum[lo + m:][:d.size], 2, out=d)
                 np.subtract(csum[lo + 2 * m:][:d.size], d, out=d)
                 np.add(d, csum[lo:][:d.size], out=d)
-                ssq += np.dot(d, d)
+                for s in range(0, d.size, DOT):
+                    ssq += np.dot(d[s:s + DOT], d[s:s + DOT])
             adev[i, axis] = np.sqrt(ssq / (2.0 * m * m * (n - 2 * m)))
     return AllanCurve(taus=ms / rate, adev=adev, rate=rate, n_samples=n)
 

@@ -400,33 +400,41 @@ def match_descriptors(desc_a, desc_b):
     """Mutual nearest-neighbor correspondences in descriptor space (L2).
 
     Returns an (m, 2) array of the (index_a, index_b) pairs that are each
-    other's nearest neighbors.
+    other's nearest neighbors; ties go to the lower index. One distance
+    matrix, |a|^2 - 2 a.b + |b|^2, serves both directions: its row minima
+    are the a→b matches and its column minima the b→a ones. Descriptors
+    must be finite.
     """
     a = np.asarray(desc_a.values if hasattr(desc_a, "values") else desc_a, dtype=float)
     b = np.asarray(desc_b.values if hasattr(desc_b, "values") else desc_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise UwvioError("empty descriptor set")
-    fwd = _nn_indices(a, b)
-    bwd = _nn_indices(b, a)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise UwvioError("descriptors must be finite")
+    a_sq = np.sum(a * a, axis=1)
+    b_sq = np.sum(b * b, axis=1)
+    fwd = np.empty(len(a), dtype=int)
+    col_best = np.full(len(b), np.inf)
+    bwd = np.zeros(len(b), dtype=int)
+    rows = max(1, _CHUNK // len(b))     # rows per piece of a block
+    for start in range(0, len(a), MATCH_CHUNK):
+        # doubling a is exact: the bits of (a @ b.T) * 2
+        block = (2.0 * a[start:start + MATCH_CHUNK]) @ b.T
+        for s in range(0, len(block), rows):
+            lo = start + s
+            d2 = block[s:s + rows]
+            np.subtract(a_sq[lo:lo + len(d2), None], d2, out=d2)
+            d2 += b_sq
+            fwd[lo:lo + len(d2)] = np.argmin(d2, axis=1)
+            # running column minimum: a strict < keeps the lower index
+            col = d2.min(axis=0)
+            better = np.flatnonzero(col < col_best)
+            if better.size:
+                col_best[better] = col[better]
+                bwd[better] = lo + np.argmin(d2[:, better], axis=0)
     idx_a = np.arange(len(a))
     keep = bwd[fwd] == idx_a
     return np.column_stack([idx_a[keep], fwd[keep]])
-
-
-def _nn_indices(a, b):
-    """Index of the L2-nearest row of b for every row of a."""
-    a_sq = np.sum(a * a, axis=1)
-    b_sq = np.sum(b * b, axis=1)
-    out = np.empty(len(a), dtype=int)
-    for start in range(0, len(a), MATCH_CHUNK):
-        block = slice(start, start + MATCH_CHUNK)
-        # |a|^2 - 2 a.b + |b|^2 in one buffer
-        d2 = a[block] @ b.T
-        d2 *= 2.0
-        np.subtract(a_sq[block, None], d2, out=d2)
-        d2 += b_sq
-        out[block] = np.argmin(d2, axis=1)
-    return out
 
 
 @dataclass
@@ -442,18 +450,20 @@ def robust_global_registration(correspondences, points_a, points_b,
     """Consensus-maximizing rigid transform over putative correspondences.
 
     RANSAC with a 3-point closed-form rigid fit and a final least-squares
-    refit on the consensus set. Hypotheses are drawn, fitted and scored a
-    block at a time but taken in order, as a one-at-a-time loop would: ties
-    go to the earlier hypothesis, and the hypotheses of the last block past
-    the stopping point are discarded. Deterministic under the seed.
+    refit on the consensus set. Hypotheses are drawn a run at a time, up
+    to the stopping point as it stands, but taken in order, as a
+    one-at-a-time loop would: ties go to the earlier hypothesis, and the
+    hypotheses of a run past a stopping point that moved closer are
+    discarded. Deterministic under the seed.
 
     Only the triples whose three edge lengths agree to within
-    2 * ``inlier_threshold`` (`_edges_agree`) are fitted and scored; the
-    others count 0 inliers, which never beats the best so far. If the three
-    pairs of a triple lie within the threshold of one rigid motion, each
-    edge's lengths differ by less than twice the threshold (triangle
-    inequality), so every all-inlier sample is still fitted and the number
-    of hypotheses drawn before the stop keeps its confidence bound.
+    2 * ``inlier_threshold`` (`_edges_agree`) are fitted and scored, a
+    block of them at a time; the others count 0 inliers, which never beats
+    the best so far. If the three pairs of a triple lie within the
+    threshold of one rigid motion, each edge's lengths differ by less than
+    twice the threshold (triangle inequality), so every all-inlier sample
+    is still fitted and the number of hypotheses drawn before the stop
+    keeps its confidence bound.
     """
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     n = len(corr)
@@ -463,24 +473,28 @@ def robust_global_registration(correspondences, points_a, points_b,
     b = np.asarray(points_b, dtype=float)[corr[:, 1]]
     rng = np.random.default_rng(seed)
     thr2 = inlier_threshold * inlier_threshold
-    block = max(1, _CHUNK // n)     # hypotheses per block: (n, block) temporaries
+    run = _CHUNK // 9               # hypotheses per draw: (run, 3, 3) triples
+    block = max(1, _CHUNK // n)     # fitted hypotheses per block: (n, block) temporaries
 
     best_count = 0
     best_inliers = None
     limit = RANSAC_MAX_ITER
     it = fits = 0
     while it < limit:
-        sample = _distinct_triples(rng, n, block)
+        sample = _distinct_triples(rng, n, min(run, limit - it))
         pa, pb = a[sample], b[sample]
         # only the triples that keep their edge lengths are fitted and
         # scored; the others count 0, which never beats the best
         fit = np.flatnonzero(_edges_agree(pa, pb, 2 * inlier_threshold))
         taken = 0
-        if fit.size:
-            R, t = rigid_fit(pa[fit], pb[fit])
+        for s in range(0, fit.size, block):
+            f = fit[s:s + block]
+            if it + f[0] >= limit:
+                break
+            R, t = rigid_fit(pa[f], pb[f])
             # squared residual of every correspondence under every fitted
             # hypothesis, one axis at a time
-            resid2 = np.zeros((n, fit.size))
+            resid2 = np.zeros((n, f.size))
             for k in range(3):
                 e = a @ R[:, k, :].T
                 e += t[:, k]
@@ -492,7 +506,7 @@ def robust_global_registration(correspondences, points_a, points_b,
             # only a count above every earlier one can become the best
             before = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
             for c in np.flatnonzero(counts > before):
-                j = fit[c]              # the hypothesis's place in the block
+                j = f[c]                # the hypothesis's place in the run
                 if it + j >= limit:
                     break
                 best_count = int(counts[c])
@@ -507,7 +521,7 @@ def robust_global_registration(correspondences, points_a, points_b,
                 denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
                 needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
                 limit = min(needed, RANSAC_MAX_ITER)
-        step = min(block, max(taken, limit - it))
+        step = max(taken, min(len(sample), limit - it))
         fits += int(np.searchsorted(fit, step))
         it += step
 

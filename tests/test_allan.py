@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uwvio
 from uwvio.allan import (BLOCK, AllanCurve, allan_deviation, default_taus,
                          export_curve_csv, fit_noise_params,
                          simulate_imu_noise)
@@ -48,6 +54,23 @@ def test_matches_prefix_sum_kernel_across_blocks():
     curve = allan_deviation(x, rate, taus=ms / rate)
     assert np.array_equal(np.rint(curve.taus * rate), ms)
     np.testing.assert_allclose(curve.adev, prefix_sum_adev(x, ms), rtol=1e-12, atol=0)
+
+
+def test_same_bits_on_one_blas_thread():
+    """A block's sum of squares is taken in dot products short enough that
+    OpenBLAS runs each on one thread, so the curve's bits do not depend on
+    OPENBLAS_NUM_THREADS."""
+    x = simulate_imu_noise(2e-3, 1e-3, 200.0, 3 * BLOCK / 200.0, seed=5)
+    code = ("import sys, numpy as np\n"
+            "from uwvio.allan import allan_deviation\n"
+            "x = np.frombuffer(sys.stdin.buffer.read())\n"
+            "sys.stdout.buffer.write(allan_deviation(x, 200.0).adev.tobytes())\n")
+    src = str(Path(uwvio.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], input=x.tobytes(), env=env,
+                           check=True, capture_output=True)
+    assert child.stdout == allan_deviation(x, 200.0).adev.tobytes()
 
 
 def test_matches_direct_estimator():

@@ -670,6 +670,71 @@ def test_match_descriptors_mutual_filters():
     assert match_descriptors(a, b).tolist() == [[0, 0]]  # 1.0's hit is not reciprocated
 
 
+def _two_pass_matches(a, b):
+    """The matcher that `match_descriptors` replaced: one pass of blocked
+    GEMMs a→b, a second b→a, and the pairs that agree."""
+    def nearest(a, b):
+        a_sq, b_sq = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+        out = np.empty(len(a), dtype=int)
+        for start in range(0, len(a), register.MATCH_CHUNK):
+            block = slice(start, start + register.MATCH_CHUNK)
+            d2 = a[block] @ b.T
+            d2 *= 2.0
+            np.subtract(a_sq[block, None], d2, out=d2)
+            d2 += b_sq
+            out[block] = np.argmin(d2, axis=1)
+        return out
+    fwd, bwd = nearest(a, b), nearest(b, a)
+    keep = bwd[fwd] == np.arange(len(a))
+    return np.column_stack([np.flatnonzero(keep), fwd[keep]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_match_descriptors_equal_two_pass_on_scenes(seed):
+    """The forward matches keep their bits, and the backward ones, taken
+    from the same distances, agree with the b→a pass on FPFH of scene
+    pairs, whose nearest descriptors have no near-ties."""
+    scene = structured_scene(n_points=4000, extent=6.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    desc = []
+    for part in (scene[scene[:, 0] <= 3.5], scene[scene[:, 0] >= 2.0]):
+        part = part + rng.normal(size=part.shape) * 0.01
+        cloud = estimate_normals(voxel_downsample(PointCloud(points=part), 0.15))
+        desc.append(compute_fpfh(cloud, 0.75).values)
+    assert len(desc[0]) > register.MATCH_CHUNK
+    pairs = match_descriptors(*desc)
+    assert len(pairs) > 50
+    assert np.array_equal(pairs, _two_pass_matches(*desc))
+
+
+@pytest.mark.parametrize("chunk", [1, 700, register._CHUNK])
+def test_match_descriptors_equal_two_pass_with_exact_ties(chunk, monkeypatch):
+    """Small integers make every distance exact, so rows and columns tie;
+    each tie goes to the lowest index, across pieces and blocks too.
+    All-zero rows stand for isolated points."""
+    monkeypatch.setattr(register, "_CHUNK", chunk)
+    rng = np.random.default_rng(26)
+    for n_a, n_b, dim in ((600, 300, 3), (300, 600, 2), (257, 40, 33)):
+        a = rng.integers(0, 3, size=(n_a, dim)).astype(float)
+        b = rng.integers(0, 3, size=(n_b, dim)).astype(float)
+        a[::7] = 0.0
+        b[::5] = 0.0
+        b[1::9] = a[:len(b[1::9])]      # exact duplicates across the sets
+        assert np.array_equal(match_descriptors(a, b), _two_pass_matches(a, b))
+    # every row equal: only the two first rows match
+    assert match_descriptors(np.zeros((300, 4)), np.zeros((50, 4))).tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("side, bad", [(0, np.nan), (1, np.inf), (1, -np.inf)])
+def test_match_descriptors_rejects_non_finite(side, bad):
+    rng = np.random.default_rng(27)
+    desc = [rng.uniform(size=(5, 4)), rng.uniform(size=(6, 4))]
+    desc[side][2, 1] = bad
+    with pytest.raises(UwvioError, match="^descriptors must be finite$") as exc:
+        match_descriptors(*desc)
+    assert exc.value.exit_code == 1
+
+
 def test_ransac_recovers_transform_with_outliers():
     rng = np.random.default_rng(9)
     n = 200
@@ -741,6 +806,17 @@ def test_distinct_triples():
     assert np.all(np.abs(np.bincount(s[:, 2], minlength=5) / 50_000 - 0.2) < 0.01)
 
 
+@pytest.mark.parametrize("n", [3, 4, 680])
+def test_distinct_triples_split_draws_equal_one(n):
+    """A run of m1 + m2 triples is the run of m1 followed by that of m2:
+    the bounded integers come element by element, so RANSAC's hypothesis
+    stream does not depend on how many are drawn at once."""
+    whole = register._distinct_triples(np.random.default_rng(28), n, 1000)
+    rng = np.random.default_rng(28)
+    parts = [register._distinct_triples(rng, n, m) for m in (1, 363, 636)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
 def _one_at_a_time(a, b, thr, samples):
     """Iterations, best count and best inlier mask of a RANSAC loop that
     fits and scores the given hypotheses one by one."""
@@ -770,11 +846,24 @@ def _check_blocks_against_one_at_a_time(res, a, b, thr, samples):
 
 
 def test_ransac_blocks_match_one_hypothesis_at_a_time(monkeypatch):
+    _check_runs_against_one_at_a_time(monkeypatch, 150, 9 * 40)
+
+
+@pytest.mark.parametrize("n_bad, chunk", [(150, 9 * 300), (80, 9 * 10)])
+def test_ransac_runs_of_several_blocks_match_one_at_a_time(n_bad, chunk, monkeypatch):
+    # with 80 outliers a run holds several blocks of fitted hypotheses
+    _check_runs_against_one_at_a_time(monkeypatch, n_bad, chunk)
+
+
+def _check_runs_against_one_at_a_time(monkeypatch, n_bad, chunk):
+    """RANSAC drawing runs of chunk // 9 hypotheses, fitted
+    max(1, chunk // 200) at a time, against the one-at-a-time loop."""
+    monkeypatch.setattr(register, "_CHUNK", chunk)
     rng = np.random.default_rng(23)
     n, thr = 200, 0.1
     a = rng.uniform(-5, 5, size=(n, 3))
     b = a + [1.0, 0.0, 0.0] + rng.normal(size=(n, 3)) * 0.05
-    b[:150] = rng.uniform(-5, 5, size=(150, 3))
+    b[:n_bad] = rng.uniform(-5, 5, size=(n_bad, 3))
     drawn = []
 
     def recording(rng, n, m):
@@ -799,7 +888,9 @@ def _crafted_stream(monkeypatch, late):
     b = rng.uniform(-5, 5, size=(n, 3))
     b[:60] = a[:60] + [1.0, 0.0, 0.0]
     b[60:160] = a[60:160] @ rotation_about_z(1.0).T
-    samples = np.array([rng.permutation(np.arange(160, n))[:3] for _ in range(600)])
+    # enough for one full run of hypotheses
+    samples = np.array([rng.permutation(np.arange(160, n))[:3]
+                        for _ in range(register._CHUNK // 9)])
     samples[0], samples[late] = [0, 1, 2], [60, 61, 62]
     stream = iter(samples.reshape(-1, 1, 3))
 
@@ -826,8 +917,8 @@ def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
                          ids=["at-the-limit", "past-the-new-limit"])
 def test_ransac_fits_only_triples_that_keep_their_edges(monkeypatch, late, want):
     """The triples of three outliers fail the edge check and never reach
-    `rigid_fit`; the two that hold a motion are fitted, in one block or
-    two. `fits` counts only those up to the stopping point."""
+    `rigid_fit`; the two that hold a motion are fitted, in one block.
+    `fits` counts only those up to the stopping point."""
     a, b, samples = _crafted_stream(monkeypatch, late)
     stacked = []
 
@@ -841,6 +932,28 @@ def test_ransac_fits_only_triples_that_keep_their_edges(monkeypatch, late, want)
     res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
     assert (res.iterations, res.n_inliers, res.fits) == want
     assert np.array_equal(np.concatenate(stacked), a[samples[[0, late]]])
+
+
+def test_ransac_best_carries_across_blocks_of_a_run(monkeypatch):
+    """Hypotheses 0, 5 and 9 hold motions of 60, 100 and 80 of 300 pairs,
+    each fitted in a block of its own within one run: the 80-pair motion,
+    which beats the best of the run's start, is not taken."""
+    monkeypatch.setattr(register, "_CHUNK", 9 * 20)     # runs of 20, blocks of 1
+    rng = np.random.default_rng(29)
+    n = 300
+    a = rng.uniform(-5, 5, size=(n, 3))
+    b = rng.uniform(-5, 5, size=(n, 3))
+    b[:60] = a[:60] + [1.0, 0.0, 0.0]
+    b[60:160] = a[60:160] @ rotation_about_z(1.0).T
+    b[160:240] = a[160:240] @ rotation_about_z(-1.0).T
+    samples = np.array([rng.permutation(np.arange(240, n))[:3] for _ in range(400)])
+    samples[[0, 5, 9]] = [0, 1, 2], [60, 61, 62], [160, 161, 162]
+    stream = iter(samples)
+    monkeypatch.setattr(register, "_distinct_triples",
+                        lambda rng, n, m: np.array([next(stream) for _ in range(m)]))
+    corr = np.column_stack([np.arange(n)] * 2)
+    res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
+    assert _check_blocks_against_one_at_a_time(res, a, b, 0.01, samples)[1] == 100
 
 
 def test_edges_agree_keeps_every_all_inlier_triple():
