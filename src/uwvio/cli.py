@@ -135,9 +135,10 @@ def cmd_extract(args, out_dir):
     imu_csv = out_dir / "imu.csv"
     frames_csv = out_dir / "frames.csv"
     manifest = out_dir / "manifest.txt"
-    sync.export_imu_csv(dataset, imu_csv)
+    sidecar = sync.export_imu_csv(dataset, imu_csv)
     sync.export_frames_csv(dataset, frames_csv)
     sync.export_manifest(dataset, manifest)
+    written = [p for p in (imu_csv, sidecar, frames_csv, manifest) if p]
     summary = {
         "payloads": len(payloads),
         "imu_samples": int(dataset.meta["n_imu_samples"]),
@@ -145,20 +146,20 @@ def cmd_extract(args, out_dir):
         "frames": int(dataset.meta["n_frames"]),
         "duration_s": round(float(dataset.meta["duration_s"]), 6),
         "axis_order": axis_order,
-        "files": [imu_csv.name, frames_csv.name, manifest.name],
+        "files": [p.name for p in written],
     }
     print(f"payloads: {summary['payloads']}")
     print(f"imu samples: {summary['imu_samples']} "
           f"(~{summary['imu_rate_hz']} Hz)")
     print(f"frames: {summary['frames']}")
-    print(f"wrote {imu_csv}, {frames_csv}, {manifest}")
+    print(f"wrote {', '.join(map(str, written))}")
     return "extract_report.json", summary
 
 
 def cmd_allan(args, out_dir):
     white_hi = _resolve(args, "white-window-max")
     walk_lo = _resolve(args, "walk-window-min")
-    t, series = sync.load_imu_csv(args.imu_csv, args.sensor)
+    t, series, source = sync.load_imu_csv(args.imu_csv, args.sensor)
     if len(t) < 2:
         raise UwvioError("IMU log holds fewer than 2 samples")
     rate = 1.0 / float(np.median(np.diff(t)))
@@ -176,6 +177,7 @@ def cmd_allan(args, out_dir):
     allan_mod.export_curve_csv(curve, curve_csv)
     report = {
         "sensor": args.sensor,
+        "source": source,
         "rate_hz": round(rate, 3),
         "n_samples": curve.n_samples,
         "sigma_w": params.sigma_w,

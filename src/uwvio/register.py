@@ -403,7 +403,7 @@ def match_descriptors(desc_a, desc_b):
     other's nearest neighbors; ties go to the lower index. One distance
     matrix, |a|^2 - 2 a.b + |b|^2, serves both directions: its row minima
     are the a→b matches and its column minima the b→a ones. Descriptors
-    must be finite.
+    must be finite, and small enough that no distance term overflows.
     """
     a = np.asarray(desc_a.values if hasattr(desc_a, "values") else desc_a, dtype=float)
     b = np.asarray(desc_b.values if hasattr(desc_b, "values") else desc_b, dtype=float)
@@ -411,8 +411,14 @@ def match_descriptors(desc_a, desc_b):
         raise UwvioError("empty descriptor set")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise UwvioError("descriptors must be finite")
-    a_sq = np.sum(a * a, axis=1)
-    b_sq = np.sum(b * b, axis=1)
+    with np.errstate(over="ignore"):
+        a_sq = np.sum(a * a, axis=1)
+        b_sq = np.sum(b * b, axis=1)
+        # 2 a.b, |a|^2 - 2 a.b and the distance all stay within
+        # 2 (max |a|^2 + max |b|^2); twice that leaves room for rounding
+        fits = np.isfinite(4.0 * (a_sq.max() + b_sq.max()))
+    if not fits:
+        raise UwvioError("descriptor squared norms overflow")
     fwd = np.empty(len(a), dtype=int)
     col_best = np.full(len(b), np.inf)
     bwd = np.zeros(len(b), dtype=int)

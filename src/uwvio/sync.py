@@ -8,8 +8,10 @@ IMU clock and the gyroscope is linearly resampled onto it when
 per-payload counts differ.
 """
 
+import os
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +28,12 @@ COUNT_TOLERANCE = 2
 
 # rows formatted and written per block by the CSV exporters
 CHUNK_ROWS = 16384
+
+# bytes of the shortest IMU CSV row, "0,0,0,0,0,0,0\n": a CSV of s bytes
+# holds at most s // 14 rows
+MIN_ROW_BYTES = 14
+# rows of the largest sidecar record: numpy sizes a dtype with a C int
+SIDECAR_MAX_ROWS = (2**31 - 1 - 32) // 56
 
 
 @dataclass
@@ -182,11 +190,54 @@ def _write_rows(path, header, n_rows, columns):
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def imu_sidecar(path):
+    """Path of the sidecar that `export_imu_csv` writes beside the IMU CSV
+    at ``path``."""
+    return Path(f"{os.fspath(path)}.npy")
+
+
+def _sidecar_dtype(n):
+    """The sidecar's one record: the CSV's sha256, then its ``n`` rows'
+    columns, 56 bytes a row."""
+    return np.dtype([("sha256", np.uint8, (32,)), ("t", "<f8", (n,)),
+                     ("accel", "<f8", (n, 3)), ("gyro", "<f8", (n, 3))])
+
+
+def _sha256(path):
+    """sha256 digest of the file at ``path``, read in 1 MB pieces."""
+    import hashlib      # 2.8 ms to import, which `import uwvio.cli` does not pay
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for piece in iter(lambda: f.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.digest()
+
+
 def export_imu_csv(dataset, path):
+    """The IMU CSV at ``path``, and beside it its sidecar (`imu_sidecar`):
+    one record of the CSV's sha256 and its columns as `load_imu_csv` parses
+    them, so that reading them back costs a hash instead of a parse. The
+    ``t`` cells are the ``%.9f`` strings parsed back; the sample cells
+    round-trip the dataset's values. Returns the sidecar's path, or None
+    for a dataset of more than `SIDECAR_MAX_ROWS` rows, which gets none."""
+    t = np.empty(len(dataset.imu_t))
+
     def columns(rows):
+        times = _times(dataset.imu_t[rows])
+        t[rows] = np.array(times, dtype=float)
         values = _fmt_cells(np.hstack([dataset.accel[rows], dataset.gyro[rows]]))
-        return [_times(dataset.imu_t[rows]), *values.T.tolist()]
-    _write_rows(path, IMU_CSV_HEADER, len(dataset.imu_t), columns)
+        return [times, *values.T.tolist()]
+    _write_rows(path, IMU_CSV_HEADER, len(t), columns)
+    sidecar = imu_sidecar(path)
+    if len(t) > SIDECAR_MAX_ROWS:
+        sidecar.unlink(missing_ok=True)
+        return None
+    record = np.empty((), _sidecar_dtype(len(t)))
+    record["sha256"] = np.frombuffer(_sha256(path), dtype=np.uint8)
+    record["t"], record["accel"], record["gyro"] = t, dataset.accel, dataset.gyro
+    with open(sidecar, "wb") as f:
+        np.save(f, record)
+    return sidecar
 
 
 def export_frames_csv(dataset, path):
@@ -196,9 +247,46 @@ def export_frames_csv(dataset, path):
     _write_rows(path, FRAMES_CSV_HEADER, len(dataset.frame_t), columns)
 
 
+def _read_sidecar(path, sensor):
+    """``t`` and the ``sensor`` samples of the IMU CSV at ``path`` from its
+    sidecar, or None when it has none or it is passed over. A sidecar is
+    used only while it is one well-formed record of at most as many rows
+    as the CSV's size can hold, its digest is the CSV's sha256, and its
+    columns pass the checks of a parse; any other sidecar is passed over
+    with a warning. Its header sizes nothing that is allocated: the record
+    is memory-mapped."""
+    sidecar = imu_sidecar(path)
+    if not sidecar.exists():
+        return None
+    max_rows = os.path.getsize(path) // MIN_ROW_BYTES
+    try:
+        record = np.lib.format.open_memmap(sidecar, mode="r")
+        n = record.dtype["t"].shape[0]
+        if not (record.shape == () and record.dtype == _sidecar_dtype(n)
+                and record.offset + record.nbytes == sidecar.stat().st_size
+                and n <= max_rows):
+            problem = "malformed, or more rows than the CSV can hold"
+        elif record["sha256"].tobytes() != _sha256(path):
+            problem = "stale: its digest is not the CSV's sha256"
+        else:
+            t, samples = np.array(record["t"]), np.array(record[sensor])
+            if np.isfinite(t).all() and np.isfinite(samples).all() and np.all(np.diff(t) > 0):
+                return t, samples
+            problem = "columns not finite or not strictly increasing"
+    # numpy's header parser raises ValueError, tokenize.TokenError,
+    # RecursionError or MemoryError on crafted headers; whatever it raises,
+    # the sidecar is only unreadable
+    except Exception as exc:
+        problem = f"unreadable ({type(exc).__name__}: {exc})"
+    warnings.warn(f"{sidecar}: {problem}; parsed {path} instead")
+    return None
+
+
 def load_imu_csv(path, sensor):
     """The timestamps ``t`` and the ``(n, 3)`` samples of ``sensor``
-    (``"accel"`` or ``"gyro"``) of an exported IMU CSV.
+    (``"accel"`` or ``"gyro"``) of an exported IMU CSV, and where they came
+    from: ``"sidecar"`` when the sidecar `export_imu_csv` wrote beside the
+    CSV still matches it (see `_read_sidecar`), else ``"csv"``.
 
     Every line must hold all 7 fields, but only ``t`` and the three cells
     of ``sensor`` are parsed and checked: the other sensor's cells are read
@@ -206,12 +294,15 @@ def load_imu_csv(path, sensor):
     timestamps must strictly increase."""
     if sensor not in IMU_SENSORS:
         raise ValueError(f"unknown IMU sensor {sensor!r}")
+    columns = _read_sidecar(path, sensor)
+    if columns is not None:
+        return (*columns, "sidecar")
     row = np.dtype([("t", float)] + [(name, float if name == sensor else "U1", 3)
                                      for name in IMU_SENSORS])
     t, *series = read_table(path, row, delimiter=",", header="t,")
     if np.any(np.diff(t) <= 0):
         raise InputError(f"{path}: IMU timestamps must be strictly increasing")
-    return t, series[IMU_SENSORS.index(sensor)]
+    return t, series[IMU_SENSORS.index(sensor)], "csv"
 
 
 def export_manifest(dataset, path):

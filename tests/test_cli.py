@@ -151,6 +151,49 @@ def test_allan_reads_only_its_sensor(tmp_path, capsys, bad, other, cell, error):
     assert capsys.readouterr().err.startswith(f"error: {csv}:6: {error}")
 
 
+def test_allan_on_extract_output_with_and_without_sidecar(tmp_path, capsys):
+    """`allan` on what `extract` wrote reads the sidecar, and gives the
+    bytes that parsing the CSV gives; a stale or unreadable sidecar is
+    passed over with a warning and no traceback."""
+    mp4_path = fixtures.fixture_mp4(tmp_path / "f.mp4", n_payloads=600, accel_count=20,
+                                    gyro_count=20, shut_count=2)
+    out = tmp_path / "out"
+    assert run(["-q", "--out-dir", out, "extract", mp4_path]) == 0
+    assert read_json(out / "extract_report.json")["files"] == [
+        "imu.csv", "imu.csv.npy", "frames.csv", "manifest.txt"]
+    csv, sidecar = out / "imu.csv", out / "imu.csv.npy"
+    good = sidecar.read_bytes()
+    last_t = len(good) - 48 * 12000     # the end of the t column: accel and gyro follow
+    short = "only 10 min of data; noise fits below 1 h are unreliable"
+    cases = [("sidecar", good, []),
+             ("csv", None, []),
+             ("csv", good[:-8], [f"{sidecar}: unreadable (ValueError: mmap length is "
+                                 f"greater than file size); parsed {csv} instead"]),
+             ("csv", good[:last_t - 8] + bytes(8) + good[last_t:],   # the last t set to 0
+              [f"{sidecar}: columns not finite or not strictly increasing; "
+               f"parsed {csv} instead"])]
+    for sensor in sync.IMU_SENSORS:
+        blobs = []
+        for i, (source, data, warned) in enumerate(cases):
+            if data is None:
+                sidecar.unlink(missing_ok=True)
+            else:
+                sidecar.write_bytes(data)
+            run_dir = tmp_path / f"{sensor}{i}"
+            assert run(["--out-dir", run_dir, "allan", csv, "--sensor", sensor,
+                        "--walk-window-min", "30"]) == 0
+            report = read_json(run_dir / f"allan_{sensor}_report.json")
+            assert report["source"] == source
+            assert report["warnings"] == warned + [short]
+            assert "Traceback" not in capsys.readouterr().err
+            text = (run_dir / f"allan_{sensor}_report.json").read_text()
+            text = text.replace(f'"source": "{source}"', '"source": ""')
+            for warning in warned:
+                text = text.replace(f"    {json.dumps(warning)},\n", "")
+            blobs.append((text, (run_dir / f"allan_{sensor}.csv").read_bytes()))
+        assert blobs.count(blobs[0]) == len(blobs)
+
+
 def test_allan_too_short_exit_code_1(tmp_path):
     csv = tmp_path / "imu.csv"
     t = np.arange(100) / 20.0  # 5 seconds only

@@ -8,6 +8,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -94,6 +95,34 @@ def test_reader_returns_or_raises_input_error(kind):
                 loader(path)
             except InputError:
                 pass
+
+    check()
+
+
+@pytest.mark.filterwarnings("ignore:.*imu.csv.npy: ")
+def test_imu_sidecar_mutations_never_raise(tmp_path):
+    """Any flip or truncation of the sidecar beside a valid IMU CSV loads
+    without an error; what does not come from the sidecar is the parse."""
+    csv = tmp_path / "imu.csv"
+    n = 8
+    sync.export_imu_csv(sync.SyncedDataset(
+        imu_t=np.arange(n) / 200.0, accel=np.linspace(-1, 1, 3 * n).reshape(n, 3),
+        gyro=np.linspace(0, 1e-3, 3 * n).reshape(n, 3), frame_t=np.zeros(0),
+        exposure=np.zeros(0)), csv)
+    sidecar = sync.imu_sidecar(csv)
+    base = sidecar.read_bytes()
+    sidecar.unlink()
+    parsed = {sensor: load_imu_csv(csv, sensor) for sensor in sync.IMU_SENSORS}
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(mutations(base), flips(base)))
+    def check(data):
+        sidecar.write_bytes(data)
+        for sensor in sync.IMU_SENSORS:
+            t, samples, source = load_imu_csv(csv, sensor)
+            if source == "csv":
+                assert t.tobytes() == parsed[sensor][0].tobytes()
+                assert samples.tobytes() == parsed[sensor][1].tobytes()
 
     check()
 

@@ -735,6 +735,22 @@ def test_match_descriptors_rejects_non_finite(side, bad):
     assert exc.value.exit_code == 1
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.full((3, 4), 1e200), np.ones((2, 4))),     # |a|^2 overflows
+    (np.ones((2, 4)), np.full((3, 4), -1e200)),    # |b|^2 overflows
+    ([[1.2e154]], [[1.2e154], [1.3e154]]),         # finite norms, 2 a.b overflows
+], ids=["a", "b", "cross-term"])
+def test_match_descriptors_rejects_overflowing_norms(a, b):
+    """Finite descriptors whose distances overflow raise instead of
+    matching on inf or NaN distances, and raise no RuntimeWarning (an
+    error under this suite's settings)."""
+    with pytest.raises(UwvioError, match="^descriptor squared norms overflow$") as exc:
+        match_descriptors(np.asarray(a), np.asarray(b))
+    assert exc.value.exit_code == 1
+    # the largest descriptors whose distance terms all fit still match
+    assert match_descriptors([[1e153]], [[0.0], [1e153]]).tolist() == [[0, 1]]
+
+
 def test_ransac_recovers_transform_with_outliers():
     rng = np.random.default_rng(9)
     n = 200

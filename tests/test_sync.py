@@ -1,5 +1,7 @@
+import io
 import re
 import struct
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -166,7 +168,8 @@ def test_csv_round_trip(tmp_path):
     t_all, *series_all = read_table(csv, row, delimiter=",", header="t,")
     assert np.allclose(t_all, ds.imu_t, atol=5e-10)
     for sensor, want, parsed in zip(sync.IMU_SENSORS, (ds.accel, ds.gyro), series_all):
-        t, series = load_imu_csv(csv, sensor)
+        t, series, source = load_imu_csv(csv, sensor)
+        assert source == "sidecar"
         assert t.tobytes() == t_all.tobytes()
         assert series.tobytes() == parsed.tobytes()
         assert np.array_equal(series, want)  # exact round-trip of values
@@ -276,12 +279,183 @@ def test_imu_csv_field_count_names_line(tmp_path, sensor, row, n_fields):
 def test_imu_csv_unread_cells_are_not_checked(tmp_path, bad, other, cell):
     """A cell of the sensor not asked for is only counted: any text loads."""
     path = _imu_csv(tmp_path / "imu.csv", cell, SENSOR_COLUMN[bad])
-    t, series = load_imu_csv(path, other)
+    t, series, source = load_imu_csv(path, other)
+    assert source == "csv"
     assert np.array_equal(t, [0.0, 1.0])
     want = [1, 2, 3] if other == "accel" else [4, 5, 6]
     assert np.array_equal(series, [want, want])
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: "):
         load_imu_csv(path, bad)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _parse_imu_csv(path):
+    """Every column of an IMU CSV, parsed from its text."""
+    row = np.dtype([("t", float), ("accel", float, 3), ("gyro", float, 3)])
+    return dict(zip(("t", *sync.IMU_SENSORS),
+                    read_table(path, row, delimiter=",", header="t,")))
+
+
+def _assert_loads_as_parsed(path, source):
+    parsed = _parse_imu_csv(path)
+    for sensor in sync.IMU_SENSORS:
+        t, samples, got = load_imu_csv(path, sensor)
+        assert got == source
+        assert np.array_equal(_bits(t), _bits(parsed["t"]))
+        assert np.array_equal(_bits(samples), _bits(parsed[sensor]))
+
+
+def _dataset(rng, n):
+    """IMU columns of full-precision, signed-zero, subnormal and
+    1e300-scale values; the timestamps lie within 1 ulp of ``%.9f``
+    rounding ties, from 0 up to 1e4 s."""
+    scale = 10.0 ** rng.integers(-30, 30, (n, 6))
+    cells = rng.standard_normal((n, 6)) * scale
+    huge = rng.random((n, 6)) < 0.1
+    cells[huge] = rng.standard_normal(np.count_nonzero(huge)) * 1e300
+    special = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300,
+               -1.7976931348623157e308, 0.0, 123456789.0, 0.1 + 0.2][:cells.size]
+    cells.flat[rng.choice(cells.size, len(special), replace=False)] = special
+    ties = np.sort(rng.uniform(0, 1e4, n)).round(8) + 5e-10
+    t = ties + rng.integers(-1, 2, n) * np.spacing(ties)
+    return sync.SyncedDataset(imu_t=t, accel=cells[:, :3], gyro=cells[:, 3:],
+                              frame_t=np.zeros(0), exposure=np.zeros(0))
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 200), (2, 3000), (3, sync.CHUNK_ROWS + 5)])
+def test_imu_sidecar_columns_bit_equal_to_parse(tmp_path, seed, n):
+    """With or without the sidecar, `load_imu_csv` returns the bits that a
+    parse of the whole CSV gives."""
+    ds = _dataset(np.random.default_rng(seed), n)
+    csv = tmp_path / "imu.csv"
+    sync.export_imu_csv(ds, csv)
+    # a header padded to 64 bytes, the digest, then 56 bytes a row
+    assert sync.imu_sidecar(csv).stat().st_size % 64 == (32 + 56 * n) % 64
+    parsed = _parse_imu_csv(csv)
+    assert np.array_equal(_bits(parsed["accel"]), _bits(ds.accel))
+    assert np.array_equal(_bits(parsed["gyro"]), _bits(ds.gyro))
+    _assert_loads_as_parsed(csv, "sidecar")
+    sync.imu_sidecar(csv).unlink()
+    _assert_loads_as_parsed(csv, "csv")
+
+
+def _exported(tmp_path, n=50):
+    """An exported IMU CSV of ``n`` rows, its sidecar, and the sidecar's
+    record."""
+    rng = np.random.default_rng(n)
+    ds = sync.SyncedDataset(imu_t=np.arange(n) / 200.0, accel=rng.normal(size=(n, 3)),
+                            gyro=rng.normal(size=(n, 3)), frame_t=np.zeros(0),
+                            exposure=np.zeros(0))
+    csv = tmp_path / "imu.csv"
+    sync.export_imu_csv(ds, csv)
+    sidecar = sync.imu_sidecar(csv)
+    return csv, sidecar, np.load(sidecar)
+
+
+def test_imu_sidecar_stale_after_csv_edit(tmp_path):
+    """One byte of the CSV edited: the edit is parsed, with a warning."""
+    csv, sidecar, _ = _exported(tmp_path)
+    data = bytearray(csv.read_bytes())
+    cell = data.index(b"\n", data.index(b"\n") + 1) - 1   # last cell of row 1
+    data[cell] = ord("5") if data[cell] != ord("5") else ord("6")
+    csv.write_bytes(bytes(data))
+    with pytest.warns(UserWarning, match=re.escape(f"{sidecar}: stale")):
+        _assert_loads_as_parsed(csv, "csv")
+
+
+def _npy(header, body=b""):
+    """A version 1.0 `.npy` file of the header text ``header``."""
+    text = header.encode("latin1")
+    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + body
+
+
+def _save(record):
+    with io.BytesIO() as f:
+        np.save(f, record)
+        return f.getvalue()
+
+
+def _retyped(record, dtype):
+    out = np.zeros((), dtype)
+    for name in dtype.names:
+        out[name] = record[name]
+    return out
+
+
+def _broken_sidecars(csv, record):
+    """Sidecars that `load_imu_csv` must pass over, by what is wrong."""
+    n = len(record["t"])
+    good = _save(record)
+    header = "{'descr': %r, 'fortran_order': False, 'shape': (), }"
+    rows = csv.stat().st_size // sync.MIN_ROW_BYTES + 1
+    too_many = np.zeros((), sync._sidecar_dtype(rows))
+    too_many["sha256"], too_many["t"] = record["sha256"], np.arange(rows)
+    non_finite = record.copy()
+    non_finite["t"][3] = np.nan
+    return {
+        "empty": b"",
+        "truncated": good[:len(good) // 2],
+        "trailing-byte": good + b"\0",
+        "big-endian": _save(_retyped(record, sync._sidecar_dtype(n).newbyteorder(">"))),
+        "float32": _save(_retyped(record, np.dtype(
+            [(name, np.uint8 if name == "sha256" else "<f4", record.dtype[name].shape)
+             for name in record.dtype.names]))),
+        "missing-field": _save(_retyped(record, np.dtype(sync._sidecar_dtype(n).descr[:3]))),
+        "array-of-records": _save(record[None]),
+        # 2 GiB of columns declared, then the header's padding cut
+        "huge-shape": _npy(header % sync._sidecar_dtype(sync.SIDECAR_MAX_ROWS).descr,
+                           good[128:]),
+        "shape-beyond-c-int": _npy(header % [("sha256", "|u1", (32,)), ("t", "<f8", (10**15,))],
+                                   good[128:]),
+        "rows-beyond-csv-size": _save(too_many),
+        "non-finite": _save(non_finite),
+        "object-dtype": _npy(header % "|O", b"\0" * 64),
+        "unparsable-header": _npy("{(", b"\0" * 64),               # TokenError
+        "deep-header": _npy("{'descr': %s1}" % ("-" * 3000)),        # RecursionError
+        "parser-overflow": _npy("{'descr': %s1}" % ("+" * 9000)),    # MemoryError
+        "not-npy": b"t,ax,ay,az,gx,gy,gz\n",
+        "npz": b"PK\x03\x04" + good,
+    }
+
+
+def test_broken_imu_sidecar_parses_csv(tmp_path):
+    """A sidecar that is not one well-formed record of the CSV's columns is
+    passed over with a warning, and never allocates what its header asks."""
+    csv, sidecar, record = _exported(tmp_path)
+    _assert_loads_as_parsed(csv, "sidecar")
+    for kind, data in _broken_sidecars(csv, record).items():
+        sidecar.write_bytes(data)
+        tracemalloc.start()
+        with pytest.warns(UserWarning, match=f"^{re.escape(str(sidecar))}: ") as caught:
+            _assert_loads_as_parsed(csv, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(caught) == 2, kind          # one per sensor read
+        assert peak < 2**24, kind         # the huge shape declares 2 GiB
+
+
+def test_no_imu_sidecar_beyond_one_record(tmp_path, monkeypatch):
+    """A dataset too long for one sidecar record gets no sidecar, and an
+    older one beside the CSV is removed."""
+    csv, sidecar, _ = _exported(tmp_path)
+    monkeypatch.setattr(sync, "SIDECAR_MAX_ROWS", 49)
+    ds = sync.SyncedDataset(imu_t=np.arange(50.0), accel=np.ones((50, 3)),
+                            gyro=np.zeros((50, 3)), frame_t=np.zeros(0), exposure=np.zeros(0))
+    assert sync.export_imu_csv(ds, csv) is None
+    assert not sidecar.exists()
+    _assert_loads_as_parsed(csv, "csv")
+
+
+def test_imu_sidecar_not_read_when_absent(tmp_path, monkeypatch):
+    """A CSV without a sidecar is parsed without being hashed."""
+    csv, sidecar, _ = _exported(tmp_path)
+    sidecar.unlink()
+    monkeypatch.setattr(sync, "_sha256", None)
+    _assert_loads_as_parsed(csv, "csv")
 
 
 def test_imu_csv_unknown_sensor():
