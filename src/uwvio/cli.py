@@ -130,8 +130,7 @@ def cmd_extract(args, out_dir):
         _log(args, f"{len(payloads)} telemetry payloads, "
                    f"timescale {table.timescale}")
         streams = sync.payload_streams_from_klv(payloads, axis_order=axis_order)
-    dataset = sync.build_dataset(
-        streams, meta={"recording": Path(args.mp4_path).name}, axis_order=axis_order)
+    dataset = sync.build_dataset(streams, meta={"recording": Path(args.mp4_path).name})
     imu_csv = out_dir / "imu.csv"
     frames_csv = out_dir / "frames.csv"
     manifest = out_dir / "manifest.txt"

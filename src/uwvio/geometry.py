@@ -124,11 +124,12 @@ def random_rotation(rng):
 class RigidTransform:
     """SE(3) transform stored as unit quaternion + translation.
 
-    The rotation matrix is cached so repeated point transforms stay cheap.
+    The rotation matrix is derived from q, not passed in, and cached so
+    repeated point transforms stay cheap.
     """
     q: np.ndarray
     t: np.ndarray
-    R: np.ndarray = field(default=None, repr=False, compare=False)
+    R: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = quat_normalize(self.q)

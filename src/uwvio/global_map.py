@@ -38,6 +38,7 @@ parsed by numpy and applied a block at a time, ``UPD`` poses where they stand.
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -237,7 +238,9 @@ class GlobalMap:
     """
 
     def __init__(self):
-        self.keyframes = {}      # id -> RigidTransform (T_wf)
+        self._keyframes = {}     # id -> RigidTransform (T_wf)
+        # read-only: a pose changes only through the methods that move _R, _t
+        self.keyframes = MappingProxyType(self._keyframes)
         self._kf_slot = {}       # keyframe id -> index into _R, _t
         self._R = np.empty((0, 3, 3))
         self._t = np.empty((0, 3))
@@ -260,7 +263,7 @@ class GlobalMap:
     def add_keyframe(self, kf_id, pose):
         """Add keyframe ``kf_id`` at world pose ``pose``, whose translation
         must be finite (a `RigidTransform` has a finite rotation)."""
-        if kf_id in self.keyframes:
+        if kf_id in self._keyframes:
             raise UwvioError(f"keyframe {kf_id} already present")
         if not all(map(math.isfinite, pose.t.tolist())):
             raise UwvioError(f"keyframe {kf_id} pose is not finite")
@@ -269,7 +272,7 @@ class GlobalMap:
             self._R, self._t = _grow(self._R), _grow(self._t)
         self._R[slot], self._t[slot] = pose.R, pose.t
         self._kf_slot[kf_id] = slot
-        self.keyframes[kf_id] = pose
+        self._keyframes[kf_id] = pose
 
     def add_observation(self, landmark_id, kf_id, p_w_obs, quality,
                         color=(0, 0, 0)):
@@ -464,7 +467,7 @@ class GlobalMap:
         translation finite, else nothing changes.
         """
         for kf_id in updates:
-            if kf_id not in self.keyframes:
+            if kf_id not in self._keyframes:
                 raise UwvioError(f"keyframe {kf_id} not in map")
         t = np.array([pose.t for pose in updates.values()], dtype=float).reshape(-1, 3)
         finite = np.isfinite(t).all(axis=1)
@@ -472,7 +475,7 @@ class GlobalMap:
             raise UwvioError(f"keyframe {list(updates)[finite.argmin()]} pose is not finite")
         self._store_pending()
         self._fused = None
-        self.keyframes.update(updates)
+        self._keyframes.update(updates)
         slots = np.fromiter(map(self._kf_slot.get, updates), dtype=np.intp, count=len(t))
         self._R[slots] = np.array([pose.R for pose in updates.values()]).reshape(-1, 3, 3)
         self._t[slots] = t

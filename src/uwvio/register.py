@@ -110,10 +110,10 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
 
     The grid's cells are sized so that a cube of 27 cells would hold about
     k + 1 points if the cloud filled its bounding box. A point searches the
-    cube of cells around its own, widening the reach one cell at a time,
+    cube of cells around its own, doubling the reach (1, 2, 4, ... cells)
     until its (k + 1)-th nearest candidate lies strictly closer than every
-    point outside the cube, or the cube holds the whole cloud. At reach 64
-    the nearest candidates are taken as found.
+    point outside the cube, or the cube holds the whole cloud; so every
+    neighbourhood is exact.
     """
     if (isinstance(k_neighbors, bool) or not isinstance(k_neighbors, (int, np.integer))
             or k_neighbors < 1):
@@ -124,19 +124,21 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     if n < size:
         raise UwvioError(f"need >= {size} points, got {n}")
     cell = _density_cell(pts, size / 27)
+    # the reach stays under twice the cloud's span in cells, so cells
+    # within 2^60 of zero keep every cell plus or minus it in int64
+    top = np.abs(pts).max()
+    if not top < 2.0 ** 60 * cell:
+        raise UwvioError(f"coordinates up to {top:g} span too many normals cells of {cell:g}")
     index = GridIndex(pts, cell)
     viewpoint = np.asarray(viewpoint, dtype=float)
 
     # points sharing a cell share its candidate row
     cell_of, first = index.cells()
-    # a point outside the cube at a reach lies at least reach cells plus the
-    # query's distance to its own cell's nearest face away, less a margin
-    # for rounding in the cell assignment, that distance and d^2
-    margin = 1e-12 * (np.abs(pts).max() + 65 * cell)
     columns = pts.T.copy()
     covs = np.empty((n, 3, 3))
     need = np.arange(n)
-    for reach in range(1, 65):
+    reach = 1
+    while need.size:
         live, row = np.unique(cell_of[need], return_inverse=True)
         offsets, cand = index.cube(pts[first[live]], reach)
         # rows by length, a cell's points together, so that one padded
@@ -144,6 +146,10 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
         order = np.lexsort((row, np.diff(offsets)[row]))
         need, row = need[order], row[order]
         start, length = offsets[row], np.diff(offsets)[row]
+        # a point outside the cube lies at least reach cells plus the query's
+        # distance to its own cell's nearest face away, less a margin for
+        # rounding in the cell assignment, that distance and d^2
+        margin = 1e-12 * (top + (reach + 1) * cell)
         clearance = np.maximum(reach * cell + _face_distance(pts[need], cell) - margin,
                                0.0) ** 2
         done = np.zeros(len(need), dtype=bool)
@@ -154,18 +160,14 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
             fits = max(1, _CHUNK // max(length[s], 3 * size))
             e = s + max(1, _CHUNK // max(length[min(s + fits, len(need)) - 1], 3 * size))
             sel, d2 = _knn(columns, need[s:e], cand, start[s:e], length[s:e], size)
-            ok = (d2[:, -1] < clearance[s:e]) | (length[s:e] == n) | (reach == 64)
-            # a row shorter than size, which ends in infinite padding and so
-            # passes only at the bound, gives all its candidates
-            fit = np.minimum(length[s:e], size)
-            for t in np.unique(fit[ok]):
-                group = ok & (fit == t)
-                covs[need[s:e][group]] = _covariances(pts[sel[group, :t]])
+            # a row shorter than size ends in infinite padding and never passes
+            ok = (d2[:, -1] < clearance[s:e]) | (length[s:e] == n)
+            if ok.any():
+                covs[need[s:e][ok]] = _covariances(pts[sel[ok]])
             done[s:e] = ok
             s = e
         need = need[~done]
-        if need.size == 0:
-            break
+        reach *= 2
 
     w, v = np.linalg.eigh(covs)
     normals = v[:, :, 0].copy()

@@ -45,6 +45,7 @@ class SensorStreams:
     accel: np.ndarray | None = None    # (n, 3) m/s^2
     gyro: np.ndarray | None = None     # (n, 3) rad/s
     shutter: np.ndarray | None = None  # (n,) seconds
+    axis_order: str = "xyz"            # device order remapped to x, y, z
 
 
 @dataclass
@@ -61,7 +62,8 @@ def payload_streams_from_klv(raw_payloads, axis_order="xyz"):
     """Decode a list of RawPayloads into one SensorStreams.
 
     ``axis_order`` names the device channel order of ACCL/GYRO relative to
-    the (x, y, z) output convention; it is recorded in downstream metadata.
+    the (x, y, z) output convention; the streams carry it, and
+    `build_dataset` records it in the dataset's metadata.
     """
     roots = [gpmf.parse_klv(rp.data) for rp in raw_payloads]
     (accel, gyro, shutter), counts = gpmf.extract_stream(
@@ -70,7 +72,7 @@ def payload_streams_from_klv(raw_payloads, axis_order="xyz"):
         start=np.array([rp.start_time for rp in raw_payloads], dtype=float),
         duration=np.array([rp.duration for rp in raw_payloads], dtype=float),
         counts=counts, accel=accel, gyro=gyro,
-        shutter=None if shutter is None else shutter[:, 0])
+        shutter=None if shutter is None else shutter[:, 0], axis_order=axis_order)
 
 
 def interpolate_sample_times(bounds, counts):
@@ -101,7 +103,7 @@ def _sample_times(bounds, counts):
         np.append(bounds[used], bounds[used[-1] + 1]), counts[used])
 
 
-def build_dataset(streams, meta=None, axis_order="xyz"):
+def build_dataset(streams, meta=None):
     """Merge a recording's decoded SensorStreams into one SyncedDataset.
 
     The clock origin is the first payload's start. ACCL is the master IMU
@@ -146,7 +148,7 @@ def build_dataset(streams, meta=None, axis_order="xyz"):
 
     rate = 1.0 / float(np.median(np.diff(accel_t))) if len(accel_t) > 1 else 0.0
     full_meta = {
-        "axis_convention": f"device order {axis_order} remapped to xyz",
+        "axis_convention": f"device order {streams.axis_order} remapped to xyz",
         "imu_rate_hz": rate,
         "n_imu_samples": len(accel_t),
         "n_frames": len(frame_t),

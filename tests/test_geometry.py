@@ -58,6 +58,13 @@ def test_rigid_transform_apply_inverse_compose():
     assert np.allclose(back.matrix(), M)
 
 
+def test_rigid_transform_rotation_is_not_an_argument():
+    # R is derived from q: a passed R would be silently replaced
+    with pytest.raises(TypeError):
+        RigidTransform(q=[0.0, 0.0, 0.0, 1.0], t=np.zeros(3), R=np.zeros((3, 3)))
+    assert np.array_equal(RigidTransform([0.0, 0.0, 0.0, 1.0], np.zeros(3)).R, np.eye(3))
+
+
 def test_sim3_apply_and_inverse():
     rng = np.random.default_rng(3)
     T = Sim3Transform(s=2.5, R=random_rotation(rng), t=rng.normal(size=3))

@@ -73,6 +73,25 @@ def test_pose_update_moves_landmarks_rigidly():
     assert np.allclose(fused.p_w, G.apply(p_w), atol=1e-12)
 
 
+def test_keyframes_are_a_read_only_view():
+    """Poses change only through the map's methods, which keep fusion's
+    pose table in step; the view follows them."""
+    m = GlobalMap()
+    T0 = pose(rotation_about_z(0.3), [1.0, 0.0, 0.0])
+    m.add_keyframe(0, T0)
+    m.add_observation(0, 0, [2.0, 1.0, 0.5], 1.0)
+    with pytest.raises(TypeError):
+        m.keyframes[0] = identity_pose()
+    assert m.keyframes[0] is T0 and m.keyframes == {0: T0}
+    assert np.allclose(m.fuse_landmark(0).p_w, [2.0, 1.0, 0.5], atol=1e-12)
+    T1 = identity_pose()
+    m.update_keyframe_poses({0: T1})
+    assert m.keyframes[0] is T1 and 0 in m.keyframes and len(m.keyframes) == 1
+    assert list(m.keyframes.items()) == [(0, T1)]
+    assert np.allclose(m.fuse_landmark(0).p_w, T0.inverse().apply([2.0, 1.0, 0.5]),
+                       atol=1e-12)
+
+
 def test_same_keyframe_observation_replaces():
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())

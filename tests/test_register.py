@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -605,10 +606,8 @@ def test_normals_certificate_is_strict():
     np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
 
 
-def test_normals_of_k_plus_one_points(monkeypatch):
-    """k + 1 points: every point's neighbourhood is the whole cloud, found
-    once a cube of cells holds it, not after all 64 reaches."""
-    pts = np.random.default_rng(7).uniform(0, 1, size=(31, 3))
+def _cube_reaches(monkeypatch):
+    """A list that records the reach of every `GridIndex.cube` call."""
     reaches = []
     cube = GridIndex.cube
 
@@ -617,35 +616,92 @@ def test_normals_of_k_plus_one_points(monkeypatch):
         return cube(self, queries, reach)
 
     monkeypatch.setattr(GridIndex, "cube", counted)
+    return reaches
+
+
+def _reach_needed(pts, k):
+    """A reach at which every point's search has stopped: the least r whose
+    r cells exceed the point's (k + 1)-th nearest distance (its distance to
+    the cell's faces left out), or at which its cube holds the whole cloud."""
+    cell = _density_cell(pts, (k + 1) / 27)
+    cells = np.floor(pts / cell)
+    d2 = sum((pts[None, :, a] - pts[:, None, a]) ** 2 for a in range(3))
+    inside = np.floor(np.sqrt(np.sort(d2, axis=1)[:, k]) / cell) + 1
+    whole = np.abs(cells[:, None] - cells[None]).max(axis=(1, 2))
+    return max(1, int(np.minimum(inside, whole).max()))
+
+
+def _assert_exact_in_doublings(monkeypatch, pts, k):
+    """Normals and mask equal brute force, after at most one `cube` call per
+    doubling of the reach up to the reach needed."""
+    reaches = _cube_reaches(monkeypatch)
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=k)
+    want, degenerate = brute_force_normals(pts, k)
+    assert np.array_equal(cloud.degenerate, degenerate)
+    np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
+    r = _reach_needed(pts, k)
+    assert len(reaches) <= 1 + math.ceil(math.log2(r))
+    return r
+
+
+def test_normals_of_k_plus_one_points(monkeypatch):
+    """k + 1 points: every point's neighbourhood is the whole cloud, found
+    once a cube of cells holds it, within three doublings of the reach."""
+    pts = np.random.default_rng(7).uniform(0, 1, size=(31, 3))
+    reaches = _cube_reaches(monkeypatch)
     got = estimate_normals(PointCloud(points=pts), k_neighbors=30).normals
     assert len(reaches) <= 3
     np.testing.assert_allclose(got, brute_force_normals(pts, 30)[0], rtol=0, atol=1e-12)
 
 
 def test_normals_beyond_the_reach_bound(monkeypatch):
-    """Points more than 64 cells from any other have only themselves in
-    their cube at the last reach: a neighbourhood of one point, which gets
-    the fallback normal. The others stay exact."""
+    """Points hundreds of cells from any other, beyond the 64 cells at which
+    an earlier rule took whatever the cube held: their neighbourhoods are
+    still the exact k + 1 nearest points."""
     rng = np.random.default_rng(11)
     far = [[1000.0, 0.5, 0.5], [2000.0, 1.0, 0.5], [3000.0, 0.5, 1.0]]
     pts = np.vstack([rng.uniform(0, 1, size=(39, 3)), far])
-    sizes = []
-    covariances = register._covariances
+    assert _assert_exact_in_doublings(monkeypatch, pts, 8) > 64
 
-    def counted(nb):
-        sizes.append(nb.shape[:2])
-        return covariances(nb)
 
-    monkeypatch.setattr(register, "_covariances", counted)
-    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=8)
-    # the short rows go through the one covariance path, in one group
-    assert (3, 1) in sizes
-    assert sum(m for m, _ in sizes) == len(pts)
-    want, degenerate = brute_force_normals(pts, 8)
-    assert cloud.degenerate.tolist() == [False] * 39 + [True] * 3
-    assert not degenerate[:39].any()
-    np.testing.assert_allclose(cloud.normals[:39], want[:39], rtol=0, atol=1e-12)
-    assert (np.abs(cloud.normals[39:]) == register.DEGENERATE_NORMAL).all()
+def test_normals_across_a_tunnel_gap(monkeypatch):
+    """A cave tunnel with a 200 m gap in its scan and a 12-point patch in the
+    middle of the gap: the patch's k + 1 nearest reach across to the tunnel
+    ends, far more than 64 cells away."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0, 200, 1200)
+    x[x > 100] += 200
+    angle = rng.uniform(0, 2 * np.pi, 1200)
+    wall = np.column_stack([x, 0.5 * np.cos(angle), 0.5 * np.sin(angle)])
+    angle = rng.uniform(-0.3, 0.3, 12)
+    patch = np.column_stack([200 + rng.uniform(-0.5, 0.5, 12),
+                             0.5 * np.cos(angle), 0.5 * np.sin(angle)])
+    assert _assert_exact_in_doublings(monkeypatch, np.vstack([wall, patch]), 30) > 64
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normals_exact_with_far_isolated_points(seed, monkeypatch):
+    """Dense blobs and a few isolated points strung out along x, as a long
+    passage scanned at its ends: exact whatever reach the strays need."""
+    rng = np.random.default_rng(seed)
+    blobs = [rng.normal(rng.uniform(-5, 5, 3), rng.uniform(0.05, 0.5),
+                        size=(int(rng.integers(40, 150)), 3))
+             for _ in range(int(rng.integers(2, 5)))]
+    n_far = int(rng.integers(1, 6))
+    far = np.column_stack([rng.uniform(100, 5000, n_far) * rng.choice([-1, 1], n_far),
+                           rng.uniform(-5, 5, (n_far, 2))])
+    _assert_exact_in_doublings(monkeypatch, np.vstack(blobs + [far]),
+                               int(rng.integers(3, 13)))
+
+
+def test_normals_reject_cells_beyond_int64_room():
+    """Coordinates of 2^60 normals cells or more leave no int64 room to
+    widen the search to the whole cloud: a `UwvioError`, not an overflow."""
+    rng = np.random.default_rng(0)
+    pts = np.column_stack([rng.uniform(0, 1e-9, 40), rng.uniform(0, 1e-18, (40, 2))])
+    pts[20:, 0], pts[-1, 0] = 5e9, -5e9
+    with pytest.raises(UwvioError, match="span too many normals cells"):
+        estimate_normals(PointCloud(points=pts), k_neighbors=8)
 
 
 @pytest.mark.parametrize("k", [0, -1, -5, 2.5])

@@ -488,6 +488,8 @@ def test_axis_order_applied_through_pipeline(tmp_path):
     streams = sync.payload_streams_from_klv([raw], axis_order="zxy")
     # device channel order z,x,y -> output x=ch1, y=ch2, z=ch0
     assert np.allclose(streams.accel[0], [2.0, 3.0, 1.0])
+    # the dataset records the order the streams were remapped from
+    assert build_dataset(streams).meta["axis_convention"] == "device order zxy remapped to xyz"
 
 
 # --- the per-payload decode that the whole-recording columns replaced ---------
