@@ -137,7 +137,7 @@ def cmd_extract(args, out_dir):
     sidecar = sync.export_imu_csv(dataset, imu_csv)
     sync.export_frames_csv(dataset, frames_csv)
     sync.export_manifest(dataset, manifest)
-    written = [p for p in (imu_csv, sidecar, frames_csv, manifest) if p]
+    written = [imu_csv, sidecar, frames_csv, manifest]
     summary = {
         "payloads": len(payloads),
         "imu_samples": int(dataset.meta["n_imu_samples"]),

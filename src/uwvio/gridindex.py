@@ -6,7 +6,9 @@ coordinates among those occupied on each axis, so its range is bounded by
 the point count, not by the cloud's extent. `cube` and `radius_neighbors`
 scan: a query batch looks up the cell cube around each query with
 ``np.searchsorted`` and expands the cells' points into flat candidate
-arrays, ``_CHUNK`` candidates at a time.
+arrays, ``_CHUNK`` candidates at a time. A cube's window of cells
+saturates at the int64 limits, so any reach, and any finite radius, is
+searched exactly.
 
 `nearest_within` reads a cell-neighbourhood table instead, built on first
 use and kept until a query needs another reach. It has one CSR row for
@@ -86,11 +88,18 @@ class GridIndex:
             return
         cube = np.prod([min(2 * reach + 1, len(u)) for u in self._axes])
         step = max(1, _CHUNK // int(cube * self._counts.max()))
+        i64 = np.iinfo(np.int64)
+        whole = min(reach, 2 * i64.max)     # cells span less than 2^64
         for q0 in range(0, len(queries), step):
             cells, valid = self._query_cells(queries[q0:q0 + step])
-            lo = [np.searchsorted(u, c - reach) for u, c in zip(self._axes, cells)]
-            span = [np.searchsorted(u, c + reach, "right") - first
-                    for u, c, first in zip(self._axes, cells, lo)]
+            # c +- reach in two int64 steps, each saturated at the limits
+            low, high = cells, cells
+            for r in (whole // 2, whole - whole // 2):
+                low = np.maximum(low, i64.min + r) - r
+                high = np.minimum(high, i64.max - r) + r
+            lo = [np.searchsorted(u, c) for u, c in zip(self._axes, low)]
+            span = [np.searchsorted(u, c, "right") - first
+                    for u, c, first in zip(self._axes, high, lo)]
             qid, t = _expand(span[0] * span[1] * span[2] * valid)
             nz = span[2][qid]
             nyz = span[1][qid] * nz

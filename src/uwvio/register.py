@@ -124,11 +124,7 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     if n < size:
         raise UwvioError(f"need >= {size} points, got {n}")
     cell = _density_cell(pts, size / 27)
-    # the reach stays under twice the cloud's span in cells, so cells
-    # within 2^60 of zero keep every cell plus or minus it in int64
     top = np.abs(pts).max()
-    if not top < 2.0 ** 60 * cell:
-        raise UwvioError(f"coordinates up to {top:g} span too many normals cells of {cell:g}")
     index = GridIndex(pts, cell)
     viewpoint = np.asarray(viewpoint, dtype=float)
 

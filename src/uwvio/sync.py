@@ -32,8 +32,6 @@ CHUNK_ROWS = 16384
 # bytes of the shortest IMU CSV row, "0,0,0,0,0,0,0\n": a CSV of s bytes
 # holds at most s // 14 rows
 MIN_ROW_BYTES = 14
-# rows of the largest sidecar record: numpy sizes a dtype with a C int
-SIDECAR_MAX_ROWS = (2**31 - 1 - 32) // 56
 
 
 @dataclass
@@ -195,33 +193,29 @@ def _write_rows(path, header, n_rows, columns):
 def imu_sidecar(path):
     """Path of the sidecar that `export_imu_csv` writes beside the IMU CSV
     at ``path``."""
-    return Path(f"{os.fspath(path)}.npy")
+    return Path(f"{os.fspath(path)}.cols")
 
 
-def _sidecar_dtype(n):
-    """The sidecar's one record: the CSV's sha256, then its ``n`` rows'
-    columns, 56 bytes a row."""
-    return np.dtype([("sha256", np.uint8, (32,)), ("t", "<f8", (n,)),
-                     ("accel", "<f8", (n, 3)), ("gyro", "<f8", (n, 3))])
-
-
-def _sha256(path):
-    """sha256 digest of the file at ``path``, read in 1 MB pieces."""
+def _sha256(path, columns):
+    """sha256 of the bytes of the file at ``path``, read in 1 MB pieces,
+    followed by the bytes of the array ``columns``."""
     import hashlib      # 2.8 ms to import, which `import uwvio.cli` does not pay
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for piece in iter(lambda: f.read(1 << 20), b""):
             digest.update(piece)
+    digest.update(columns)
     return digest.digest()
 
 
 def export_imu_csv(dataset, path):
-    """The IMU CSV at ``path``, and beside it its sidecar (`imu_sidecar`):
-    one record of the CSV's sha256 and its columns as `load_imu_csv` parses
-    them, so that reading them back costs a hash instead of a parse. The
-    ``t`` cells are the ``%.9f`` strings parsed back; the sample cells
-    round-trip the dataset's values. Returns the sidecar's path, or None
-    for a dataset of more than `SIDECAR_MAX_ROWS` rows, which gets none."""
+    """The IMU CSV at ``path``, and beside it its sidecar (`imu_sidecar`),
+    whose path is returned: the sha256 of the CSV's bytes and the column
+    bytes, then the ``t``, ``accel`` and ``gyro`` columns as `load_imu_csv`
+    parses them, as little-endian float64; 32 + 56 n bytes, no header.
+    Reading them back costs a hash instead of a parse. The ``t`` cells are
+    the ``%.9f`` strings parsed back; the sample cells round-trip the
+    dataset's values."""
     t = np.empty(len(dataset.imu_t))
 
     def columns(rows):
@@ -230,15 +224,11 @@ def export_imu_csv(dataset, path):
         values = _fmt_cells(np.hstack([dataset.accel[rows], dataset.gyro[rows]]))
         return [times, *values.T.tolist()]
     _write_rows(path, IMU_CSV_HEADER, len(t), columns)
+    cols = np.concatenate([t, np.ravel(dataset.accel), np.ravel(dataset.gyro)], dtype="<f8")
     sidecar = imu_sidecar(path)
-    if len(t) > SIDECAR_MAX_ROWS:
-        sidecar.unlink(missing_ok=True)
-        return None
-    record = np.empty((), _sidecar_dtype(len(t)))
-    record["sha256"] = np.frombuffer(_sha256(path), dtype=np.uint8)
-    record["t"], record["accel"], record["gyro"] = t, dataset.accel, dataset.gyro
     with open(sidecar, "wb") as f:
-        np.save(f, record)
+        f.write(_sha256(path, cols))
+        cols.tofile(f)
     return sidecar
 
 
@@ -251,34 +241,33 @@ def export_frames_csv(dataset, path):
 
 def _read_sidecar(path, sensor):
     """``t`` and the ``sensor`` samples of the IMU CSV at ``path`` from its
-    sidecar, or None when it has none or it is passed over. A sidecar is
-    used only while it is one well-formed record of at most as many rows
-    as the CSV's size can hold, its digest is the CSV's sha256, and its
-    columns pass the checks of a parse; any other sidecar is passed over
-    with a warning. Its header sizes nothing that is allocated: the record
-    is memory-mapped."""
+    sidecar, or None when it has none or it is passed over with a warning:
+    when its size is not 32 + 56 n bytes for an n of at most the rows the
+    CSV's size can hold (so nothing larger is allocated), fewer than 7 n
+    values can be read, its digest is not the sha256 of the CSV and those
+    values, its columns fail the checks of a parse, or reading it raises
+    `OSError`."""
     sidecar = imu_sidecar(path)
     if not sidecar.exists():
         return None
     max_rows = os.path.getsize(path) // MIN_ROW_BYTES
     try:
-        record = np.lib.format.open_memmap(sidecar, mode="r")
-        n = record.dtype["t"].shape[0]
-        if not (record.shape == () and record.dtype == _sidecar_dtype(n)
-                and record.offset + record.nbytes == sidecar.stat().st_size
-                and n <= max_rows):
+        n, extra = divmod(sidecar.stat().st_size - 32, 56)
+        if n < 0 or extra or n > max_rows:
             problem = "malformed, or more rows than the CSV can hold"
-        elif record["sha256"].tobytes() != _sha256(path):
-            problem = "stale: its digest is not the CSV's sha256"
         else:
-            t, samples = np.array(record["t"]), np.array(record[sensor])
-            if np.isfinite(t).all() and np.isfinite(samples).all() and np.all(np.diff(t) > 0):
-                return t, samples
-            problem = "columns not finite or not strictly increasing"
-    # numpy's header parser raises ValueError, tokenize.TokenError,
-    # RecursionError or MemoryError on crafted headers; whatever it raises,
-    # the sidecar is only unreadable
-    except Exception as exc:
+            with open(sidecar, "rb") as f:
+                stored = f.read(32)
+                cols = np.fromfile(f, "<f8", 7 * n)
+            if len(cols) < 7 * n or _sha256(path, cols) != stored:
+                problem = "stale: its digest is not the sha256 of the CSV and its columns"
+            else:
+                t, *series = np.split(cols, [n, 4 * n])
+                samples = series[IMU_SENSORS.index(sensor)].reshape(n, 3)
+                if np.isfinite(t).all() and np.isfinite(samples).all() and np.all(np.diff(t) > 0):
+                    return t, samples
+                problem = "columns not finite or not strictly increasing"
+    except OSError as exc:
         problem = f"unreadable ({type(exc).__name__}: {exc})"
     warnings.warn(f"{sidecar}: {problem}; parsed {path} instead")
     return None

@@ -392,7 +392,7 @@ def test_criterion_11_determinism(tmp_path):
     ply.write_ply(tgt_ply, base)
 
     commands = {
-        "extract": (["extract", str(mp4_path)], ["extract_report.json", "imu.csv.npy"]),
+        "extract": (["extract", str(mp4_path)], ["extract_report.json", "imu.csv.cols"]),
         "allan": (["allan", str(imu_csv), "--walk-window-min", "30"],
                   ["allan_accel_report.json", "allan_accel.csv"]),
         "map": (["map", str(log)], ["map_report.json", "fused_map.ply"]),

@@ -160,16 +160,21 @@ def test_allan_on_extract_output_with_and_without_sidecar(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["-q", "--out-dir", out, "extract", mp4_path]) == 0
     assert read_json(out / "extract_report.json")["files"] == [
-        "imu.csv", "imu.csv.npy", "frames.csv", "manifest.txt"]
-    csv, sidecar = out / "imu.csv", out / "imu.csv.npy"
+        "imu.csv", "imu.csv.cols", "frames.csv", "manifest.txt"]
+    csv, sidecar = out / "imu.csv", out / "imu.csv.cols"
     good = sidecar.read_bytes()
-    last_t = len(good) - 48 * 12000     # the end of the t column: accel and gyro follow
+    n = (len(good) - 32) // 56
+    decreasing = np.frombuffer(good, "<f8", offset=32).copy()
+    decreasing[n - 1] = 0                   # the last t
     short = "only 10 min of data; noise fits below 1 h are unreliable"
     cases = [("sidecar", good, []),
              ("csv", None, []),
-             ("csv", good[:-8], [f"{sidecar}: unreadable (ValueError: mmap length is "
-                                 f"greater than file size); parsed {csv} instead"]),
-             ("csv", good[:last_t - 8] + bytes(8) + good[last_t:],   # the last t set to 0
+             ("csv", good[:-8], [f"{sidecar}: malformed, or more rows than the CSV can "
+                                 f"hold; parsed {csv} instead"]),
+             ("csv", bytes([good[0] ^ 1]) + good[1:],
+              [f"{sidecar}: stale: its digest is not the sha256 of the CSV and its "
+               f"columns; parsed {csv} instead"]),
+             ("csv", sync._sha256(csv, decreasing) + decreasing.tobytes(),
               [f"{sidecar}: columns not finite or not strictly increasing; "
                f"parsed {csv} instead"])]
     for sensor in sync.IMU_SENSORS:
@@ -192,6 +197,28 @@ def test_allan_on_extract_output_with_and_without_sidecar(tmp_path, capsys):
                 text = text.replace(f"    {json.dumps(warning)},\n", "")
             blobs.append((text, (run_dir / f"allan_{sensor}.csv").read_bytes()))
         assert blobs.count(blobs[0]) == len(blobs)
+
+
+def test_allan_passes_over_sidecar_whose_read_raises(tmp_path, monkeypatch):
+    """A sidecar whose reading raises `OSError` is passed over with a
+    warning naming the error, and `allan` parses the CSV instead."""
+    n = 12200                               # 610 s at 20 Hz
+    rng = np.random.default_rng(0)
+    csv = tmp_path / "imu.csv"
+    sync.export_imu_csv(sync.SyncedDataset(
+        imu_t=np.arange(n) / 20.0, accel=rng.normal(size=(n, 3)),
+        gyro=rng.normal(size=(n, 3)), frame_t=np.zeros(0), exposure=np.zeros(0)), csv)
+
+    def unreadable(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+    monkeypatch.setattr(np, "fromfile", unreadable)
+    assert run(["--out-dir", tmp_path / "out", "allan", csv, "--sensor", "gyro",
+                "--walk-window-min", "30"]) == 0
+    report = read_json(tmp_path / "out" / "allan_gyro_report.json")
+    assert report["source"] == "csv"
+    assert report["warnings"][0] == (
+        f"{sync.imu_sidecar(csv)}: unreadable (OSError: [Errno 5] Input/output error); "
+        f"parsed {csv} instead")
 
 
 def test_allan_too_short_exit_code_1(tmp_path):

@@ -99,10 +99,11 @@ def test_reader_returns_or_raises_input_error(kind):
     check()
 
 
-@pytest.mark.filterwarnings("ignore:.*imu.csv.npy: ")
+@pytest.mark.filterwarnings("ignore:.*imu.csv.cols: ")
 def test_imu_sidecar_mutations_never_raise(tmp_path):
     """Any flip or truncation of the sidecar beside a valid IMU CSV loads
-    without an error; what does not come from the sidecar is the parse."""
+    without an error and gives the parse's bits: a changed sidecar is
+    passed over for the CSV, and only the sidecar as written is read."""
     csv = tmp_path / "imu.csv"
     n = 8
     sync.export_imu_csv(sync.SyncedDataset(
@@ -120,9 +121,11 @@ def test_imu_sidecar_mutations_never_raise(tmp_path):
         sidecar.write_bytes(data)
         for sensor in sync.IMU_SENSORS:
             t, samples, source = load_imu_csv(csv, sensor)
-            if source == "csv":
-                assert t.tobytes() == parsed[sensor][0].tobytes()
-                assert samples.tobytes() == parsed[sensor][1].tobytes()
+            # every changed byte is caught, and an unchanged sidecar gives the
+            # parse's bits
+            assert source == "csv" or data == base
+            assert t.tobytes() == parsed[sensor][0].tobytes()
+            assert samples.tobytes() == parsed[sensor][1].tobytes()
 
     check()
 

@@ -115,6 +115,23 @@ def test_grid_index_far_outlier():
     _assert_grid_matches_brute_force(pts, 0.1, queries, 0.25)
 
 
+@pytest.mark.parametrize("radius", [6e17, 1e18, 1e300])
+def test_grid_index_windows_saturate_at_int64_limits(radius):
+    """A query's cell window, its cell plus or minus the reach, stops at the
+    int64 limits instead of wrapping, for any finite radius."""
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [4e17, 0.0, 0.0]])
+    queries = np.array([[0.5, 0.0, 0.0], [4e17, 0.0, 0.0]])
+    offsets, indices = GridIndex(pts, 0.1).radius_neighbors(queries, radius)
+    assert offsets.tolist() == [0, 3, 6]
+    assert indices.tolist() == [0, 1, 2, 0, 1, 2]
+    # cells near both int64 limits, further apart than int64 can count
+    ends = np.array([[-9e17, -9e17, 0.0], [9e17, 9e17, 0.0]])
+    _assert_grid_matches_brute_force(ends, 0.1, ends, radius)
+    offsets, indices = GridIndex(ends, 0.1).cube(ends, 2 ** 80)
+    assert offsets.tolist() == [0, 2, 4]
+    assert indices.tolist() == [0, 1, 0, 1]
+
+
 def _brute_nearest(pts, queries, radius):
     """Nearest point within radius by the index's own squared distance,
     ties to the lowest index; (-1, inf) for a miss."""
@@ -694,14 +711,19 @@ def test_normals_exact_with_far_isolated_points(seed, monkeypatch):
                                int(rng.integers(3, 13)))
 
 
-def test_normals_reject_cells_beyond_int64_room():
-    """Coordinates of 2^60 normals cells or more leave no int64 room to
-    widen the search to the whole cloud: a `UwvioError`, not an overflow."""
+def test_normals_exact_when_cells_span_beyond_int64():
+    """A cloud whose normals cells span more than int64 can count still
+    widens each search to the whole cloud: the cell windows saturate at
+    the int64 limits, and every normal is exact."""
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(0, 1e-9, 40), rng.uniform(0, 1e-18, (40, 2))])
     pts[20:, 0], pts[-1, 0] = 5e9, -5e9
-    with pytest.raises(UwvioError, match="span too many normals cells"):
-        estimate_normals(PointCloud(points=pts), k_neighbors=8)
+    # 1e-9 m cells, from -5e18 to 5e18
+    assert _density_cell(pts, 9 / 27) == 1e-9
+    got = estimate_normals(PointCloud(points=pts), k_neighbors=8)
+    normals, degenerate = brute_force_normals(pts, 8)
+    assert np.array_equal(got.degenerate, degenerate)
+    assert np.array_equal(got.normals, normals)
 
 
 @pytest.mark.parametrize("k", [0, -1, -5, 2.5])

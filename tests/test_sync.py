@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 import struct
@@ -332,8 +333,8 @@ def test_imu_sidecar_columns_bit_equal_to_parse(tmp_path, seed, n):
     ds = _dataset(np.random.default_rng(seed), n)
     csv = tmp_path / "imu.csv"
     sync.export_imu_csv(ds, csv)
-    # a header padded to 64 bytes, the digest, then 56 bytes a row
-    assert sync.imu_sidecar(csv).stat().st_size % 64 == (32 + 56 * n) % 64
+    # the digest, then 56 bytes a row
+    assert sync.imu_sidecar(csv).stat().st_size == 32 + 56 * n
     parsed = _parse_imu_csv(csv)
     assert np.array_equal(_bits(parsed["accel"]), _bits(ds.accel))
     assert np.array_equal(_bits(parsed["gyro"]), _bits(ds.gyro))
@@ -344,7 +345,7 @@ def test_imu_sidecar_columns_bit_equal_to_parse(tmp_path, seed, n):
 
 def _exported(tmp_path, n=50):
     """An exported IMU CSV of ``n`` rows, its sidecar, and the sidecar's
-    record."""
+    bytes."""
     rng = np.random.default_rng(n)
     ds = sync.SyncedDataset(imu_t=np.arange(n) / 200.0, accel=rng.normal(size=(n, 3)),
                             gyro=rng.normal(size=(n, 3)), frame_t=np.zeros(0),
@@ -352,7 +353,7 @@ def _exported(tmp_path, n=50):
     csv = tmp_path / "imu.csv"
     sync.export_imu_csv(ds, csv)
     sidecar = sync.imu_sidecar(csv)
-    return csv, sidecar, np.load(sidecar)
+    return csv, sidecar, sidecar.read_bytes()
 
 
 def test_imu_sidecar_stale_after_csv_edit(tmp_path):
@@ -366,68 +367,61 @@ def test_imu_sidecar_stale_after_csv_edit(tmp_path):
         _assert_loads_as_parsed(csv, "csv")
 
 
-def _npy(header, body=b""):
-    """A version 1.0 `.npy` file of the header text ``header``."""
-    text = header.encode("latin1")
-    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
-    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + body
+def _signed(csv, columns):
+    """A sidecar of ``columns`` (t, accel, gyro as one float64 array) under
+    the digest that `export_imu_csv` would give them beside ``csv``."""
+    columns = np.asarray(columns, dtype="<f8")
+    return sync._sha256(csv, columns) + columns.tobytes()
 
 
-def _save(record):
-    with io.BytesIO() as f:
-        np.save(f, record)
-        return f.getvalue()
+def _flipped(data, byte, bit):
+    data = bytearray(data)
+    data[byte] ^= 1 << bit
+    return bytes(data)
 
 
-def _retyped(record, dtype):
-    out = np.zeros((), dtype)
-    for name in dtype.names:
-        out[name] = record[name]
-    return out
-
-
-def _broken_sidecars(csv, record):
-    """Sidecars that `load_imu_csv` must pass over, by what is wrong."""
-    n = len(record["t"])
-    good = _save(record)
-    header = "{'descr': %r, 'fortran_order': False, 'shape': (), }"
+def _broken_sidecars(csv, good):
+    """Sidecars that `load_imu_csv` must pass over, by what is wrong;
+    ``good`` is the sidecar that `export_imu_csv` wrote beside ``csv``."""
+    n = (len(good) - 32) // 56
+    columns = np.frombuffer(good, "<f8", offset=32)
     rows = csv.stat().st_size // sync.MIN_ROW_BYTES + 1
-    too_many = np.zeros((), sync._sidecar_dtype(rows))
-    too_many["sha256"], too_many["t"] = record["sha256"], np.arange(rows)
-    non_finite = record.copy()
-    non_finite["t"][3] = np.nan
+    too_many = np.zeros(7 * rows)
+    too_many[:rows] = np.arange(rows)
+    non_finite = columns.copy()
+    non_finite[3] = np.nan                      # t[3]
+    # the one `.npy` record of the CSV's sha256 and its columns that an
+    # earlier format held
+    t, accel, gyro = np.split(columns, [n, 4 * n])
+    old = np.zeros((), [("sha256", np.uint8, (32,)), ("t", "<f8", (n,)),
+                        ("accel", "<f8", (n, 3)), ("gyro", "<f8", (n, 3))])
+    old["sha256"] = np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(), np.uint8)
+    old["t"], old["accel"], old["gyro"] = t, accel.reshape(n, 3), gyro.reshape(n, 3)
+    with io.BytesIO() as f:
+        np.save(f, old)
+        old_npy = f.getvalue()
     return {
         "empty": b"",
-        "truncated": good[:len(good) // 2],
+        "shorter-than-digest": good[:31],
+        "truncated-mid-row": good[:-8],
+        "truncated-by-a-row": good[:-56],
         "trailing-byte": good + b"\0",
-        "big-endian": _save(_retyped(record, sync._sidecar_dtype(n).newbyteorder(">"))),
-        "float32": _save(_retyped(record, np.dtype(
-            [(name, np.uint8 if name == "sha256" else "<f4", record.dtype[name].shape)
-             for name in record.dtype.names]))),
-        "missing-field": _save(_retyped(record, np.dtype(sync._sidecar_dtype(n).descr[:3]))),
-        "array-of-records": _save(record[None]),
-        # 2 GiB of columns declared, then the header's padding cut
-        "huge-shape": _npy(header % sync._sidecar_dtype(sync.SIDECAR_MAX_ROWS).descr,
-                           good[128:]),
-        "shape-beyond-c-int": _npy(header % [("sha256", "|u1", (32,)), ("t", "<f8", (10**15,))],
-                                   good[128:]),
-        "rows-beyond-csv-size": _save(too_many),
-        "non-finite": _save(non_finite),
-        "object-dtype": _npy(header % "|O", b"\0" * 64),
-        "unparsable-header": _npy("{(", b"\0" * 64),               # TokenError
-        "deep-header": _npy("{'descr': %s1}" % ("-" * 3000)),        # RecursionError
-        "parser-overflow": _npy("{'descr': %s1}" % ("+" * 9000)),    # MemoryError
-        "not-npy": b"t,ax,ay,az,gx,gy,gz\n",
-        "npz": b"PK\x03\x04" + good,
+        "rows-beyond-csv-size": _signed(csv, too_many),
+        "digest-flip": _flipped(good, 5, 3),
+        # bit 0 of the top byte of accel[0, 0]: 1.526e-05 from 1 when the
+        # digest covered the CSV alone
+        "accel-bit-flip": _flipped(good, 32 + 8 * n + 7, 0),
+        "old-npy-record": old_npy,
+        "non-finite": _signed(csv, non_finite),
     }
 
 
 def test_broken_imu_sidecar_parses_csv(tmp_path):
-    """A sidecar that is not one well-formed record of the CSV's columns is
-    passed over with a warning, and never allocates what its header asks."""
-    csv, sidecar, record = _exported(tmp_path)
+    """A sidecar that is not the digest and columns of the CSV is passed
+    over with a warning, and never allocates more than the CSV's columns."""
+    csv, sidecar, good = _exported(tmp_path)
     _assert_loads_as_parsed(csv, "sidecar")
-    for kind, data in _broken_sidecars(csv, record).items():
+    for kind, data in _broken_sidecars(csv, good).items():
         sidecar.write_bytes(data)
         tracemalloc.start()
         with pytest.warns(UserWarning, match=f"^{re.escape(str(sidecar))}: ") as caught:
@@ -435,19 +429,7 @@ def test_broken_imu_sidecar_parses_csv(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert len(caught) == 2, kind          # one per sensor read
-        assert peak < 2**24, kind         # the huge shape declares 2 GiB
-
-
-def test_no_imu_sidecar_beyond_one_record(tmp_path, monkeypatch):
-    """A dataset too long for one sidecar record gets no sidecar, and an
-    older one beside the CSV is removed."""
-    csv, sidecar, _ = _exported(tmp_path)
-    monkeypatch.setattr(sync, "SIDECAR_MAX_ROWS", 49)
-    ds = sync.SyncedDataset(imu_t=np.arange(50.0), accel=np.ones((50, 3)),
-                            gyro=np.zeros((50, 3)), frame_t=np.zeros(0), exposure=np.zeros(0))
-    assert sync.export_imu_csv(ds, csv) is None
-    assert not sidecar.exists()
-    _assert_loads_as_parsed(csv, "csv")
+        assert peak < 2**24, kind
 
 
 def test_imu_sidecar_not_read_when_absent(tmp_path, monkeypatch):
