@@ -36,10 +36,8 @@ _TABLE_MAX = 1 << 23
 
 class GridIndex:
     def __init__(self, points, cell_size):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        self.cell_size = check_length("cell_size", cell_size)
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
-        self.cell_size = float(cell_size)
         # each axis's distinct cell coordinates and every point's rank among them
         self._axes, ranks = zip(*(np.unique(c, return_inverse=True)
                                   for c in self._cells(self.points).T))
@@ -84,7 +82,7 @@ class GridIndex:
         """Yield (query, position) chunks: positions into the key-sorted
         points of all points in the (2*reach+1)^3 cells around each query's
         cell, by query, then in x, y, z cell scan order, then by index."""
-        if reach < 0 or len(self._keys) == 0:
+        if len(self._keys) == 0:
             return
         cube = np.prod([min(2 * reach + 1, len(u)) for u in self._axes])
         step = max(1, _CHUNK // int(cube * self._counts.max()))
@@ -185,7 +183,7 @@ class GridIndex:
         """Candidate chunks within reach of ``radius`` with their squared
         distances, summed over x, y, z in that order."""
         columns = queries.T.copy()
-        for qid, pos in self._candidates(queries, int(np.ceil(radius / self.cell_size))):
+        for qid, pos in self._candidates(queries, self._reach(radius)):
             yield qid, pos, self._d2(columns, qid, pos)
 
     def _table_distances(self, queries, table):
@@ -215,6 +213,11 @@ class GridIndex:
             d2 += d
         return d2
 
+    def _reach(self, radius):
+        """Cells around a query's own that hold every point within
+        ``radius`` of it, at most 2^64: the windows saturate before that."""
+        return math.ceil(min(radius / self.cell_size, 2.0 ** 64))
+
     def cells(self):
         """(cell of each point, lowest-index point of each cell), with the
         occupied cells numbered in lexicographic (x, y, z) order."""
@@ -226,6 +229,8 @@ class GridIndex:
         """Points in the (2*reach+1)^3 cells around each query's cell, as
         CSR ``(offsets, indices)``; a row lists its cells in x, y, z scan
         order and each cell's points by index."""
+        if isinstance(reach, bool) or not isinstance(reach, (int, np.integer)) or reach < 0:
+            raise ValueError(f"reach must be an integer >= 0, got {reach!r}")
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         # each chunk's (query, position) arrays are dropped once read
         chunks = [(np.bincount(qid, minlength=len(queries)), self._order.take(pos))
@@ -237,6 +242,7 @@ class GridIndex:
     def radius_neighbors(self, queries, radius):
         """Points within ``radius`` of each query, as CSR ``(offsets,
         indices)``: row i is ``indices[offsets[i]:offsets[i + 1]]``, sorted."""
+        radius = check_length("radius", radius, strict=False)
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         n = max(len(self.points), 1)
         pairs = [np.empty(0, dtype=np.int64)]
@@ -249,10 +255,10 @@ class GridIndex:
     def nearest_within(self, queries, radius):
         """(index, distance) arrays of each query's nearest point within
         ``radius``; ties go to the lowest index, a miss is (-1, inf)."""
+        radius = check_length("radius", radius, strict=False)
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         index, dist = np.full(len(queries), -1), np.full(len(queries), np.inf)
-        reach = int(np.ceil(radius / self.cell_size))
-        table = self._table(reach) if len(self._keys) and reach >= 0 else None
+        table = self._table(self._reach(radius)) if len(self._keys) else None
         chunks = (self._distances(queries, radius) if table is None
                   else self._table_distances(queries, table))
         for qid, pos, d2 in chunks:
@@ -265,6 +271,16 @@ class GridIndex:
                 np.where(tie, cand, len(self.points)), first)
             dist[qid[first]] = np.sqrt(best)
         return index, dist
+
+
+def check_length(name, value, strict=True):
+    """``value`` as a float if it is finite and > 0, or >= 0 where not
+    ``strict``; else a `ValueError` naming ``name`` and ``value``."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                         f"got {value!r}")
+    return value
 
 
 def _box_key(cells, low, shape):

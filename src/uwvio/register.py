@@ -4,13 +4,15 @@ ICP refinement, and fitness / inlier_rmse scoring.
 
 The global-registration step is a correspondence RANSAC with a closed-form
 3-point rigid fit and a final least-squares refit on the consensus set;
-it is deterministic under a fixed seed. A drawn triple is fitted only if
-each of its three edges keeps its length to within 2 * inlier_threshold
-between the two clouds (the edge-length check of Open3D's feature-based
-RANSAC and the tuple test of Zhou, Park and Koltun, "Fast Global
-Registration", ECCV 2016). Three pairs within the threshold of one rigid
-motion always pass, by the triangle inequality, so the check drops no
-all-inlier sample and the adaptive stop keeps its confidence.
+it is deterministic under a fixed seed. Hypotheses are drawn a run at a
+time. A drawn triple is fitted only if each of its three edges keeps its
+length to within 2 * inlier_threshold between the two clouds (the
+edge-length check of Open3D's feature-based RANSAC and the tuple test of
+Zhou, Park and Koltun, "Fast Global Registration", ECCV 2016). Three pairs
+within the threshold of one rigid motion always pass, by the triangle
+inequality, so the check drops no all-inlier sample and the adaptive stop
+keeps its confidence. A run's passing triples are fitted in one stacked
+call and scored one at a time in draw order.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, UwvioError
 from .geometry import RigidTransform, rigid_fit
-from .gridindex import GridIndex
+from .gridindex import GridIndex, check_length
 
 DEFAULT_VOXEL = 0.10            # paper pipeline voxel size, meters
 NORMAL_K = 30
@@ -69,11 +71,11 @@ class RegistrationResult:
 
 
 def check_voxel_grid(cloud, voxel):
-    """Raise unless ``cloud`` can be voxelized at ``voxel``: an empty cloud
-    is a `UwvioError`; a coordinate whose voxel index does not fit in
-    int64, or that is not finite, is an `InputError`."""
-    if voxel <= 0:
-        raise ValueError("voxel size must be positive")
+    """Raise unless ``cloud`` can be voxelized at ``voxel``: a voxel that is
+    not finite and positive is a `ValueError`; an empty cloud is a
+    `UwvioError`; a coordinate whose voxel index does not fit in int64, or
+    that is not finite, is an `InputError`."""
+    check_length("voxel size", voxel)
     if len(cloud) == 0:
         raise UwvioError("cannot downsample an empty cloud")
     extent = np.abs(cloud.points).max()
@@ -109,11 +111,13 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     Returns a new cloud.
 
     The grid's cells are sized so that a cube of 27 cells would hold about
-    k + 1 points if the cloud filled its bounding box. A point searches the
-    cube of cells around its own, doubling the reach (1, 2, 4, ... cells)
-    until its (k + 1)-th nearest candidate lies strictly closer than every
-    point outside the cube, or the cube holds the whole cloud; so every
-    neighbourhood is exact.
+    k + 1 points if the cloud filled the box of its trimmed spread, which
+    leaves out each axis's n // 1000 lowest and highest values (see
+    `_density_cell`). A point searches the cube of cells around its own,
+    doubling the reach (1, 2, 4, ... cells) until its (k + 1)-th nearest
+    candidate lies strictly closer than every point outside the cube, or
+    the cube holds the whole cloud; so every neighbourhood is exact,
+    whatever cell size the spread gives.
     """
     if (isinstance(k_neighbors, bool) or not isinstance(k_neighbors, (int, np.integer))
             or k_neighbors < 1):
@@ -234,8 +238,13 @@ def _covariances(nb):
 
 
 def _density_cell(pts, k):
-    """Grid cell size tuned so a cell holds on the order of k points."""
-    extent = np.ptp(pts, axis=0)
+    """Grid cell size tuned so a cell holds on the order of k points, were
+    they spread evenly over the box of the trimmed spread: each axis's range
+    less its len(pts) // 1000 lowest and highest values, so that a few
+    stray points do not inflate the cell."""
+    m = len(pts) // 1000
+    ends = np.partition(pts, [m, len(pts) - 1 - m], axis=0)
+    extent = ends[len(pts) - 1 - m] - ends[m]
     extent = np.where(extent > 0, extent, 1.0)
     volume = float(np.prod(extent))
     per_point = (volume / len(pts)) ** (1.0 / 3.0)
@@ -340,8 +349,7 @@ def compute_fpfh(cloud, radius):
     """
     if cloud.normals is None:
         raise ValueError("cloud needs normals; run estimate_normals first")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_length("radius", radius)
     pts = cloud.points
     normals = cloud.normals
     n = len(pts)
@@ -458,76 +466,66 @@ def robust_global_registration(correspondences, points_a, points_b,
     to the stopping point as it stands, but taken in order, as a
     one-at-a-time loop would: ties go to the earlier hypothesis, and the
     hypotheses of a run past a stopping point that moved closer are
-    discarded. Deterministic under the seed.
+    discarded. Deterministic under the seed, whatever the run length.
 
     Only the triples whose three edge lengths agree to within
-    2 * ``inlier_threshold`` (`_edges_agree`) are fitted and scored, a
-    block of them at a time; the others count 0 inliers, which never beats
-    the best so far. If the three pairs of a triple lie within the
-    threshold of one rigid motion, each edge's lengths differ by less than
-    twice the threshold (triangle inequality), so every all-inlier sample
-    is still fitted and the number of hypotheses drawn before the stop
-    keeps its confidence bound.
+    2 * ``inlier_threshold`` (`_edges_agree`) are fitted, in one stacked
+    `rigid_fit` per run, and scored, one at a time in draw order; the
+    others count 0 inliers, which never beats the best so far. If the
+    three pairs of a triple lie within the threshold of one rigid motion,
+    each edge's lengths differ by less than twice the threshold (triangle
+    inequality), so every all-inlier sample is still fitted and the number
+    of hypotheses drawn before the stop keeps its confidence bound.
     """
     corr = np.asarray(correspondences, dtype=int).reshape(-1, 2)
     n = len(corr)
     if n < 3:
         raise UwvioError(f"need >= 3 correspondences, got {n}")
+    check_length("inlier_threshold", inlier_threshold)
     a = np.asarray(points_a, dtype=float)[corr[:, 0]]
     b = np.asarray(points_b, dtype=float)[corr[:, 1]]
+    aT, bT = a.T.copy(), b.T.copy()     # (3, n): one row per residual axis
     rng = np.random.default_rng(seed)
     thr2 = inlier_threshold * inlier_threshold
     run = _CHUNK // 9               # hypotheses per draw: (run, 3, 3) triples
-    block = max(1, _CHUNK // n)     # fitted hypotheses per block: (n, block) temporaries
 
-    best_count = 0
-    best_inliers = None
+    best_count, best_inliers = 0, None
     limit = RANSAC_MAX_ITER
     it = fits = 0
     while it < limit:
         sample = _distinct_triples(rng, n, min(run, limit - it))
         pa, pb = a[sample], b[sample]
-        # only the triples that keep their edge lengths are fitted and
-        # scored; the others count 0, which never beats the best
+        # a triple that fails the edge check counts 0, never above the best
         fit = np.flatnonzero(_edges_agree(pa, pb, 2 * inlier_threshold))
+        R, t = rigid_fit(pa[fit], pb[fit])
         taken = 0
-        for s in range(0, fit.size, block):
-            f = fit[s:s + block]
-            if it + f[0] >= limit:
+        for j, Rj, tj in zip(fit, R, t):
+            if it + j >= limit:
                 break
-            R, t = rigid_fit(pa[f], pb[f])
-            # squared residual of every correspondence under every fitted
-            # hypothesis, one axis at a time
-            resid2 = np.zeros((n, f.size))
-            for k in range(3):
-                e = a @ R[:, k, :].T
-                e += t[:, k]
-                e -= b[:, k, None]
-                e *= e
-                resid2 += e
+            fits += 1
+            # squared residual of every correspondence, summed x, y, z
+            e = Rj @ aT
+            e += tj[:, None]
+            e -= bT
+            e *= e
+            resid2 = e[0] + e[1]
+            resid2 += e[2]
             inliers = resid2 < thr2
-            counts = np.count_nonzero(inliers, axis=0)
-            # only a count above every earlier one can become the best
-            before = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
-            for c in np.flatnonzero(counts > before):
-                j = f[c]                # the hypothesis's place in the run
-                if it + j >= limit:
-                    break
-                best_count = int(counts[c])
-                best_inliers = inliers[:, c]
-                taken = j + 1
-                ratio = best_count / n
-                if ratio >= 1.0:
-                    limit = it + taken      # nothing can beat an all-inlier fit
-                    break
-                # iterations needed to hit an all-inlier sample with the
-                # requested confidence
-                denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
-                needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
-                limit = min(needed, RANSAC_MAX_ITER)
-        step = max(taken, min(len(sample), limit - it))
-        fits += int(np.searchsorted(fit, step))
-        it += step
+            count = int(np.count_nonzero(inliers))
+            if count <= best_count:
+                continue
+            best_count, best_inliers = count, inliers
+            taken = j + 1               # hypotheses of the run used so far
+            ratio = best_count / n
+            if ratio >= 1.0:
+                limit = it + taken      # nothing can beat an all-inlier fit
+                break
+            # iterations needed to hit an all-inlier sample with the
+            # requested confidence
+            denom = np.log1p(-min(ratio ** 3, 1 - 1e-12))
+            needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
+            limit = min(needed, RANSAC_MAX_ITER)
+        it += max(taken, min(len(sample), limit - it))
 
     minimum = max(3, int(np.ceil(MIN_INLIER_RATIO * n)))
     if best_inliers is None or best_count < minimum:
@@ -590,6 +588,7 @@ def icp_refine(source, target, init, threshold):
     ``ICP_MAX_ITER`` passes (``"max_iter"``). ``target`` is a cloud, its
     points, or a `GridIndex` of them.
     """
+    check_length("threshold", threshold)
     src, index = _points(source), _target_index(target, threshold)
     tgt = index.points
     if len(src) == 0 or len(tgt) == 0:
@@ -623,8 +622,7 @@ def score_registration(source, target, transform, threshold):
     inlier_rmse is the RMSE over those inlier distances. ``target`` is a
     cloud, its points, or a `GridIndex` of them.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    check_length("threshold", threshold)
     src, index = _points(source), _target_index(target, threshold)
     if len(src) == 0 or len(index.points) == 0:
         raise UwvioError("empty cloud in scoring")

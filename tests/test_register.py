@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,61 @@ def test_grid_index_windows_saturate_at_int64_limits(radius):
     offsets, indices = GridIndex(ends, 0.1).cube(ends, 2 ** 80)
     assert offsets.tolist() == [0, 2, 4]
     assert indices.tolist() == [0, 1, 0, 1]
+
+
+def _unit_cloud():
+    pts = np.random.default_rng(30).uniform(0, 1, size=(50, 3))
+    return PointCloud(points=pts, normals=np.tile([0.0, 0.0, 1.0], (50, 1)))
+
+
+_LENGTH_ARGUMENTS = {
+    "GridIndex": ("cell_size", "> 0", lambda v: GridIndex(_unit_cloud().points, v)),
+    "radius_neighbors": ("radius", ">= 0", lambda v: GridIndex(
+        _unit_cloud().points, 0.1).radius_neighbors([[0.5, 0.5, 0.5]], v)),
+    "nearest_within": ("radius", ">= 0", lambda v: GridIndex(
+        _unit_cloud().points, 0.1).nearest_within([[0.5, 0.5, 0.5]], v)),
+    "voxel_downsample": ("voxel size", "> 0", lambda v: voxel_downsample(_unit_cloud(), v)),
+    "compute_fpfh": ("radius", "> 0", lambda v: compute_fpfh(_unit_cloud(), v)),
+    "icp_refine": ("threshold", "> 0", lambda v: icp_refine(
+        _unit_cloud(), _unit_cloud(), RigidTransform.identity(), v)),
+    "score_registration": ("threshold", "> 0", lambda v: score_registration(
+        _unit_cloud(), _unit_cloud(), RigidTransform.identity(), v)),
+    "robust_global_registration": ("inlier_threshold", "> 0",
+                                   lambda v: robust_global_registration(
+                                       np.column_stack([np.arange(50)] * 2),
+                                       _unit_cloud().points, _unit_cloud().points, v)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(_LENGTH_ARGUMENTS))
+def test_lengths_must_be_finite_and_in_range(entry, value):
+    """A cell size, radius, voxel or threshold that is not finite, or below
+    its range, is a `ValueError` naming the argument and its value."""
+    name, bound, call = _LENGTH_ARGUMENTS[entry]
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and {bound}, "
+                                             f"got {re.escape(repr(value))}$"):
+            call(value)
+
+
+def test_grid_index_reach_and_huge_radius():
+    """`cube` takes an integer reach >= 0. A finite radius of any size
+    saturates the reach instead of overflowing it, and finds every point."""
+    pts = np.random.default_rng(31).uniform(0, 1, size=(20, 3))
+    index = GridIndex(pts, 1e-9)
+    for reach in (1.5, -1, np.nan, True):
+        with pytest.raises(ValueError, match=f"^reach must be an integer >= 0, got "
+                                             f"{re.escape(repr(reach))}$"):
+            index.cube(pts[:1], reach)
+    assert index.cube(pts[:1], np.int64(0))[0].tolist() == [0, 1]
+    offsets, indices = index.radius_neighbors(pts[:2], 1e300)
+    assert offsets.tolist() == [0, 20, 40]
+    assert indices.tolist() == list(range(20)) * 2
+    nearest, dist = index.nearest_within(pts[:2] + 5.0, 1e300)
+    assert nearest.tolist() == np.argmin(
+        np.linalg.norm(pts[None] - pts[:2, None] - 5.0, axis=2), axis=1).tolist()
+    assert np.isfinite(dist).all()
 
 
 def _brute_nearest(pts, queries, radius):
@@ -304,10 +360,14 @@ def test_downsample_averages_colors():
 
 def brute_force_normals(pts, k, viewpoint=(0.0, 0.0, 0.0)):
     """(normals, degenerate mask) from each point's exact k + 1 nearest
-    points, ties by index, with estimate_normals' arithmetic."""
-    d2 = sum((pts[None, :, a] - pts[:, None, a]) ** 2 for a in range(3))
-    ids = np.broadcast_to(np.arange(len(pts)), d2.shape)
-    nb = pts[np.lexsort((ids, d2))[:, :k + 1]]
+    points, ties by index, with estimate_normals' arithmetic; the distance
+    matrix is formed 500 rows at a time."""
+    nearest = []
+    for s in range(0, len(pts), 500):
+        d2 = sum((pts[None, :, a] - pts[s:s + 500, None, a]) ** 2 for a in range(3))
+        ids = np.broadcast_to(np.arange(len(pts)), d2.shape)
+        nearest.append(np.lexsort((ids, d2))[:, :k + 1])
+    nb = pts[np.concatenate(nearest)]
     centered = nb - nb.mean(axis=1, keepdims=True)
     w, v = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered) / (k + 1))
     degenerate = (w[:, 2] <= 1e-18) | (w[:, 1] <= 1e-12 * w[:, 2])
@@ -711,6 +771,36 @@ def test_normals_exact_with_far_isolated_points(seed, monkeypatch):
                                int(rng.integers(3, 13)))
 
 
+@pytest.mark.parametrize("n_far", range(1, 6))
+def test_normals_linear_with_far_strays(n_far, monkeypatch):
+    """A scanned surface plus 1 to 5 strays at 10^3 to 10^5 times its extent,
+    as a sparse map's badly triangulated landmarks: the normals are exact,
+    and the searches rank at most 16 n (k + 1) candidates in all, as the
+    grid is sized from the trimmed spread, not the bounding box."""
+    rng = np.random.default_rng(n_far)
+    # at least 1000 n_far points: the trim drops n_far values at each end
+    scene = structured_scene(n_points=1000 * n_far, extent=20.0, seed=n_far)
+    direction = rng.normal(size=(n_far, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    extent = np.ptp(scene, axis=0).max()
+    far = scene.mean(axis=0) + direction * extent * 10.0 ** rng.uniform(3, 5, (n_far, 1))
+    pts = np.vstack([scene, far])[rng.permutation(len(scene) + n_far)]
+    ranked = []
+    knn = register._knn
+
+    def counted(columns, queries, cand, starts, lengths, k):
+        ranked.append(int(lengths.sum()))
+        return knn(columns, queries, cand, starts, lengths, k)
+
+    monkeypatch.setattr(register, "_knn", counted)
+    k = register.NORMAL_K
+    cloud = estimate_normals(PointCloud(points=pts), k_neighbors=k)
+    assert sum(ranked) <= 16 * len(pts) * (k + 1)
+    want, degenerate = brute_force_normals(pts, k)
+    assert np.array_equal(cloud.degenerate, degenerate)
+    np.testing.assert_allclose(cloud.normals, want, rtol=0, atol=1e-12)
+
+
 def test_normals_exact_when_cells_span_beyond_int64():
     """A cloud whose normals cells span more than int64 can count still
     widens each search to the whole cloud: the cell windows saturate at
@@ -928,7 +1018,7 @@ def _one_at_a_time(a, b, thr, samples):
     return it, best, best_inliers
 
 
-def _check_blocks_against_one_at_a_time(res, a, b, thr, samples):
+def _check_against_one_at_a_time(res, a, b, thr, samples):
     # the same iterations, best count and inlier set: ties go to the
     # earlier hypothesis, and none past the stopping point is taken
     it, best, best_inliers = _one_at_a_time(a, b, thr, samples)
@@ -945,13 +1035,13 @@ def test_ransac_blocks_match_one_hypothesis_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("n_bad, chunk", [(150, 9 * 300), (80, 9 * 10)])
 def test_ransac_runs_of_several_blocks_match_one_at_a_time(n_bad, chunk, monkeypatch):
-    # with 80 outliers a run holds several blocks of fitted hypotheses
+    # with 80 outliers a run holds many fitted hypotheses
     _check_runs_against_one_at_a_time(monkeypatch, n_bad, chunk)
 
 
 def _check_runs_against_one_at_a_time(monkeypatch, n_bad, chunk):
-    """RANSAC drawing runs of chunk // 9 hypotheses, fitted
-    max(1, chunk // 200) at a time, against the one-at-a-time loop."""
+    """RANSAC drawing runs of chunk // 9 hypotheses, each run's passing
+    triples fitted in one stacked call, against the one-at-a-time loop."""
     monkeypatch.setattr(register, "_CHUNK", chunk)
     rng = np.random.default_rng(23)
     n, thr = 200, 0.1
@@ -969,7 +1059,7 @@ def _check_runs_against_one_at_a_time(monkeypatch, n_bad, chunk):
     corr = np.column_stack([np.arange(n)] * 2)
     res = robust_global_registration(corr, a, b, inlier_threshold=thr, seed=4)
     assert len(drawn) > 1
-    _check_blocks_against_one_at_a_time(res, a, b, thr, np.concatenate(drawn))
+    _check_against_one_at_a_time(res, a, b, thr, np.concatenate(drawn))
 
 
 def _crafted_stream(monkeypatch, late):
@@ -1004,20 +1094,20 @@ def test_ransac_stopping_point_inside_a_block(monkeypatch, late, want):
     a, b, samples = _crafted_stream(monkeypatch, late)
     corr = np.column_stack([np.arange(len(a))] * 2)
     res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
-    assert _check_blocks_against_one_at_a_time(res, a, b, 0.01, samples) == want
+    assert _check_against_one_at_a_time(res, a, b, 0.01, samples) == want
 
 
 @pytest.mark.parametrize("late, want", [(253, (253, 60, 1)), (100, (101, 100, 2))],
                          ids=["at-the-limit", "past-the-new-limit"])
 def test_ransac_fits_only_triples_that_keep_their_edges(monkeypatch, late, want):
     """The triples of three outliers fail the edge check and never reach
-    `rigid_fit`; the two that hold a motion are fitted, in one block.
+    `rigid_fit`; the two that hold a motion are fitted, in one stacked call.
     `fits` counts only those up to the stopping point."""
     a, b, samples = _crafted_stream(monkeypatch, late)
     stacked = []
 
     def recording(src, dst):
-        if np.ndim(src) == 3:       # a block's hypotheses, not the final refit
+        if np.ndim(src) == 3:       # a run's hypotheses, not the final refit
             stacked.append(np.array(src))
         return rigid_fit(src, dst)
 
@@ -1030,9 +1120,9 @@ def test_ransac_fits_only_triples_that_keep_their_edges(monkeypatch, late, want)
 
 def test_ransac_best_carries_across_blocks_of_a_run(monkeypatch):
     """Hypotheses 0, 5 and 9 hold motions of 60, 100 and 80 of 300 pairs,
-    each fitted in a block of its own within one run: the 80-pair motion,
-    which beats the best of the run's start, is not taken."""
-    monkeypatch.setattr(register, "_CHUNK", 9 * 20)     # runs of 20, blocks of 1
+    all in one run and scored in draw order: the 80-pair motion, which
+    beats the best of the run's start, is not taken."""
+    monkeypatch.setattr(register, "_CHUNK", 9 * 20)     # runs of 20
     rng = np.random.default_rng(29)
     n = 300
     a = rng.uniform(-5, 5, size=(n, 3))
@@ -1047,7 +1137,46 @@ def test_ransac_best_carries_across_blocks_of_a_run(monkeypatch):
                         lambda rng, n, m: np.array([next(stream) for _ in range(m)]))
     corr = np.column_stack([np.arange(n)] * 2)
     res = robust_global_registration(corr, a, b, inlier_threshold=0.01)
-    assert _check_blocks_against_one_at_a_time(res, a, b, 0.01, samples)[1] == 100
+    assert _check_against_one_at_a_time(res, a, b, 0.01, samples)[1] == 100
+
+
+@pytest.fixture(scope="module")
+def ransac_inputs():
+    """Two RANSAC inputs as (correspondences, points a, points b,
+    threshold): the evaluate benchmark's pair, a 31 % overlap of a
+    16 000-point scene, matched by FPFH at a 0.1 m voxel; and 300 pairs in
+    a cubic metre, 270 of them outliers, whose edge checks pass often."""
+    scene = structured_scene(n_points=16_000, extent=6.0, seed=0)
+    noise = np.random.default_rng(0)
+    source = (scene[scene[:, 0] <= 3.9] - [2.0, 0.0, 0.0]) @ rotation_about_z(np.pi / 6)
+    target = scene[scene[:, 0] >= 2.7]
+    source = source + noise.normal(size=source.shape) * 0.01
+    target = target + noise.normal(size=target.shape) * 0.01
+    clouds = [estimate_normals(voxel_downsample(PointCloud(points=p), 0.1))
+              for p in (source, target)]
+    corr = match_descriptors(*[compute_fpfh(c, 0.5) for c in clouds])
+    rng = np.random.default_rng(26)
+    a = rng.uniform(0, 1, size=(300, 3))
+    b = a @ rotation_about_z(0.5).T + [1.0, 0.0, 0.0]
+    b[:270] = rng.uniform(0, 1, size=(270, 3)) @ rotation_about_z(0.5).T + [1.0, 0.0, 0.0]
+    return [(corr, clouds[0].points, clouds[1].points, 0.1),
+            (np.column_stack([np.arange(300)] * 2), a, b, 0.1)]
+
+
+def test_ransac_does_not_depend_on_the_run_length(ransac_inputs, monkeypatch):
+    """Runs of 20, 300 and the default number of hypotheses give the same
+    result: a stacked `rigid_fit` gives each hypothesis the bits it gets
+    alone, and every hypothesis is scored by the same product."""
+    for corr, a, b, thr in ransac_inputs:
+        results = []
+        for chunk in (9 * 20, 9 * 300, register._CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(register, "_CHUNK", chunk)
+                res = robust_global_registration(corr, a, b, inlier_threshold=thr, seed=0)
+            results.append((res.iterations, res.n_inliers, res.fits,
+                            res.transform.matrix().tobytes()))
+        assert results[0][2] > 100
+        assert results[1:] == results[:-1]
 
 
 def test_edges_agree_keeps_every_all_inlier_triple():
