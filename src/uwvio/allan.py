@@ -174,9 +174,5 @@ def export_curve_csv(curve, path):
     n_axes = curve.adev.shape[1]
     names = ["x", "y", "z"][:n_axes] if n_axes <= 3 else [str(i) for i in range(n_axes)]
     header = "tau," + ",".join(f"adev_{n}" for n in names) + ",adev_avg"
-    avg = curve.adev.mean(axis=1)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for i, tau in enumerate(curve.taus):
-            cols = ",".join(f"{v:.9e}" for v in curve.adev[i])
-            f.write(f"{tau:.9e},{cols},{avg[i]:.9e}\n")
+    np.savetxt(path, np.column_stack([curve.taus, curve.adev, curve.adev.mean(axis=1)]),
+               fmt="%.9e", delimiter=",", header=header, comments="")

@@ -81,9 +81,9 @@ class FusedPoint:
 
 
 def _grow(a, rows=0):
-    """Copy of ``a`` with twice the rows (at least 16 and at least ``rows``),
-    the old ones kept."""
-    out = np.empty((max(2 * len(a), 16, rows),) + a.shape[1:], dtype=a.dtype)
+    """Copy of ``a`` with twice the rows (at least 16 and at least twice
+    ``rows``), the old ones kept."""
+    out = np.empty((max(2 * len(a), 16, 2 * rows),) + a.shape[1:], dtype=a.dtype)
     out[:len(a)] = a
     return out
 
@@ -620,12 +620,11 @@ def _apply_block(gmap, kind, run):
     Every check runs before the first write; numpy or a check rejecting a
     line raises UwvioError or ValueError before any observation or keyframe
     is stored."""
-    text = [line if isinstance(line, str) else line.decode() for line in run]
     if kind == "OBS":
-        rows = np.loadtxt(text, dtype=_OBS_ROW, comments=None, ndmin=1)
+        rows = np.loadtxt(run, dtype=_OBS_ROW, comments=None, ndmin=1, encoding="utf-8")
         return gmap.add_observations(rows["lm"], rows["kf"], rows["p_w"],
                                      rows["quality"], rows["color"])
-    rows = np.loadtxt(text, dtype=_POSE_ROW, comments=None, ndmin=1)
+    rows = np.loadtxt(run, dtype=_POSE_ROW, comments=None, ndmin=1, encoding="utf-8")
     if not (np.isfinite(rows["t"]).all() and np.isfinite(rows["q"]).all()):
         raise ValueError("non-finite value")
     poses = RigidTransform.from_arrays(rows["q"], rows["t"])  # a zero quaternion raises

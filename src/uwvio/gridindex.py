@@ -1,14 +1,16 @@
 """Uniform-grid spatial index for batched neighbor queries on point clouds.
 
-Points are bucketed into cubic cells of side ``cell_size`` and sorted by an
-int64 cell key, ties by index. The key packs the ranks of the cell's
+Points are bucketed into cubic cells of side ``cell_size``, ``floor(p /
+cell_size)`` for points and queries alike (`GridIndex._cells`), and sorted
+by an int64 cell key, ties by index. The key packs the ranks of the cell's
 coordinates among those occupied on each axis, so its range is bounded by
 the point count, not by the cloud's extent. `cube` and `radius_neighbors`
 scan: a query batch looks up the cell cube around each query with
 ``np.searchsorted`` and expands the cells' points into flat candidate
 arrays, ``_CHUNK`` candidates at a time. A cube's window of cells
 saturates at the int64 limits, so any reach, and any finite radius, is
-searched exactly.
+searched exactly. A neighbour found in a point's cube of cells and nearer
+than `clearance` beats every indexed point outside the cube.
 
 `nearest_within` reads a cell-neighbourhood table instead, built on first
 use and kept until a query needs another reach. It has one CSR row for
@@ -38,9 +40,14 @@ class GridIndex:
     def __init__(self, points, cell_size):
         self.cell_size = check_length("cell_size", cell_size)
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
+        cells, valid = self._cells(self.points)
+        if not valid.all():
+            if not np.isfinite(self.points).all():
+                raise UwvioError("grid index points must be finite")
+            raise UwvioError(f"a point over cell size {self.cell_size:g} overflows an "
+                             "int64 cell index")
         # each axis's distinct cell coordinates and every point's rank among them
-        self._axes, ranks = zip(*(np.unique(c, return_inverse=True)
-                                  for c in self._cells(self.points).T))
+        self._axes, ranks = zip(*(np.unique(c, return_inverse=True) for c in cells))
         if np.prod([len(u) for u in self._axes], dtype=object) >= 2 ** 63:
             raise ValueError("too many distinct cell coordinates for int64 keys")
         keys = self._key(*ranks)
@@ -56,24 +63,14 @@ class GridIndex:
         return self.points[self._order].T.copy()
 
     def _cells(self, points):
-        """Cell coordinates of indexed points; `UwvioError` unless every
-        point is finite and its cell fits in int64."""
-        with np.errstate(over="ignore"):   # an overflowing cell is rejected below
-            scaled = points / self.cell_size
-        if not max(scaled.max(initial=0.0), -scaled.min(initial=0.0)) < 2.0 ** 63:
-            if not np.isfinite(points).all():
-                raise UwvioError("grid index points must be finite")
-            raise UwvioError(f"a point over cell size {self.cell_size:g} overflows an "
-                             "int64 cell index")
-        return np.floor(scaled, out=scaled).astype(np.int64)
-
-    def _query_cells(self, queries):
-        """Cell coordinates of each query, as (3, m), and a mask of the queries
-        that have a cell: finite, with coordinates that fit in int64. The
-        other queries get cell 0."""
-        scaled = queries / self.cell_size
-        valid = np.all(np.abs(scaled) < 2.0 ** 63, axis=1)
-        return np.floor(np.where(valid[:, None], scaled, 0.0)).astype(np.int64).T, valid
+        """(3, m) int64 cell coordinates of the points and a mask of those
+        that have a cell, finite and fitting int64; the others get cell 0."""
+        with np.errstate(over="ignore"):    # an overflowing point has no cell
+            scaled = (points / self.cell_size).T
+        fits = np.abs(scaled) < 2.0 ** 63
+        valid = fits[0] & fits[1] & fits[2]
+        scaled[:, ~valid] = 0.0
+        return np.floor(scaled, out=scaled).astype(np.int64), valid
 
     def _key(self, rx, ry, rz):
         return (rx * len(self._axes[1]) + ry) * len(self._axes[2]) + rz
@@ -89,7 +86,7 @@ class GridIndex:
         i64 = np.iinfo(np.int64)
         whole = min(reach, 2 * i64.max)     # cells span less than 2^64
         for q0 in range(0, len(queries), step):
-            cells, valid = self._query_cells(queries[q0:q0 + step])
+            cells, valid = self._cells(queries[q0:q0 + step])
             # c +- reach in two int64 steps, each saturated at the limits
             low, high = cells, cells
             for r in (whole // 2, whole - whole // 2):
@@ -170,7 +167,7 @@ class GridIndex:
         """(start, count) of each query's table row; a query whose cell is
         not within reach of an occupied cell gets an empty row."""
         low, shape, keys, offsets, _ = table
-        cells, valid = self._query_cells(queries)
+        cells, valid = self._cells(queries)
         for c, lo, size in zip(cells, low, shape):
             valid &= (c >= lo) & (c < lo + size)
         key = _box_key(cells, low, shape)
@@ -217,6 +214,22 @@ class GridIndex:
         """Cells around a query's own that hold every point within
         ``radius`` of it, at most 2^64: the windows saturate before that."""
         return math.ceil(min(radius / self.cell_size, 2.0 ** 64))
+
+    @functools.cached_property
+    def _top(self):
+        """Largest coordinate magnitude of the indexed points."""
+        return np.abs(self.points).max(initial=0.0)
+
+    def clearance(self, points, reach):
+        """Squared distance below which a neighbour found in the
+        (2*reach+1)^3 cells around each point's cell beats every indexed point
+        outside them: reach cells plus the distance to the cell's nearest
+        face, less a margin for rounding in the cells, that distance and d^2."""
+        frac = points / self.cell_size
+        frac -= np.floor(frac)
+        face = self.cell_size * np.minimum(frac, 1.0 - frac).min(axis=1)
+        margin = 1e-12 * (self._top + (reach + 1) * self.cell_size)
+        return np.maximum(reach * self.cell_size + face - margin, 0.0) ** 2
 
     def cells(self):
         """(cell of each point, lowest-index point of each cell), with the

@@ -127,9 +127,7 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
     size = int(k_neighbors) + 1         # the point and its k neighbours
     if n < size:
         raise UwvioError(f"need >= {size} points, got {n}")
-    cell = _density_cell(pts, size / 27)
-    top = np.abs(pts).max()
-    index = GridIndex(pts, cell)
+    index = GridIndex(pts, _density_cell(pts, size / 27))
     viewpoint = np.asarray(viewpoint, dtype=float)
 
     # points sharing a cell share its candidate row
@@ -146,12 +144,7 @@ def estimate_normals(cloud, k_neighbors=NORMAL_K, viewpoint=(0.0, 0.0, 0.0)):
         order = np.lexsort((row, np.diff(offsets)[row]))
         need, row = need[order], row[order]
         start, length = offsets[row], np.diff(offsets)[row]
-        # a point outside the cube lies at least reach cells plus the query's
-        # distance to its own cell's nearest face away, less a margin for
-        # rounding in the cell assignment, that distance and d^2
-        margin = 1e-12 * (top + (reach + 1) * cell)
-        clearance = np.maximum(reach * cell + _face_distance(pts[need], cell) - margin,
-                               0.0) ** 2
+        clearance = index.clearance(pts[need], reach)
         done = np.zeros(len(need), dtype=bool)
         s = 0
         while s < len(need):
@@ -222,13 +215,6 @@ def _knn(columns, queries, cand, starts, lengths, k):
         sel[redo] = np.take_along_axis(idx, order, 1)
         sel_d2[redo] = np.take_along_axis(d2[redo], order, 1)
     return sel, sel_d2
-
-
-def _face_distance(points, cell):
-    """Distance of each point to the nearest face of its grid cell."""
-    frac = points / cell
-    frac -= np.floor(frac)
-    return cell * np.minimum(frac, 1.0 - frac).min(axis=1)
 
 
 def _covariances(nb):

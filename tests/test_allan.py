@@ -194,14 +194,31 @@ def test_simulation_determinism():
     assert not np.array_equal(a, c)
 
 
+_CURVE_CSVS = [
+    ([0.1, 1.0], [[1e-3, 2e-3], [4e-4, 8e-4]],
+     "tau,adev_x,adev_y,adev_avg\n"
+     "1.000000000e-01,1.000000000e-03,2.000000000e-03,1.500000000e-03\n"
+     "1.000000000e+00,4.000000000e-04,8.000000000e-04,6.000000000e-04\n"),
+    ([0.5], [[np.nan]],
+     "tau,adev_x,adev_avg\n"
+     "5.000000000e-01,nan,nan\n"),
+    ([1.0, 2.0], [[np.inf, 1.0, 2.0], [-0.0, -0.0, -0.0]],
+     "tau,adev_x,adev_y,adev_z,adev_avg\n"
+     "1.000000000e+00,inf,1.000000000e+00,2.000000000e+00,inf\n"
+     "2.000000000e+00,-0.000000000e+00,-0.000000000e+00,-0.000000000e+00,0.000000000e+00\n"),
+    ([1e-300], [[1e300, 1e-300, 0.0, 3.0, -np.inf]],
+     "tau,adev_0,adev_1,adev_2,adev_3,adev_4,adev_avg\n"
+     "1.000000000e-300,1.000000000e+300,1.000000000e-300,0.000000000e+00,"
+     "3.000000000e+00,-inf,-inf\n"),
+]
+
+
 def test_curve_csv(tmp_path):
-    curve = AllanCurve(taus=np.array([0.1, 1.0]),
-                       adev=np.array([[1e-3, 2e-3], [4e-4, 8e-4]]),
-                       rate=10.0, n_samples=100)
+    """The exact text: one header line, then tau, each axis and their mean
+    as %.9e, non-finite cells and -0 included."""
     path = tmp_path / "allan.csv"
-    export_curve_csv(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tau,adev_x,adev_y,adev_avg"
-    got = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(got[:, 0], curve.taus)
-    assert np.allclose(got[:, 3], curve.adev.mean(axis=1))
+    for taus, adev, text in _CURVE_CSVS:
+        curve = AllanCurve(taus=np.array(taus), adev=np.array(adev), rate=10.0,
+                           n_samples=100)
+        export_curve_csv(curve, path)
+        assert path.read_bytes() == text.encode()

@@ -770,6 +770,21 @@ def test_large_block_of_stored_pairs_only():
     assert set(m._quality[:stored].tolist()) == {0.25}
 
 
+def test_large_batch_leaves_room_for_the_next_observation():
+    """A large batch grows the table with headroom, so the next single
+    observation is stored without copying the columns."""
+    rng = np.random.default_rng(33)
+    m = GlobalMap()
+    m.add_keyframe(0, identity_pose())
+    n = 100_000
+    m.add_observations(np.arange(n), np.zeros(n, dtype=int), rng.normal(size=(n, 3)),
+                       np.full(n, 0.5), np.zeros((n, 3)))
+    kf = m._kf
+    m.add_observation(n, 0, [1.0, 2.0, 3.0], 0.5)
+    assert m.n_observations == n + 1
+    assert m._kf is kf
+
+
 def test_add_observations_after_staged_rows_wins():
     m = GlobalMap()
     m.add_keyframe(0, identity_pose())

@@ -171,7 +171,8 @@ def test_lengths_must_be_finite_and_in_range(entry, value):
 
 def test_grid_index_reach_and_huge_radius():
     """`cube` takes an integer reach >= 0. A finite radius of any size
-    saturates the reach instead of overflowing it, and finds every point."""
+    saturates the reach instead of overflowing it, and finds every point. A
+    finite query whose cell overflows int64 has no neighbours."""
     pts = np.random.default_rng(31).uniform(0, 1, size=(20, 3))
     index = GridIndex(pts, 1e-9)
     for reach in (1.5, -1, np.nan, True):
@@ -186,6 +187,9 @@ def test_grid_index_reach_and_huge_radius():
     assert nearest.tolist() == np.argmin(
         np.linalg.norm(pts[None] - pts[:2, None] - 5.0, axis=2), axis=1).tolist()
     assert np.isfinite(dist).all()
+    far = [[1e300, 0.0, 0.0]]
+    assert index.radius_neighbors(far, 1.0)[0].tolist() == [0, 0]
+    assert index.cube(far, 1)[0].tolist() == [0, 0]
 
 
 def _brute_nearest(pts, queries, radius):
@@ -216,7 +220,7 @@ def _random_grid_case(rng):
     queries = np.vstack([rng.uniform(-1, 4, size=(40, 3)),
                          rng.integers(0, 6, size=(20, 3)) * 0.5 + 0.25,
                          pts[:5] + rng.normal(size=(min(n, 5), 3)) * 0.1,
-                         [[1e5, 1.0, 1.0], [-1e12, 0, 0], [1e300, 0, 0],
+                         [[1e5, 1.0, 1.0], [-1e12, 0, 0], [1e300, 0, 0], [1.7e308, 0, 0],
                           [np.nan, 1.0, 1.0], [np.inf, 0, 0], [0, -np.inf, 0]]])
     return pts, cell, radius, queries
 
